@@ -23,7 +23,7 @@ func TestBenchCLISmokeAndCompare(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("bench exit %d: %s", code, stderr)
 	}
-	for _, stage := range []string{"decide_steady", "wire_encode", "ring_lookup", "cluster_hop", "rtt_p1", "rtt_p32"} {
+	for _, stage := range []string{"decide_steady", "wire_encode", "ring_lookup", "cluster_hop", "watch_observe", "rtt_p1", "rtt_p32"} {
 		if !strings.Contains(stdout, stage) {
 			t.Errorf("bench output missing stage %s:\n%s", stage, stdout)
 		}

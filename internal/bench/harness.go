@@ -13,6 +13,7 @@ import (
 	"mithra/internal/lint"
 	"mithra/internal/mathx"
 	"mithra/internal/misr"
+	"mithra/internal/obs"
 	"mithra/internal/serve"
 	"mithra/internal/stats"
 	"mithra/internal/watch"
@@ -54,6 +55,7 @@ var hermeticStages = map[string]bool{
 	"decide_steady":          true,
 	"watch_overhead":         true,
 	"drift_overhead":         true,
+	"watch_observe":          true,
 	"cluster_hop":            true,
 }
 
@@ -407,6 +409,34 @@ func Run(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 	if err := herm("drift_overhead", ddrv.Step); err != nil {
+		return nil, err
+	}
+
+	// watch_observe: one sampled observation through the guarantee
+	// monitor in the shape `mithrad -recheck-window 32 -watch-lag 64`
+	// runs it — recheck armed, divergence reference attached, metrics on,
+	// no journal — on a holding stream. Every release re-checks the
+	// Clopper-Pearson guarantee and every 32nd marks a window, so this
+	// row is the monitor's full per-sample cost on the updater goroutine.
+	wrng := mathx.NewRNG(cfg.Seed + 2)
+	wins := make([][]float64, 256)
+	for i := range wins {
+		wins[i] = []float64{0.9 * wrng.Float64(), wrng.Float64(), wrng.Float64()}
+	}
+	wo, err := obs.New(obs.Options{Metrics: true})
+	if err != nil {
+		return nil, err
+	}
+	mon := watch.NewMonitor(benchName, g, watch.BuildReference(nil, wins), watch.Config{
+		Enabled: true, Window: 32, Lag: 64,
+		Recheck: watch.Recheck{Enabled: true, RepairEvery: 32, MaxFoldIns: 8},
+	}, wo)
+	var obsID uint32
+	if err := herm("watch_observe", func() error {
+		mon.Observe(watch.Obs{ID: obsID, In: wins[obsID%uint32(len(wins))]})
+		obsID++
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 

@@ -48,6 +48,21 @@ func (g Guarantee) LowerBound(successes, trials int) float64 {
 	return ClopperPearsonLower(successes, trials, g.EffectiveLevel())
 }
 
+// BoundTable returns the Clopper-Pearson bounds for every success count
+// out of a fixed number of trials: lower[k] is LowerBound(k, trials) and
+// upper[k] is the upper limit at the same effective level. A caller that
+// re-checks a fixed-size window builds it once and then reads bounds by
+// index instead of inverting the Beta distribution per check.
+func (g Guarantee) BoundTable(trials int) (lower, upper []float64) {
+	lower = make([]float64, trials+1)
+	upper = make([]float64, trials+1)
+	for k := range lower {
+		lower[k] = g.LowerBound(k, trials)
+		upper[k] = ClopperPearsonUpper(k, trials, g.EffectiveLevel())
+	}
+	return lower, upper
+}
+
 // Holds reports whether `successes` out of `trials` certifies the
 // guarantee.
 func (g Guarantee) Holds(successes, trials int) bool {

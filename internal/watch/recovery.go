@@ -125,7 +125,7 @@ type recovery struct {
 	foldIns      int // fold-ins this episode
 	exceeded     bool
 
-	traj     []string // trailing per-window lower bounds, FormatFloat form
+	traj     []float64 // trailing per-window lower bounds
 	trajHead int
 	trajLen  int
 
@@ -135,7 +135,7 @@ type recovery struct {
 
 func (r *recovery) init(m *Monitor) {
 	r.badPending = make([][]float64, 0, m.cfg.Recheck.MaxPending)
-	r.traj = make([]string, m.cfg.Recheck.Trajectory)
+	r.traj = make([]float64, m.cfg.Recheck.Trajectory)
 	b := m.bench
 	r.gWindowLower = m.o.Gauge("watch.cp.window_lower." + b)
 	r.gLastDwell = m.o.Gauge("watch.recovery.last_dwell." + b)
@@ -277,14 +277,14 @@ func (m *Monitor) repair() {
 }
 
 // windowMark records one per-window CP lower bound: gauge, trajectory
-// ring, and a `cp_window` note.
+// ring, and a `cp_window` note. It runs every Window releases on the
+// steady path, so it allocates nothing unless a journal is attached.
 func (m *Monitor) windowMark() {
 	r := &m.rec
-	lb := m.g.LowerBound(m.successes, m.filled)
+	lb := m.lower[m.successes]
 	r.windowIdx++
 	r.gWindowLower.Set(lb)
-	s := FormatFloat(lb)
-	r.traj[r.trajHead] = s
+	r.traj[r.trajHead] = lb
 	r.trajHead++
 	if r.trajHead == len(r.traj) {
 		r.trajHead = 0
@@ -292,17 +292,20 @@ func (m *Monitor) windowMark() {
 	if r.trajLen < len(r.traj) {
 		r.trajLen++
 	}
+	if m.o.Journal() == nil {
+		return
+	}
 	m.o.Note("cp_window", map[string]any{
 		"bench":       m.bench,
 		"window":      r.windowIdx,
 		"successes":   m.successes,
 		"size":        m.filled,
-		"lower_bound": s,
+		"lower_bound": FormatFloat(lb),
 	})
 }
 
 // trajectoryList renders the trailing per-window lower bounds
-// oldest-first.
+// oldest-first in FormatFloat form (episode end only).
 func (r *recovery) trajectoryList() string {
 	if r.trajLen == 0 {
 		return ""
@@ -316,7 +319,7 @@ func (r *recovery) trajectoryList() string {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = append(buf, r.traj[(start+i)%len(r.traj)]...)
+		buf = appendFloat(buf, r.traj[(start+i)%len(r.traj)])
 	}
 	return string(buf)
 }

@@ -1,6 +1,6 @@
 // Package watch implements mithrawatch, the continuous guarantee
 // observability subsystem (DESIGN.md §14): a per-shard monitor that
-// re-runs the Clopper-Pearson `Holds` check over deterministic sliding
+// re-checks the Clopper-Pearson guarantee over deterministic sliding
 // windows of sampled observations and drives an explicit state machine
 //
 //	holding → at-risk → violated → recovering → holding
@@ -9,6 +9,12 @@
 // watch.guarantee.* gauges and counters, plus streaming input-histogram
 // divergence gauges (PSI, L1) against a reference distribution baked
 // into the snapshot at compile time.
+//
+// Cost. The check only runs on a full window, so its trial count is
+// always Config.Window and only the success count varies. NewMonitor
+// computes the lower and upper bound for every count 0..Window once
+// (stats.Guarantee.BoundTable); each re-check is then two slice reads,
+// with no Beta-quantile inversion per observation.
 //
 // Determinism contract. Every window and threshold is measured in
 // request counts, never wall clock. The monitor consumes only the
@@ -135,8 +141,11 @@ type Monitor struct {
 	o     *obs.Obs
 	div   *Tracker
 
-	// required is the success count a full window needs to certify.
-	required int
+	// lower and upper are a full window's Clopper-Pearson bounds indexed
+	// by its success count; required is the first count whose lower
+	// bound certifies (Window+1: none does).
+	lower, upper []float64
+	required     int
 
 	gState, gLower, gUpper, gMargin, gDwell *obs.Gauge
 	gPSI, gL1                               *obs.Gauge
@@ -172,9 +181,16 @@ func NewMonitor(bench string, g stats.Guarantee, ref *Reference, cfg Config, o *
 		g:         g,
 		cfg:       cfg,
 		o:         o,
-		required:  g.RequiredSuccesses(cfg.Window),
 		ring:      make([]bool, cfg.Window),
 		exemplars: make([]uint32, cfg.Exemplars),
+	}
+	m.lower, m.upper = g.BoundTable(cfg.Window)
+	m.required = cfg.Window + 1
+	for k, lb := range m.lower {
+		if lb >= g.SuccessRate {
+			m.required = k
+			break
+		}
 	}
 	m.pending.a = make([]Obs, 0, cfg.Lag+1)
 	if ref.Valid() {
@@ -326,11 +342,11 @@ func (m *Monitor) ingest(ob Obs) {
 	}
 }
 
+// evaluate re-checks the guarantee. ingest calls it only on a full
+// window, so the bound table indexed by the success count applies.
 func (m *Monitor) evaluate() {
-	n := m.filled
 	holds := m.successes >= m.required
-	lb := m.g.LowerBound(m.successes, n)
-	ub := stats.ClopperPearsonUpper(m.successes, n, m.g.EffectiveLevel())
+	lb, ub := m.lower[m.successes], m.upper[m.successes]
 	margin := lb - m.g.SuccessRate
 
 	next := m.state
@@ -430,6 +446,9 @@ func (m *Monitor) exemplarList() string {
 // Prometheus exposition): shortest round-trippable 'g' form, so bytes
 // can never differ across platforms.
 func FormatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// appendFloat appends v's FormatFloat form to buf.
+func appendFloat(buf []byte, v float64) []byte { return strconv.AppendFloat(buf, v, 'g', -1, 64) }
 
 // minHeap is a binary min-heap of observations keyed by request ID (the
 // reorder buffer). Push/pop are allocation-free at steady state: the

@@ -2,6 +2,7 @@ package watch
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -304,4 +305,75 @@ func TestFormatFloatCanonical(t *testing.T) {
 func negZero() float64 {
 	z := 0.0
 	return -z
+}
+
+// TestBoundTableExact: the monitor's per-window bound table holds the
+// same floats the direct Clopper-Pearson calls return, its required
+// count is the guarantee's, and the state machine's two readings of the
+// table — holds (k ≥ required) and the margin's sign (lower[k] ≥
+// SuccessRate) — agree at every count.
+func TestBoundTableExact(t *testing.T) {
+	for _, g := range []stats.Guarantee{testGuarantee(), stats.PaperGuarantee()} {
+		for _, window := range []int{16, 32, 64} {
+			m := NewMonitor("fft", g, nil, Config{Enabled: true, Window: window}, nil)
+			if len(m.lower) != window+1 || len(m.upper) != window+1 {
+				t.Fatalf("%v window %d: table sizes %d/%d, want %d", g, window, len(m.lower), len(m.upper), window+1)
+			}
+			for k := 0; k <= window; k++ {
+				lb := g.LowerBound(k, window)
+				ub := stats.ClopperPearsonUpper(k, window, g.EffectiveLevel())
+				if math.Float64bits(m.lower[k]) != math.Float64bits(lb) {
+					t.Errorf("%v window %d: lower[%d] = %v, direct %v", g, window, k, m.lower[k], lb)
+				}
+				if math.Float64bits(m.upper[k]) != math.Float64bits(ub) {
+					t.Errorf("%v window %d: upper[%d] = %v, direct %v", g, window, k, m.upper[k], ub)
+				}
+				if holds, certifies := k >= m.required, m.lower[k] >= g.SuccessRate; holds != certifies {
+					t.Errorf("%v window %d k %d: holds=%v but lower bound certifies=%v", g, window, k, holds, certifies)
+				}
+			}
+			if want := g.RequiredSuccesses(window); m.required != want {
+				t.Errorf("%v window %d: required %d, RequiredSuccesses %d", g, window, m.required, want)
+			}
+		}
+	}
+}
+
+// TestObserveSteadyZeroAlloc pins the Observe hotpath promise in the
+// serving shape: recheck armed, divergence reference attached, metrics
+// on, no journal, a holding stream. Each run feeds two full windows, so
+// a per-window allocation (the cp_window mark) cannot hide below one per
+// run.
+func TestObserveSteadyZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under the race detector")
+	}
+	ins := make([][]float64, 64)
+	for i := range ins {
+		ins[i] = []float64{float64(i) / 64, 0.5, -0.25}
+	}
+	o, err := obs.New(obs.Options{Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window = 32
+	m := NewMonitor("fft", testGuarantee(), BuildReference(nil, ins), Config{
+		Enabled: true, Window: window, Lag: 64,
+		Recheck: Recheck{Enabled: true, RepairEvery: window, MaxFoldIns: 8},
+	}, o)
+	id := uint32(0)
+	feedWindows := func() {
+		for i := 0; i < 2*window; i++ {
+			m.Observe(Obs{ID: id, In: ins[id%uint32(len(ins))]})
+			id++
+		}
+	}
+	feedWindows()
+	feedWindows() // past the reorder lag and the first full window
+	if allocs := testing.AllocsPerRun(50, feedWindows); allocs != 0 {
+		t.Fatalf("steady holding Observe: %v allocs per %d observations, want 0", allocs, 2*window)
+	}
+	if m.State() != Holding || m.rec.windowIdx == 0 {
+		t.Fatalf("state %v after %d window marks: the stream did not reach a steady holding check", m.State(), m.rec.windowIdx)
+	}
 }
