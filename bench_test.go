@@ -5,7 +5,7 @@ package mithra
 // executes one experiment end to end against a shared, lazily-built suite
 // at a reduced but shape-preserving scale; `go test -bench .` therefore
 // reproduces the full evaluation campaign. For paper-scale numbers run
-// cmd/mithra-report -scale paper.
+// `mithra report -scale paper`.
 
 import (
 	"io"
@@ -49,7 +49,7 @@ func runExperiment(b *testing.B, id string) {
 	s := suiteForBench(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := experiments.RunOne(s, id, io.Discard); err != nil {
+		if err := experiments.RunOne(s, id, io.Discard, experiments.FormatText); err != nil {
 			b.Fatal(err)
 		}
 	}

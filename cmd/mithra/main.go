@@ -379,15 +379,19 @@ func cmdCompile(args []string, stdout, stderr io.Writer) int {
 		o.Gauge("threshold.value").Set(dep.Th.Threshold)
 		fmt.Fprintf(stdout, "threshold        %.6f (certified=%v, lower bound %.1f%%)\n",
 			dep.Th.Threshold, dep.Th.Certified, dep.Th.LowerBound*100)
-		fmt.Fprintf(stdout, "compile success  %d/%d datasets\n", dep.Th.Successes, dep.Th.Trials)
+		fmt.Fprintf(stdout, "compile success  %d/%d datasets (full-approx quality loss %.1f%%)\n",
+			dep.Th.Successes, dep.Th.Trials, dep.Ctx.FullQuality*100)
 		fmt.Fprintf(stdout, "oracle invocation rate on compile sets: %.1f%%\n", dep.Th.InvocationRate*100)
-		fmt.Fprintf(stdout, "table classifier  %d B compressed (%d B raw, density %.2f%%)\n",
-			dep.Table.SizeBytes(), dep.Table.UncompressedBytes(), dep.Table.Density()*100)
+		tc := dep.Table.Config()
+		fmt.Fprintf(stdout, "table classifier  %d B compressed (%d B raw, density %.2f%%; bits=%d combine=%s guard=%.2f)\n",
+			dep.Table.SizeBytes(), dep.Table.UncompressedBytes(), dep.Table.Density()*100,
+			tc.QuantBits, tc.Combine, dep.TableGuard)
 		topo := make([]string, len(dep.Neural.Topology()))
 		for i, t := range dep.Neural.Topology() {
 			topo[i] = fmt.Sprint(t)
 		}
-		fmt.Fprintf(stdout, "neural classifier %s, %d B\n", strings.Join(topo, "->"), dep.Neural.SizeBytes())
+		fmt.Fprintf(stdout, "neural classifier %s, %d B, bias %.2f\n",
+			strings.Join(topo, "->"), dep.Neural.SizeBytes(), dep.Neural.Bias())
 		fmt.Fprintf(stdout, "tuned random filtering rate: %.1f%%\n", dep.RandomRate*100)
 		if *out != "" {
 			blob, err := dep.Export()
@@ -580,18 +584,23 @@ func parseDesign(s string) (mithra.Design, error) {
 
 func cmdReport(args []string, stdout, stderr io.Writer) int {
 	var (
-		scale, exp, benches *string
-		seed                *uint64
-		par                 *int
+		scale, exp, benches, format *string
+		seed                        *uint64
+		par                         *int
 	)
 	return command("report", args, stderr, func(fs *flag.FlagSet, of *obsFlags) {
 		scale = fs.String("scale", "medium", "dataset scale: test|medium|paper")
 		exp = fs.String("exp", "", "single experiment id (default: all)")
+		format = fs.String("format", "text", "output format: text|csv|json")
 		seed = fs.Uint64("seed", 42, "experiment seed")
 		benches = fs.String("benchmarks", "", "comma-separated benchmark subset (default: all)")
 		par = parallelFlag(fs)
 		of.register(fs)
 	}, func(_ *flag.FlagSet, of *obsFlags, lg *obs.Logger) error {
+		f := experiments.Format(*format)
+		if f != experiments.FormatText && f != experiments.FormatCSV && f != experiments.FormatJSON {
+			return usageErrf("unknown format %q (text|csv|json)", *format)
+		}
 		opts, err := optionsFor(*scale)
 		if err != nil {
 			return err
@@ -613,17 +622,20 @@ func cmdReport(args []string, stdout, stderr io.Writer) int {
 		}
 
 		o, shutdown, err := of.open(lg, "report", *seed, map[string]any{
-			"scale": *scale, "exp": *exp, "benchmarks": *benches,
+			"scale": *scale, "exp": *exp, "benchmarks": *benches, "format": *format,
 		}, *par)
 		if err != nil {
 			return err
 		}
 		cfg.Opts.Obs = o
 
-		if *exp == "" {
-			err = mithra.Report(cfg, stdout)
-		} else {
-			err = mithra.Report(cfg, stdout, *exp)
+		s, err := experiments.NewSuite(cfg)
+		if err == nil {
+			if *exp == "" {
+				err = experiments.RunAllFormat(s, stdout, f)
+			} else {
+				err = experiments.RunOne(s, *exp, stdout, f)
+			}
 		}
 		shutdown(err)
 		return err

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mithra"
@@ -14,8 +15,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files with the current output")
 
 // TestReportGolden pins the rendered output of the report command's code
-// path (mithra.Report, exactly what cmdReport invokes) at test scale on a
-// single benchmark. The pipeline is deterministic by construction — seeded
+// path (mithra.Report builds the same suite and renders the same tables
+// as cmdReport's text format) at test scale on a single benchmark. The pipeline is deterministic by construction — seeded
 // RNG streams and the parallel engine's bit-identical guarantee — so the
 // full report text, numbers included, is stable and diffable.
 func TestReportGolden(t *testing.T) {
@@ -52,5 +53,19 @@ func TestReportGolden(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("report output differs from %s (run 'go test -update' after verifying):\n--- got ---\n%s\n--- want ---\n%s",
 			path, got, want)
+	}
+}
+
+// TestReportExpFormat checks that -format renders a single experiment
+// (-exp) as well as the full report.
+func TestReportExpFormat(t *testing.T) {
+	var out, errb bytes.Buffer
+	args := []string{"-exp", "table1", "-scale", "test", "-benchmarks", "fft", "-format", "csv"}
+	if code := cmdReport(args, &out, &errb); code != 0 {
+		t.Fatalf("report exited %d: %s", code, errb.String())
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "benchmark,domain,") || !strings.HasPrefix(lines[1], "fft,") {
+		t.Fatalf("table1 CSV = %q, want a header and one fft row", out.String())
 	}
 }

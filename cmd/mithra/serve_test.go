@@ -25,14 +25,22 @@ var compiledFixture = sync.OnceValues(func() ([]byte, error) {
 	}
 	defer os.RemoveAll(dir)
 	out := filepath.Join(dir, "prog.bin")
-	code, _, stderr := mithraCLI("compile", "-bench", "fft", "-scale", "test",
+	code, stdout, stderr := mithraCLI("compile", "-bench", "fft", "-scale", "test",
 		"-quality", "0.10", "-success", "0.6", "-confidence", "0.9", "-two-sided=false",
 		"-seed", "42", "-o", out, "-quiet")
 	if code != 0 {
 		return nil, fmt.Errorf("compile exit %d: %s", code, stderr)
 	}
+	// The deployment diagnostics: full-approximation quality loss, the
+	// auto-tuned table configuration and guard band, the neural bias.
+	if !compileDiagRe.MatchString(stdout) {
+		return nil, fmt.Errorf("compile output lacks the deployment diagnostics:\n%s", stdout)
+	}
 	return os.ReadFile(out)
 })
+
+var compileDiagRe = regexp.MustCompile(`(?s)full-approx quality loss [0-9.]+%.*` +
+	`bits=[0-9]+ combine=\S+ guard=[0-9.]+\).*neural classifier .*, bias -?[0-9.]+\n`)
 
 func fixtureFile(t *testing.T) string {
 	t.Helper()

@@ -81,7 +81,7 @@ func cmdWatch(args []string, stdout, stderr io.Writer) int {
 			now := time.Now()
 			rows := watch.MergeStatus(perNode)
 			if len(rows) == 0 {
-				fmt.Fprintln(stdout, "no guarantee monitors armed (start mithrad with -watch)")
+				fmt.Fprintln(stdout, "no guarantee monitors armed (start mithrad with -sample-rate > 0)")
 			}
 			// QPSFrom omits benches without a prior sample (the whole first
 			// poll, and any bench that appears mid-watch): their QPS column

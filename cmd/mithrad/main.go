@@ -9,11 +9,13 @@
 //	mithra loadgen -addr 127.0.0.1:7433 -config sobel.bin -scale test
 //
 // The sporadic error-sampling path (-sample-rate) routes a deterministic
-// fraction of invocations through the precise kernel, re-checks the
-// Clopper-Pearson guarantee over each sampling window, and swaps
-// repaired table snapshots in atomically; -freeze keeps sampling's
-// measurements but pins the snapshots, which makes served decisions
-// byte-identical to an offline replay (DESIGN.md §10).
+// fraction of invocations through the precise kernel and feeds each
+// shard's guarantee monitor, the one guarantee loop: it re-checks the
+// Clopper-Pearson guarantee over a sliding window of -recheck-window
+// sampled observations and, on a violation, folds the bad inputs into
+// the table and swaps the repaired snapshot in atomically. -freeze keeps
+// the monitor's measurements but withholds its fold-ins, which makes
+// served decisions byte-identical to an offline replay (DESIGN.md §10).
 //
 // Shutdown (SIGINT/SIGTERM) drains gracefully: listeners close, queued
 // requests are answered, then connections close — bounded by
@@ -63,24 +65,21 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		maxBatch     = fs.Int("max-batch", 32, "max requests one worker drains per wakeup")
 		sampleRate   = fs.Float64("sample-rate", 0, "sporadic error-sampling rate (0 disables online updates)")
 		sampleSeed   = fs.Uint64("sample-seed", 42, "deterministic sampler seed")
-		updateEvery  = fs.Int("update-every", 64, "sampled observations per guarantee re-check window")
 		freeze       = fs.Bool("freeze", false, "measure but never swap snapshots (replay mode)")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
 		journal      = fs.String("journal", "", "write a run journal (with the serving metrics snapshot) to this file")
 		quiet        = fs.Bool("quiet", false, "suppress progress output")
 		logJSON      = fs.Bool("log-json", false, "emit progress and errors as JSON lines")
-		walDir       = fs.String("wal-dir", "", "crash-safe state directory: snapshots and sampling windows persist here and are recovered on restart")
+		walDir       = fs.String("wal-dir", "", "crash-safe state directory: installed snapshots persist here and are recovered on restart")
 		faultPlan    = fs.String("fault-plan", "", "deterministic fault-injection plan, e.g. 'seed=42,conn.reset=0.01,worker.panic=0.05@64' (chaos testing)")
 		rejectFull   = fs.Bool("reject-when-full", false, "shed load in-band (CodeQueueFull) instead of exerting backpressure when a shard queue saturates")
 		noBreaker    = fs.Bool("no-breaker", false, "disable the per-benchmark circuit breaker (fail-safe degradation)")
-		watchOn      = fs.Bool("watch", false, "arm the per-shard guarantee monitor (requires -sample-rate > 0 to see observations)")
-		watchWindow  = fs.Int("watch-window", 0, "guarantee monitor sliding window in sampled observations (0 = default 64)")
 		watchMargin  = fs.Float64("watch-margin", 0, "at-risk margin between the CP lower bound and the target (0 = default 0.02)")
 		watchRecover = fs.Int("watch-recover", 0, "consecutive passing evaluations before recovering -> holding (0 = window size)")
 		watchExempl  = fs.Int("watch-exemplars", 0, "guarantee-relevant request IDs kept per state transition (0 = default 8)")
 		watchLag     = fs.Int("watch-lag", 0, "reorder-buffer depth for ID-ordered monitor ingestion (0 = default 512)")
-		recheckWin   = fs.Int("recheck-window", 0, "continuous monitoring: re-check the guarantee over sliding windows of N sampled observations and escalate at-risk/violated into a sampling boost + table fold-in (implies -watch; requires -sample-rate > 0)")
-		maxFoldIns   = fs.Int("max-foldins-to-recover", 0, "fold-ins allowed per recovery episode before the monitor journals recovery_exceeded and stops repairing (0 = default 8; needs -recheck-window)")
+		recheckWin   = fs.Int("recheck-window", 64, "guarantee monitor window: with -sample-rate > 0, re-check the guarantee over sliding windows of N sampled observations and escalate at-risk/violated into a sampling boost + table fold-in")
+		maxFoldIns   = fs.Int("max-foldins-to-recover", 0, "fold-ins allowed per recovery episode before the monitor journals recovery_exceeded and stops repairing (0 = default 8)")
 		clusterSpec  = fs.String("cluster-spec", "", "cluster spec file shared by every node (enables multi-node mode; requires -node and -wal-dir)")
 		nodeName     = fs.String("node", "", "this node's name in the -cluster-spec file")
 	)
@@ -136,10 +135,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		lg.Errorf("usage", "need at least one of -listen / -unix (or -cluster-spec)")
 		return 2
 	}
-	if *maxFoldIns > 0 && *recheckWin <= 0 {
-		lg.Errorf("usage", "-max-foldins-to-recover needs -recheck-window")
-		return 2
-	}
 
 	o, err := obs.New(obs.Options{Metrics: true, JournalPath: *journal, Log: lg})
 	if err != nil {
@@ -160,9 +155,9 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	}
 
 	// Crash-safe state: open the WAL and recover the pre-crash snapshots
-	// and sampling windows before anything is installed, and attach the
-	// write-ahead persist hook before the boot installs so every snapshot
-	// the registry ever publishes is durable first.
+	// before anything is installed, and attach the write-ahead persist
+	// hook before the boot installs so every snapshot the registry ever
+	// publishes is durable first.
 	var (
 		wal       *serve.WAL
 		recovered *serve.Recovered
@@ -263,34 +258,22 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		MaxBatch:       *maxBatch,
 		SampleRate:     *sampleRate,
 		SampleSeed:     *sampleSeed,
-		UpdateEvery:    *updateEvery,
 		Freeze:         *freeze,
 		Obs:            o,
 		Faults:         faults,
 		RejectWhenFull: *rejectFull,
 		Breaker:        serve.BreakerConfig{Disabled: *noBreaker},
-		WAL:            wal,
 		Watch: watch.Config{
-			Enabled:      *watchOn || *recheckWin > 0,
-			Window:       *watchWindow,
+			Window:       *recheckWin,
 			RiskMargin:   *watchMargin,
 			RecoverAfter: *watchRecover,
 			Exemplars:    *watchExempl,
 			Lag:          *watchLag,
 			Recheck: watch.Recheck{
-				Enabled:     *recheckWin > 0,
 				RepairEvery: *recheckWin,
 				MaxFoldIns:  *maxFoldIns,
 			},
 		},
-	}
-	if *recheckWin > 0 && *watchWindow == 0 {
-		// The recheck window is the sliding window the CP check runs over;
-		// without an explicit -watch-window the two coincide.
-		cfg.Watch.Window = *recheckWin
-	}
-	if recovered != nil {
-		cfg.RecoveredWindows = recovered.Windows
 	}
 	if node != nil {
 		cfg.Cluster = node
@@ -303,8 +286,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	}
 	runCfg := map[string]any{
 		"snapshots": *snapshots, "sample_rate": *sampleRate,
-		"update_every": *updateEvery, "freeze": *freeze,
-		"wal": *walDir != "", "fault_plan": *faultPlan, "watch": cfg.Watch.Enabled,
+		"freeze": *freeze, "wal": *walDir != "", "fault_plan": *faultPlan,
 		"recheck_window": *recheckWin, "max_foldins": cfg.Watch.Recheck.MaxFoldIns,
 	}
 	if cspec != nil {

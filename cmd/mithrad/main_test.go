@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -168,6 +171,106 @@ func TestServeAndDrain(t *testing.T) {
 	}
 	if raw, err := os.ReadFile(journal); err != nil || !strings.Contains(string(raw), `"mithrad"`) {
 		t.Errorf("run journal missing or empty: %v", err)
+	}
+}
+
+// TestSamplingArmsGuaranteeMonitor: sampling alone arms the guarantee
+// monitor — there is no separate watch switch. A frozen daemon with
+// -sample-rate 1 exposes the monitor's state gauge on /metrics.prom, and
+// an injected drift over the first 128 request IDs (a full default
+// window of bad observations) journals a guarantee transition.
+func TestSamplingArmsGuaranteeMonitor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a full deployment")
+	}
+	prog := snapshotFile(t)
+	blob, err := compiledBlob()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := serve.LoadSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	sock := filepath.Join(dir, "mithrad.sock")
+	journal := filepath.Join(dir, "run.jsonl")
+
+	var out, errw syncBuffer
+	stop := make(chan os.Signal, 1)
+	exited := make(chan int, 1)
+	go func() {
+		exited <- run([]string{
+			"-snapshot", prog, "-unix", sock, "-debug-addr", "127.0.0.1:0",
+			"-sample-rate", "1", "-freeze", "-fault-plan", "seed=7,probe.drift=1@128",
+			"-journal", journal, "-drain-timeout", "5s",
+		}, &out, &errw, stop)
+	}()
+	var cl *serve.Client
+	for i := 0; i < 1000; i++ {
+		if cl, err = serve.Dial("unix", sock); err == nil {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatalf("daemon never came up: %v (stderr: %s)", err, errw.String())
+	}
+	// Inputs the table routes approximate: a precise routing always
+	// counts as a success, so only these can violate the guarantee.
+	view := snap.Table.ConcurrentView()
+	var ins [][]float64
+	for k := 0; len(ins) < 128 && k < 1<<16; k++ {
+		in := make([]float64, snap.Table.InputDim())
+		for j := range in {
+			in[j] = float64((k*(j+7))%1024) / 1024
+		}
+		if !view.Classify(in) {
+			ins = append(ins, in)
+		}
+	}
+	if len(ins) < 128 {
+		t.Fatalf("found only %d approximable inputs", len(ins))
+	}
+	if _, err := cl.DecideBatch(snap.Bench, 0, ins); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+
+	m := regexp.MustCompile(`debug/JSON endpoint: http://([^/]+)/`).FindStringSubmatch(errw.String())
+	if m == nil {
+		t.Fatalf("no debug endpoint in stderr:\n%s", errw.String())
+	}
+	resp, err := http.Get("http://" + m[1] + "/metrics.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "mithra_watch_guarantee_state_" + snap.Bench; !strings.Contains(string(prom), want) {
+		t.Errorf("/metrics.prom missing %s:\n%s", want, prom)
+	}
+
+	// Drain releases the monitor's reorder buffer, so the full window of
+	// drifted observations is re-checked before the journal closes.
+	stop <- syscall.SIGTERM
+	select {
+	case code := <-exited:
+		if code != 0 {
+			t.Fatalf("exit %d\nstderr: %s", code, errw.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon did not drain after SIGTERM")
+	}
+	raw, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"name":"guarantee"`) {
+		t.Errorf("journal carries no guarantee note:\n%s", raw)
 	}
 }
 

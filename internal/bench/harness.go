@@ -346,19 +346,26 @@ func Run(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 
-	// watch_overhead: decide_steady re-measured against a watch-armed
-	// server (guarantee monitor constructed per shard, sampler disarmed).
-	// The hermetic contract is the mithrawatch design invariant: arming
-	// the monitor adds zero allocations to the trace-free steady decide
-	// path, and the ns/op delta against decide_steady is the full cost of
-	// carrying it.
-	wsnap, err := serve.NewSnapshot(benchName, tab, nil, 0.1, g, nil)
+	// zeroProbe measures every sampled decision as in bound.
+	zeroProbe := func() serve.ErrorProbe {
+		return func([]float64) float64 { return 0 }
+	}
+
+	// watch_overhead: decide_steady re-measured against the serving shape
+	// `mithrad -sample-rate 0.05 -freeze` runs: sampler, probe and
+	// guarantee monitor armed, no fold-in hook. The driver's request ID
+	// (1) is not sampled at seed 42, so this is the path every unsampled
+	// decision takes. The hermetic contract is the mithrawatch design
+	// invariant: arming the monitor adds zero allocations to the
+	// trace-free steady decide path, and the ns/op delta against
+	// decide_steady is the full cost of carrying it.
+	wsnap, err := serve.NewSnapshot(benchName, tab, nil, 0.1, g, zeroProbe)
 	if err != nil {
 		return nil, err
 	}
 	wsrv, err := serve.NewServer(serve.NewRegistry(wsnap), serve.Config{
 		Workers: 1, MaxBatch: 32, Freeze: true,
-		Watch: watch.Config{Enabled: true},
+		SampleRate: 0.05, SampleSeed: 42,
 	})
 	if err != nil {
 		return nil, err
@@ -379,21 +386,22 @@ func Run(cfg Config) ([]Row, error) {
 	// drift_overhead: decide_steady re-measured against a drift-armed
 	// server — recheck-mode monitor with the fold-in escalation and the
 	// forced-sampling boost window armed, probe constructed: the serving
-	// shape `mithrad -recheck-window` runs. The hermetic contract is the
-	// DESIGN.md §16 invariant: a drift-armed steady decide still
-	// allocates nothing (boost membership is one atomic load), so
-	// continuous monitoring is safe to leave on in production.
-	dsnap, err := serve.NewSnapshot(benchName, tab, nil, 0.1, g, func() serve.ErrorProbe {
-		return func([]float64) float64 { return 0 }
-	})
+	// shape `mithrad -sample-rate 0.05 -recheck-window 16 -watch-lag 64`
+	// runs, on the same unsampled request ID as watch_overhead. The
+	// hermetic contract is the DESIGN.md §16 invariant: a drift-armed
+	// steady decide still allocates nothing (boost membership is one
+	// atomic load), so continuous monitoring is safe to leave on in
+	// production.
+	dsnap, err := serve.NewSnapshot(benchName, tab, nil, 0.1, g, zeroProbe)
 	if err != nil {
 		return nil, err
 	}
 	dsrv, err := serve.NewServer(serve.NewRegistry(dsnap), serve.Config{
 		Workers: 1, MaxBatch: 32,
+		SampleRate: 0.05, SampleSeed: 42,
 		Watch: watch.Config{
-			Enabled: true, Window: 16, RecoverAfter: 8, Lag: 64,
-			Recheck: watch.Recheck{Enabled: true, MaxFoldIns: 8, RepairEvery: 40},
+			Window: 16, RecoverAfter: 8, Lag: 64,
+			Recheck: watch.Recheck{MaxFoldIns: 8, RepairEvery: 40},
 		},
 	})
 	if err != nil {

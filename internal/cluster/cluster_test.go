@@ -45,8 +45,8 @@ type clusterOpts struct {
 	// the failure mode distribution drift induces (mirrors the serve
 	// package's drift acceptance tests).
 	oodProbe bool
-	// watch arms every node's guarantee monitor with this config
-	// (recheck mode included). Zero value leaves monitoring off.
+	// watch sizes every node's guarantee monitor, which sampling arms
+	// (zero value: the monitor defaults).
 	watch watch.Config
 	// journals, when non-nil, gives every node a deterministic journal:
 	// startCluster fills journals[name] with the buffer that node writes
@@ -54,8 +54,6 @@ type clusterOpts struct {
 	journals map[string]*bytes.Buffer
 	// faults maps node name ("n0"...) to a fault plan for that node.
 	faults map[string]string
-	// updateEvery overrides the updater window (default 16 in tests).
-	updateEvery int
 }
 
 func testTable(t testing.TB) *classifier.Table {
@@ -78,9 +76,6 @@ func startCluster(t *testing.T, opts clusterOpts, benches ...string) *testCluste
 	t.Helper()
 	if opts.workers == 0 {
 		opts.workers = 1
-	}
-	if opts.updateEvery == 0 {
-		opts.updateEvery = 16
 	}
 	lns := make([]net.Listener, opts.nodes)
 	specText := "seed 7\nsample-rate " + fmt.Sprintf("%g", opts.sampleRate) + "\nsample-seed 11\n"
@@ -178,8 +173,7 @@ func startCluster(t *testing.T, opts clusterOpts, benches ...string) *testCluste
 		srv, err := serve.NewServer(reg, serve.Config{
 			Workers: opts.workers, MaxBatch: 32,
 			SampleRate: spec.SampleRate, SampleSeed: spec.SampleSeed,
-			UpdateEvery: opts.updateEvery, Freeze: opts.freeze,
-			Obs: o, Faults: faults, WAL: wal, Watch: opts.watch,
+			Freeze: opts.freeze, Obs: o, Faults: faults, Watch: opts.watch,
 			Cluster: node, OnFoldIn: node.OnFoldIn,
 		})
 		if err != nil {
@@ -370,17 +364,23 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// foldWatch sizes the monitor for the fold-in tests: they drive 64
+// sampled observations, fewer than the default 512-deep reorder buffer,
+// so a small Lag lets the home node re-check (and fold) while serving.
+var foldWatch = watch.Config{Window: 16, Lag: 8}
+
 // TestFoldInReplication forces a guarantee violation on a benchmark's
 // home node and waits for the repaired snapshot to replicate: every
 // node must converge to the same version through the push path.
 func TestFoldInReplication(t *testing.T) {
 	tc := startCluster(t, clusterOpts{
 		nodes: 3, workers: 2, sampleRate: 1, probeErr: 1.0, wal: true,
+		watch: foldWatch,
 	}, "synth")
 	home := tc.nodes["n0"].Router().Home("synth")
 
 	// Safe-region inputs the stale table accelerates; the probe reports
-	// them all as violations, so the updater folds and swaps.
+	// them all as bad, so the home node's monitor folds and swaps.
 	rng := mathx.NewRNG(13)
 	inputs := make([][]float64, 64)
 	for i := range inputs {
@@ -401,15 +401,13 @@ func TestFoldInReplication(t *testing.T) {
 			return reg.Get("synth").Version >= homeVer
 		})
 		// The replica's fold history (memory and WAL) must now replay the
-		// same versions the home node installed.
-		recs := tc.nodes[name].FoldIns("synth", 0)
-		if len(recs) == 0 {
-			t.Fatalf("replica %s applied fold-ins but recorded none", name)
-		}
-		if recs[len(recs)-1].Version != reg.Get("synth").Version {
-			t.Fatalf("replica %s history ends at v%d, registry at v%d",
-				name, recs[len(recs)-1].Version, reg.Get("synth").Version)
-		}
+		// same versions the home node installed. The home's monitor may
+		// still be folding, so wait for history and registry to agree.
+		node := tc.nodes[name]
+		waitFor(t, "replica "+name+" history", func() bool {
+			recs := node.FoldIns("synth", 0)
+			return len(recs) > 0 && recs[len(recs)-1].Version == reg.Get("synth").Version
+		})
 	}
 }
 
@@ -419,6 +417,7 @@ func TestFoldInReplication(t *testing.T) {
 func TestCatchUpRepairsPartition(t *testing.T) {
 	tc := startCluster(t, clusterOpts{
 		nodes: 3, workers: 1, sampleRate: 1, probeErr: 1.0, wal: true,
+		watch: foldWatch,
 		faults: map[string]string{
 			"n0": "seed=3,peer.drop=1",
 			"n1": "seed=3,peer.drop=1",
@@ -465,6 +464,7 @@ func TestCatchUpRepairsPartition(t *testing.T) {
 func TestFoldHistorySurvivesRestart(t *testing.T) {
 	tc := startCluster(t, clusterOpts{
 		nodes: 2, workers: 1, sampleRate: 1, probeErr: 1.0, wal: true,
+		watch: foldWatch,
 	}, "synth")
 	home := tc.nodes["n0"].Router().Home("synth")
 
@@ -487,6 +487,14 @@ func TestFoldHistorySurvivesRestart(t *testing.T) {
 	if name == home {
 		name = tc.spec.Names()[1]
 	}
+	// Crash the replica before reading its history: the home's monitor
+	// may still be folding, and a live replica would keep appending.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := tc.servers[name].Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	tc.nodes[name].Close()
 	want := len(tc.nodes[name].FoldIns("synth", 0))
 	if want == 0 {
 		t.Fatal("replica has no fold history to restart with")

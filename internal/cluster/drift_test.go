@@ -60,8 +60,8 @@ func clusterDriftRun(t *testing.T, nodes, workers int) (string, int64) {
 		nodes: nodes, workers: workers, sampleRate: 1,
 		oodProbe: true, journals: journals,
 		watch: watch.Config{
-			Enabled: true, Window: 16, RecoverAfter: 8, Exemplars: 4, Lag: 64,
-			Recheck: watch.Recheck{Enabled: true, MaxFoldIns: 8, RepairEvery: 40},
+			Window: 16, RecoverAfter: 8, Exemplars: 4, Lag: 64,
+			Recheck: watch.Recheck{MaxFoldIns: 8, RepairEvery: 40},
 		},
 	}, "synth")
 	home := tc.nodes["n0"].Router().Home("synth")

@@ -110,14 +110,19 @@ func (r *Fig10Result) table() *Table  { return r.Table }
 func (r *Fig11Result) table() *Table  { return r.Table }
 func (r *SoftResult) table() *Table   { return r.Table }
 
-// RunAll executes every experiment, rendering each to w as it completes.
-// Progress goes through the campaign's logger and each experiment runs
-// under its own span (telemetry is a no-op when Config.Opts.Obs is nil).
-func RunAll(s *Suite, w io.Writer) error {
+// RunAll executes every experiment, rendering each to w as text as it
+// completes.
+func RunAll(s *Suite, w io.Writer) error { return RunAllFormat(s, w, FormatText) }
+
+// RunAllFormat executes every experiment, rendering each to w in format
+// f as it completes. Progress goes through the campaign's logger and each
+// experiment runs under its own span (telemetry is a no-op when
+// Config.Opts.Obs is nil).
+func RunAllFormat(s *Suite, w io.Writer, f Format) error {
 	o := s.Cfg.Opts.Obs
 	for _, r := range Runners() {
 		o.Log().Infof("running %s: %s", r.ID, r.Descr)
-		if err := runObserved(s, r, w); err != nil {
+		if err := runObserved(s, r, w, f); err != nil {
 			return err
 		}
 	}
@@ -125,7 +130,7 @@ func RunAll(s *Suite, w io.Writer) error {
 }
 
 // runObserved executes one experiment inside its span.
-func runObserved(s *Suite, r Runner, w io.Writer) error {
+func runObserved(s *Suite, r Runner, w io.Writer, f Format) error {
 	o := s.Cfg.Opts.Obs
 	span := o.StartSpan("experiment", obs.A("id", r.ID))
 	t, err := r.Run(s)
@@ -134,16 +139,16 @@ func runObserved(s *Suite, r Runner, w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("experiments: %s: %w", r.ID, err)
 	}
-	t.Render(w)
-	return nil
+	return t.Write(w, f)
 }
 
-// RunOne executes a single experiment by ID.
-func RunOne(s *Suite, id string, w io.Writer) error {
+// RunOne executes a single experiment by ID, rendering it to w in
+// format f.
+func RunOne(s *Suite, id string, w io.Writer, f Format) error {
 	for _, r := range Runners() {
 		if r.ID == id {
 			s.Cfg.Opts.Obs.Log().Infof("running %s: %s", r.ID, r.Descr)
-			return runObserved(s, r, w)
+			return runObserved(s, r, w, f)
 		}
 	}
 	ids := make([]string, 0, len(Runners()))

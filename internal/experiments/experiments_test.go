@@ -287,14 +287,14 @@ func TestAblations(t *testing.T) {
 func TestRunOneAndRender(t *testing.T) {
 	s := testSuite(t)
 	var buf bytes.Buffer
-	if err := RunOne(s, "table1", &buf); err != nil {
+	if err := RunOne(s, "table1", &buf, FormatText); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "table1") || !strings.Contains(out, "inversek2j") {
 		t.Errorf("render missing content:\n%s", out)
 	}
-	if err := RunOne(s, "nosuch", &buf); err == nil {
+	if err := RunOne(s, "nosuch", &buf, FormatText); err == nil {
 		t.Error("unknown experiment should error")
 	}
 }

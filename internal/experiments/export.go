@@ -83,17 +83,3 @@ func (t *Table) Write(w io.Writer, f Format) error {
 	}
 	return fmt.Errorf("experiments: unknown format %q (text|csv|json)", f)
 }
-
-// RunAllFormat is RunAll with a format selector.
-func RunAllFormat(s *Suite, w io.Writer, f Format) error {
-	for _, r := range Runners() {
-		t, err := r.Run(s)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", r.ID, err)
-		}
-		if err := t.Write(w, f); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mithra/internal/classifier"
+	"mithra/internal/parallel"
 	"mithra/internal/watch"
 )
 
@@ -190,15 +191,31 @@ func TestClassifyZeroAlloc(t *testing.T) {
 // arming the guarantee monitor must not add a single allocation to the
 // trace-free steady decide round trip. The monitor consumes only the
 // sampled-observation path (which already allocates by design), so an
-// unsampled request through a watch-armed server stays at zero.
+// unsampled request through a sampling, monitor-armed server stays at
+// zero.
 func TestWatchedRoundTripZeroAlloc(t *testing.T) {
 	skipUnderRace(t)
-	snap := syntheticSnapshot(t, "bench", nil)
-	_, addr := startServer(t, Config{
-		Workers: 1,
-		Freeze:  true,
-		Watch:   watch.Config{Enabled: true, Window: 16},
+	snap := syntheticSnapshot(t, "bench", func() ErrorProbe {
+		return func([]float64) float64 { return 0 }
+	})
+	const (
+		rate = 0.05
+		seed = 42
+		id   = 1000
+	)
+	if sampleHit(parallel.Seed(seed, "bench"), id, rate) {
+		t.Fatalf("request ID %d is sampled at seed %d; the test needs an unsampled ID", id, seed)
+	}
+	srv, addr := startServer(t, Config{
+		Workers:    1,
+		SampleRate: rate,
+		SampleSeed: seed,
+		Freeze:     true,
+		Watch:      watch.Config{Window: 16},
 	}, snap)
+	if srv.shards["bench"].mon == nil {
+		t.Fatal("a sampling server must arm the guarantee monitor")
+	}
 	c, err := Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -207,12 +224,12 @@ func TestWatchedRoundTripZeroAlloc(t *testing.T) {
 	inputs := [][]float64{{0.2, 0.5, 0.8}}
 	out := make([]DecideResponse, 1)
 	for i := 0; i < 50; i++ { // warm pools, bufio, TCP autotuning
-		if _, err := c.DecideBatchInto("bench", uint32(i), inputs, out); err != nil {
+		if _, err := c.DecideBatchInto("bench", id, inputs, out); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		if _, err := c.DecideBatchInto("bench", 1000, inputs, out); err != nil {
+		if _, err := c.DecideBatchInto("bench", id, inputs, out); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {

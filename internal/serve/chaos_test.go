@@ -14,6 +14,7 @@ import (
 	"mithra/internal/fault"
 	"mithra/internal/mathx"
 	"mithra/internal/obs"
+	"mithra/internal/watch"
 )
 
 // compiledFixture builds one real fft deployment (test scale) shared by
@@ -197,7 +198,8 @@ func TestWALCrashRecoveryRestoresRepairedSnapshot(t *testing.T) {
 	}
 
 	srv, addr := startServerWithRegistry(t, reg, Config{
-		Workers: 2, SampleRate: 1, SampleSeed: 3, UpdateEvery: 16, Obs: o, WAL: wal,
+		Workers: 2, SampleRate: 1, SampleSeed: 3, Obs: o,
+		Watch: watch.Config{Window: 16, Lag: 8},
 	})
 	cl, err := Dial("tcp", addr)
 	if err != nil {
@@ -220,10 +222,12 @@ func TestWALCrashRecoveryRestoresRepairedSnapshot(t *testing.T) {
 	// "Crash": stop serving. The snapshot records were durable the moment
 	// each install published (write-ahead), so nothing depends on a clean
 	// shutdown; the subprocess SIGKILL test covers the hard-kill path.
-	pre := reg.Get("fft")
+	// The drain releases the monitor's reorder buffer and may fold once
+	// more, so the pre-crash state is read after it.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	srv.Shutdown(ctx) //nolint:errcheck
+	pre := reg.Get("fft")
 	wal.Close()
 
 	wal2, err := OpenWAL(dir)
@@ -274,7 +278,7 @@ func TestWALCrashRecoveryRestoresRepairedSnapshot(t *testing.T) {
 	if _, err := reg2.Install(rsnap); err != nil {
 		t.Fatal(err)
 	}
-	_, addr2 := startServerWithRegistry(t, reg2, Config{Workers: 1, WAL: wal2})
+	_, addr2 := startServerWithRegistry(t, reg2, Config{Workers: 1})
 	cl2, err := Dial("tcp", addr2)
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +323,8 @@ func TestInstallFaultForcesBreakerOpen(t *testing.T) {
 	AttachWAL(reg, wal, faults, o)
 
 	_, addr := startServerWithRegistry(t, reg, Config{
-		Workers: 2, SampleRate: 1, SampleSeed: 3, UpdateEvery: 16, Obs: o,
+		Workers: 2, SampleRate: 1, SampleSeed: 3, Obs: o,
+		Watch:   watch.Config{Window: 16, Lag: 8},
 		Breaker: BreakerConfig{Window: 8, ErrBudget: 0.5, ProbeAfter: 1 << 30, Probes: 8},
 	})
 	cl, err := Dial("tcp", addr)

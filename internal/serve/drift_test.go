@@ -63,14 +63,13 @@ func driftProbeFactory() ErrorProbe {
 // returns the rendered deterministic note streams plus the recovery
 // summaries. The stream is base inputs replayed `repeats` times with the
 // drift transform applied by global request index — the loadgen shape.
-func driftScenario(t *testing.T, workers int, spec string, sampleRate float64) string {
+func driftScenario(t *testing.T, workers int, spec string, sampleRate float64, repeats int) string {
 	t.Helper()
 	d, err := dataset.ParseDrift(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := driftBaseInputs(120)
-	const repeats = 10
 	snap := syntheticSnapshot(t, "synth", driftProbeFactory)
 	ref := watch.BuildReference(nil, base)
 	if !ref.Valid() {
@@ -92,8 +91,8 @@ func driftScenario(t *testing.T, workers int, spec string, sampleRate float64) s
 		SampleSeed: 11,
 		Obs:        o,
 		Watch: watch.Config{
-			Enabled: true, Window: 16, RecoverAfter: 8, Exemplars: 4, Lag: 64,
-			Recheck: watch.Recheck{Enabled: true, MaxFoldIns: 8, RepairEvery: 40},
+			Window: 16, RecoverAfter: 8, Exemplars: 4, Lag: 64,
+			Recheck: watch.Recheck{MaxFoldIns: 8, RepairEvery: 40},
 		},
 	}
 	s, addr := startServer(t, cfg, snap)
@@ -226,9 +225,9 @@ func noteAttrInt(t *testing.T, line, key string) int {
 // runDriftScenario is the shared acceptance body: full cycle, bounded
 // fold-ins, and byte-identical note streams at workers 1 and 4.
 func runDriftScenario(t *testing.T, spec string, sampleRate float64) {
-	n1 := driftScenario(t, 1, spec, sampleRate)
+	n1 := driftScenario(t, 1, spec, sampleRate, 10)
 	checkDriftCycle(t, n1, 8)
-	n4 := driftScenario(t, 4, spec, sampleRate)
+	n4 := driftScenario(t, 4, spec, sampleRate, 10)
 	if n1 != n4 {
 		t.Fatalf("drift note stream differs across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", n1, n4)
 	}
@@ -261,12 +260,32 @@ func TestDriftHeavyTailRecovery(t *testing.T) {
 // boost membership is decided on the racy decide path (the BoostDelay
 // contract).
 func TestDriftBoostedSampling(t *testing.T) {
-	n1 := driftScenario(t, 1, "kind=sudden,at=300,shift=0.35,seed=3", 0.5)
+	n1 := driftScenario(t, 1, "kind=sudden,at=300,shift=0.35,seed=3", 0.5, 10)
 	checkDriftCycle(t, n1, 8)
 	if !strings.Contains(n1, "note boost ") {
 		t.Fatal("no boost note journaled at sample-rate 0.5")
 	}
-	n4 := driftScenario(t, 4, "kind=sudden,at=300,shift=0.35,seed=3", 0.5)
+	n4 := driftScenario(t, 4, "kind=sudden,at=300,shift=0.35,seed=3", 0.5, 10)
+	if n1 != n4 {
+		t.Fatalf("boosted note stream differs across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", n1, n4)
+	}
+}
+
+// TestDriftSparseSamplingBoost runs the sudden scenario at a tenth
+// sampling. There the release frontier trails the decided requests by
+// at least Lag/SampleRate = 640 request IDs, and by more while the
+// updater's channel backs up: past the monitor's own 8×Lag = 512 boost
+// delay. The server scales the delay to the sample rate (boostDelay), so
+// the boost window still opens past every decided ID and the note
+// streams stay byte-identical across worker counts.
+func TestDriftSparseSamplingBoost(t *testing.T) {
+	const spec = "kind=sudden,at=300,shift=0.35,seed=3"
+	n1 := driftScenario(t, 1, spec, 0.1, 60)
+	checkDriftCycle(t, n1, 8)
+	if !strings.Contains(n1, "note boost ") {
+		t.Fatal("no boost note journaled at sample-rate 0.1")
+	}
+	n4 := driftScenario(t, 4, spec, 0.1, 60)
 	if n1 != n4 {
 		t.Fatalf("boosted note stream differs across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", n1, n4)
 	}

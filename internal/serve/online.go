@@ -17,125 +17,55 @@ type observation struct {
 }
 
 // updater is one shard's online update loop — the serving counterpart of
-// the paper's §IV-C1 online training: sporadically sampled invocations
-// accumulate into a window; at each window boundary the Clopper-Pearson
-// guarantee is re-checked over the window, and when it no longer holds
-// the misclassified inputs are folded into a copy of the table
-// classifier (the update rule is monotone — bad inputs set bits, entries
-// are never cleared) and the refreshed snapshot is installed atomically.
+// the paper's §IV-C1 online training. It feeds every sampled observation
+// to the shard's guarantee monitor (internal/watch, recheck mode), which
+// windows them, re-checks the Clopper-Pearson guarantee, and calls foldIn
+// below when the guarantee is violated. foldIn folds the misclassified
+// inputs into a copy of the table classifier (the update rule is
+// monotone — bad inputs set bits, entries are never cleared) and
+// installs the refreshed snapshot atomically.
 //
-// A single goroutine owns all updater state, so the window counters and
-// the pending-input list need no locks; workers hand observations over a
-// channel. Installs happen between batches by construction: workers load
-// the registry pointer once per batch, so an in-flight batch keeps
-// deciding against the snapshot it started with.
-//
-// Crash safety: when the server has a WAL, every observation is appended
-// to the bench's window log before it mutates the in-memory window, and
-// the log resets at each window boundary — so a killed daemon resumes
-// the exact partial window it was accumulating (the recovered
-// observations are replayed through ingest at startup, marked as already
-// persisted).
+// A single goroutine owns the monitor, so it needs no locks; workers
+// hand observations over a channel. Installs happen between batches by
+// construction: workers load the registry pointer once per batch, so an
+// in-flight batch keeps deciding against the snapshot it started with.
 type updater struct {
-	s   *Server
-	sh  *shard
-	cfg Config
-	ch  chan observation
-	// continuous: recheck mode (Config.Watch.Recheck). The
-	// monitor's sliding window supersedes the fixed UpdateEvery window:
-	// CP re-checks run per release, fold-ins are driven by the monitor's
-	// escalation at deterministic release positions (foldIn below), and
-	// the legacy window accounting — including its WAL durability and
-	// crash replay, which are arrival-ordered — is disabled.
-	continuous bool
-	window     struct {
-		trials    int
-		successes int
-		// bad holds the window's misclassified-as-approximable inputs —
-		// the false negatives the table update rule repairs.
-		bad [][]float64
-	}
+	s  *Server
+	sh *shard
+	ch chan observation
 }
 
-func newUpdater(s *Server, sh *shard, cfg Config) *updater {
-	return &updater{s: s, sh: sh, cfg: cfg,
-		continuous: cfg.Watch.Enabled && cfg.Watch.Recheck.Enabled,
-		ch:         make(chan observation, cfg.QueueDepth)}
+func newUpdater(s *Server, sh *shard) *updater {
+	return &updater{s: s, sh: sh, ch: make(chan observation, s.cfg.QueueDepth)}
 }
 
 // observe hands one sampled result to the update loop. Called by decision
 // workers; blocks only if the updater is behind by a full channel.
 func (u *updater) observe(ob observation) { u.ch <- ob }
 
-// run consumes observations until the channel closes (server drain). Any
-// window observations recovered from the WAL are replayed first, so the
-// pre-crash sampling window continues rather than restarting.
+// run consumes observations until the channel closes (server drain). The
+// observation's input copy transfers to the monitor, which may retain it
+// until the next fold-in.
 func (u *updater) run(wg *sync.WaitGroup) {
 	defer wg.Done()
-	if !u.continuous {
-		// (Recheck mode skips this replay: recovered window observations
-		// carry no request IDs, and the monitor's reorder buffer only
-		// accepts ID-keyed observations.)
-		for _, rec := range u.cfg.RecoveredWindows[u.sh.bench] {
-			u.ingest(observation{in: rec.In, bad: rec.Bad, precise: rec.Precise}, false)
-		}
-	}
 	for ob := range u.ch {
-		u.ingest(ob, true)
+		u.sh.mon.Observe(watch.Obs{ID: ob.id, Trace: ob.trace, Bad: ob.bad, Precise: ob.precise, In: ob.in})
 	}
 	// Drain: no more observations can arrive, so every observation still
 	// parked in the monitor's reorder buffer is releasable in ID order.
 	u.sh.mon.Flush()
 }
 
-// ingest folds one observation into the window; persist=false replays a
-// WAL-recovered observation that is already durable.
-func (u *updater) ingest(ob observation, persist bool) {
-	if u.continuous {
-		// Continuous monitoring: the monitor owns windowing, CP
-		// re-checks, and fold-in escalation (watch/recovery.go). The
-		// observation's input copy transfers to the monitor, which may
-		// retain it until the next fold-in.
-		u.sh.mon.Observe(watch.Obs{ID: ob.id, Trace: ob.trace, Bad: ob.bad, Precise: ob.precise, In: ob.in})
-		return
-	}
-	if persist && u.cfg.WAL != nil {
-		err := u.cfg.WAL.AppendWindow(u.sh.bench, WindowObs{In: ob.in, Bad: ob.bad, Precise: ob.precise})
-		if err != nil {
-			// Losing window durability is quality-safe (a shorter recovered
-			// window only delays a re-check); count it and keep serving.
-			u.s.o.Counter("serve.wal.window_errors").Inc()
-		}
-	}
-	// The guarantee monitor rides the same sampled stream (the only
-	// allocating path): divergence histograms consume the input
-	// immediately, the state machine advances in request-ID order.
-	u.sh.mon.Observe(watch.Obs{ID: ob.id, Trace: ob.trace, Bad: ob.bad, Precise: ob.precise, In: ob.in})
-	u.window.trials++
-	// A precise-routed invocation never degrades output quality; an
-	// approx-routed one succeeds only when the true error was in bound.
-	if ob.precise || !ob.bad {
-		u.window.successes++
-	}
-	if ob.bad && !ob.precise {
-		in := append([]float64(nil), ob.in...)
-		u.window.bad = append(u.window.bad, in)
-	}
-	if u.window.trials >= u.cfg.UpdateEvery {
-		u.recheck()
-	}
-}
-
-// foldIn is the recheck-mode escalation hook (watch.Escalation.FoldIn):
-// fold the monitor's collected violating inputs into a table clone,
-// install the repaired snapshot, replicate it, and hand the monitor a
-// private classifier view of the repaired table — the deterministic
-// routing the monitor scores released observations against from this
-// release position on. Runs on the updater goroutine (the monitor is fed
-// from ingest), so registry access needs no extra synchronization beyond
-// the registry's own. ok=false on install failure: the breaker
-// force-opens (precise serving restores quality while the table cannot
-// be repaired) and the monitor keeps its pending inputs for a retry.
+// foldIn is the monitor's escalation hook (watch.Escalation.FoldIn) and
+// the one fold-in path: fold the monitor's collected violating inputs
+// into a table clone, install the repaired snapshot, replicate it, and
+// hand the monitor a private classifier view of the repaired table — the
+// deterministic routing the monitor scores released observations against
+// from this release position on. Runs on the updater goroutine, so
+// registry access needs no extra synchronization beyond the registry's
+// own. ok=false on install failure: the breaker force-opens (precise
+// serving restores quality while the table cannot be repaired) and the
+// monitor keeps its pending inputs for a retry.
 func (u *updater) foldIn(inputs [][]float64) (watch.Reclassify, bool) {
 	o := u.s.o
 	o.Counter("serve.guarantee.rechecks").Inc()
@@ -148,60 +78,14 @@ func (u *updater) foldIn(inputs [][]float64) (watch.Reclassify, bool) {
 	}
 	o.Counter("serve.snapshot.swaps").Inc()
 	o.Counter("serve.update.inputs").Add(int64(len(inputs)))
-	if u.cfg.OnFoldIn != nil {
+	if u.s.cfg.OnFoldIn != nil {
 		// Replication hook: the monitor recycles its pending slice after
 		// this call, so the hook gets its own copy of the headers (the
 		// input vectors themselves are private copies made on the
 		// sampling path).
 		bad := append([][]float64(nil), inputs...)
-		u.cfg.OnFoldIn(u.sh.bench, ns.Version, bad)
+		u.s.cfg.OnFoldIn(u.sh.bench, ns.Version, bad)
 	}
 	view := ns.Table.ConcurrentView()
 	return view.Classify, true
-}
-
-// recheck closes one sampling window: re-certify the guarantee over the
-// window's observations, and when it fails, repair and swap the snapshot.
-// If the repaired snapshot cannot be installed (WAL persist failure,
-// injected or real), the shard's breaker force-opens: when the guarantee
-// cannot be restored by repair, it is restored by serving precise.
-func (u *updater) recheck() {
-	o := u.s.o
-	o.Counter("serve.guarantee.rechecks").Inc()
-	snap := u.s.reg.Get(u.sh.bench)
-	holds := snap.G.Holds(u.window.successes, u.window.trials)
-	if !holds {
-		o.Counter("serve.guarantee.violations").Inc()
-		if !u.cfg.Freeze && len(u.window.bad) > 0 {
-			tab := snap.Table.Clone()
-			for _, in := range u.window.bad {
-				tab.Update(in, true)
-			}
-			ns := snap.withTable(tab)
-			if _, err := u.s.reg.Install(ns); err != nil {
-				o.Counter("serve.snapshot.install_errors").Inc()
-				u.sh.brk.forceOpen("snapshot install failed: " + err.Error())
-			} else {
-				o.Counter("serve.snapshot.swaps").Inc()
-				o.Counter("serve.update.inputs").Add(int64(len(u.window.bad)))
-				if u.cfg.OnFoldIn != nil {
-					// Replication hook: hand the cluster node the installed
-					// version and the window's violating inputs. The window
-					// slice is reset below, so the hook gets its own copy of
-					// the headers (the input vectors themselves are already
-					// private copies made on the sampling path).
-					bad := append([][]float64(nil), u.window.bad...)
-					u.cfg.OnFoldIn(u.sh.bench, ns.Version, bad)
-				}
-			}
-		}
-	}
-	u.window.trials = 0
-	u.window.successes = 0
-	u.window.bad = u.window.bad[:0]
-	if u.cfg.WAL != nil {
-		if err := u.cfg.WAL.ResetWindow(u.sh.bench); err != nil {
-			u.s.o.Counter("serve.wal.window_errors").Inc()
-		}
-	}
 }

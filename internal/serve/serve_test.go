@@ -15,6 +15,7 @@ import (
 	"mithra/internal/mathx"
 	"mithra/internal/obs"
 	"mithra/internal/stats"
+	"mithra/internal/watch"
 )
 
 // testGuarantee is loose enough for small sampling windows.
@@ -281,7 +282,7 @@ func TestOnlineUpdateRestoresGuarantee(t *testing.T) {
 	// Injected drift: the probe reports error 1.0 (far above the 0.1
 	// threshold) for every input — as if the accelerator degraded — while
 	// the table still routes the safe region to the accelerator. The
-	// sampling windows must observe the violation, fold the bad inputs
+	// guarantee monitor must observe the violation, fold the bad inputs
 	// into the table, and swap a repaired snapshot in.
 	snap := syntheticSnapshot(t, "synth", func() ErrorProbe {
 		return func([]float64) float64 { return 1.0 }
@@ -290,8 +291,24 @@ func TestOnlineUpdateRestoresGuarantee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// OnFoldIn records which inputs the monitor has folded in.
+	var (
+		foldMu sync.Mutex
+		folded = map[[3]float64]bool{}
+	)
 	srv, addr := startServer(t, Config{
-		Workers: 2, SampleRate: 1, SampleSeed: 3, UpdateEvery: 16, Obs: o,
+		Workers: 2, SampleRate: 1, SampleSeed: 3, Obs: o,
+		OnFoldIn: func(_ string, _ uint32, ins [][]float64) {
+			foldMu.Lock()
+			defer foldMu.Unlock()
+			for _, in := range ins {
+				folded[[3]float64(in)] = true
+			}
+		},
+		// Lag 64 covers one 64-request batch's in-flight skew, so the
+		// monitor releases each batch in ID order once the next arrives
+		// (the default 512 would hold everything until drain).
+		Watch: watch.Config{Window: 16, Lag: 64},
 	}, snap)
 	cl, err := Dial("tcp", addr)
 	if err != nil {
@@ -320,15 +337,23 @@ func TestOnlineUpdateRestoresGuarantee(t *testing.T) {
 		t.Fatal("drift test needs the stale table to accelerate some inputs")
 	}
 
-	// The updater drains asynchronously; wait for all four 16-sample
-	// windows to be re-checked.
-	for i := 0; i < 500 && o.Counter("serve.guarantee.rechecks").Value() < 4; i++ {
+	// The drifted traffic keeps arriving: the second pass releases the
+	// first from the reorder buffer in ID order. The first full window
+	// violates, and the monitor folds the collected bad inputs in on
+	// entry and again every 16 releases while the violation persists:
+	// four fold-ins over the first pass's 64 releases.
+	if _, err := cl.DecideBatch("synth", 500, inputs); err != nil {
+		t.Fatal(err)
+	}
+	rechecks := o.Counter("serve.guarantee.rechecks")
+	for i := 0; i < 500 && rechecks.Value() < 4; i++ {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := o.Counter("serve.guarantee.rechecks").Value(); got < 4 {
+	if got := rechecks.Value(); got < 4 {
 		t.Fatalf("guarantee re-checks = %d, want >= 4", got)
 	}
-	if o.Counter("serve.guarantee.violations").Value() == 0 {
+	violations := o.Counter("watch.guarantee.violations.synth")
+	if violations.Value() == 0 {
 		t.Fatal("injected drift did not register a guarantee violation")
 	}
 	if srv.Registry().Swaps() == 0 {
@@ -338,39 +363,63 @@ func TestOnlineUpdateRestoresGuarantee(t *testing.T) {
 		t.Fatal("snapshot swap not observable as a metrics counter")
 	}
 
-	// The repaired table must now route every observed-bad input through
-	// the precise path: the guarantee holds again because sampled windows
-	// are all successes from here on.
+	// The repaired table must now route every observed-bad input the
+	// monitor folded in through the precise path, at the current version.
+	// The monitor folds only while its window violates the guarantee, so
+	// inputs whose failures it released after its last fold-in of the
+	// episode (the window already certified with them accelerated) may
+	// stay accelerated. What the repair must restore is the guarantee:
+	// every accelerated input is bad under the drift, so the precise
+	// routings are this pass's successes, and they must certify it.
 	resps, err = cl.DecideBatch("synth", 1000, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cur := srv.Registry().Get("synth")
+	precise := 0
+	foldMu.Lock()
 	for i, r := range resps {
-		if !r.Precise {
+		if folded[[3]float64(inputs[i])] && !r.Precise {
 			t.Fatalf("input %d still accelerated after the table update", i)
+		}
+		if r.Precise {
+			precise++
 		}
 		if r.Version != cur.Version {
 			t.Fatalf("input %d decided by version %d, current is %d", i, r.Version, cur.Version)
 		}
 	}
+	foldMu.Unlock()
 	if cur.Version < 2 {
 		t.Fatalf("current snapshot version %d, want >= 2 after swap", cur.Version)
 	}
-	if !cur.G.Holds(len(inputs), len(inputs)) {
-		t.Fatal("an all-precise window must re-certify the guarantee")
+	if !cur.G.Holds(precise, len(inputs)) {
+		t.Fatalf("repaired table routes %d of %d drifted inputs precise: the guarantee does not hold", precise, len(inputs))
 	}
 
-	violationsBefore := o.Counter("serve.guarantee.violations").Value()
-	rechecksBefore := o.Counter("serve.guarantee.rechecks").Value()
+	violationsBefore := violations.Value()
 	if _, err := cl.DecideBatch("synth", 2000, inputs); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 500 && o.Counter("serve.guarantee.rechecks").Value() < rechecksBefore+4; i++ {
-		time.Sleep(10 * time.Millisecond)
+	// Drain: every observation still in the monitor's reorder buffer is
+	// released and re-checked before Shutdown returns.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
 	}
-	if got := o.Counter("serve.guarantee.violations").Value(); got != violationsBefore {
+	// The violation counter only moves on entry into violated, so the
+	// monitor must also have left the episode: a repaired table that
+	// kept violating would hold it in violated (or exhaust the fold-in
+	// bound) without a new entry.
+	if got := violations.Value(); got != violationsBefore {
 		t.Fatalf("repaired snapshot still violating: %d -> %d", violationsBefore, got)
+	}
+	if st := watch.State(o.Gauge("watch.guarantee.state.synth").Value()); st != watch.Holding {
+		t.Fatalf("monitor ended %s after the repair, want holding", st)
+	}
+	if n := o.Counter("watch.recovery.exceeded.synth").Value(); n != 0 {
+		t.Fatalf("repair exceeded the fold-in bound %d times", n)
 	}
 }
 
@@ -383,7 +432,8 @@ func TestFreezeNeverSwaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, addr := startServer(t, Config{
-		SampleRate: 1, SampleSeed: 3, UpdateEvery: 8, Freeze: true, Obs: o,
+		SampleRate: 1, SampleSeed: 3, Freeze: true, Obs: o,
+		Watch: watch.Config{Window: 8, Lag: 4},
 	}, snap)
 	cl, err := Dial("tcp", addr)
 	if err != nil {
@@ -398,10 +448,11 @@ func TestFreezeNeverSwaps(t *testing.T) {
 	if _, err := cl.DecideBatch("synth", 0, inputs); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 500 && o.Counter("serve.guarantee.rechecks").Value() < 4; i++ {
+	violations := o.Counter("watch.guarantee.violations.synth")
+	for i := 0; i < 500 && violations.Value() == 0; i++ {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if o.Counter("serve.guarantee.violations").Value() == 0 {
+	if violations.Value() == 0 {
 		t.Fatal("freeze must still measure violations")
 	}
 	if srv.Registry().Swaps() != 0 {

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -56,11 +57,9 @@ type Config struct {
 	// SampleSeed keys the deterministic sampler: whether invocation ID i
 	// of benchmark b is sampled depends only on (SampleSeed, b, i).
 	SampleSeed uint64
-	// UpdateEvery is the sampled-observation window between guarantee
-	// re-checks (default 64).
-	UpdateEvery int
-	// Freeze pins the serving snapshots: sampling still measures and
-	// counts, but updated snapshots are never installed. Replay/benchmark
+	// Freeze pins the serving snapshots: the guarantee monitor still
+	// measures, re-checks, and boosts sampling, but it has no fold-in
+	// hook, so updated snapshots are never installed. Replay/benchmark
 	// runs use this to keep decisions byte-identical to the offline path.
 	Freeze bool
 	// Obs receives serving telemetry (counters and histograms only — all
@@ -77,17 +76,13 @@ type Config struct {
 	// shard queue answers CodeQueueFull in-band (a retryable error) and
 	// counts as a breaker failure — the clock-free latency budget.
 	RejectWhenFull bool
-	// WAL, when non-nil, persists the online sampling windows (snapshot
-	// persistence is wired separately via AttachWAL so it also covers
-	// boot-time installs).
-	WAL *WAL
-	// RecoveredWindows seeds each shard's sampling window with the
-	// observations recovered from the WAL after a crash.
-	RecoveredWindows map[string][]WindowObs
-	// Watch arms the per-shard guarantee monitor (internal/watch): a
-	// sliding-window Clopper-Pearson re-check with journaled state
-	// transitions and divergence gauges, fed from the same sampled
-	// observations the updater consumes.
+	// Watch sizes the per-shard guarantee monitor (internal/watch), the
+	// one guarantee loop: a sliding-window Clopper-Pearson re-check with
+	// journaled state transitions, divergence gauges, and recheck-mode
+	// escalation (sampling boost + table fold-in). Every shard runs one,
+	// with recheck armed, exactly when SampleRate > 0: the Enabled and
+	// Recheck.Enabled fields are ignored. An unset Recheck.BoostDelay is
+	// scaled to the sample rate (boostDelay).
 	Watch watch.Config
 	// Cluster wires this node into a multi-node deployment (DESIGN.md
 	// §15): request routing/forwarding, fold-in replication, and durable
@@ -95,12 +90,12 @@ type Config struct {
 	// hook calls sit behind nil checks, so the zero-allocation decide
 	// path is unchanged without a cluster.
 	Cluster ClusterHooks
-	// OnFoldIn fires after the online updater installs a fold-in: the
-	// benchmark, the freshly installed snapshot version, and the window's
-	// violating inputs (a private copy). The cluster node uses it to
-	// append the fold-in to its WAL fold log and stream it to peers. It
-	// runs on the shard's updater goroutine; implementations must not
-	// block on the network (hand off to a sender instead).
+	// OnFoldIn fires after the monitor's fold-in installs a repaired
+	// snapshot: the benchmark, the freshly installed snapshot version,
+	// and the folded violating inputs (a private copy). The cluster node
+	// uses it to append the fold-in to its WAL fold log and stream it to
+	// peers. It runs on the shard's updater goroutine; implementations
+	// must not block on the network (hand off to a sender instead).
 	OnFoldIn func(bench string, version uint32, inputs [][]float64)
 }
 
@@ -112,10 +107,40 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
 	}
-	if c.UpdateEvery <= 0 {
-		c.UpdateEvery = 64
+	// Sampling is what feeds the guarantee monitor, so it alone decides
+	// whether shards run one; the Enabled fields a caller sets are
+	// ignored.
+	c.Watch.Enabled = c.SampleRate > 0
+	c.Watch.Recheck.Enabled = c.Watch.Enabled
+	if c.Watch.Enabled && c.Watch.Recheck.BoostDelay <= 0 {
+		c.Watch.Recheck.BoostDelay = boostDelay(c.Watch.Lag, c.QueueDepth, c.SampleRate)
 	}
 	return c
+}
+
+// boostDelay is the default distance, in request IDs, between the
+// release that arms a forced-sampling boost and the boost window's first
+// ID. The window must open past every ID already decided when the
+// monitor arms it, or whether a request is boosted would depend on
+// decide timing. The sampled observations decided past the release
+// frontier are the Lag still in the reorder buffer, at most queue in the
+// updater's channel, and at most one per worker blocked handing its
+// observation over (the Lag contract keeps the worker count under Lag):
+// fewer than 2×Lag+queue sampled observations, spanning about
+// (2×Lag+queue)/rate request IDs. The delay
+// never drops below the monitor's own 8×Lag default, which full sampling
+// keeps. It is derived from Lag rather than the worker count so the boost
+// windows, and with them the journaled notes, are the same at any worker
+// count.
+func boostDelay(lag, queue int, rate float64) int {
+	if lag <= 0 {
+		lag = watch.DefaultLag
+	}
+	d := int(math.Ceil(float64(2*lag+queue) / rate))
+	if d < 8*lag {
+		d = 8 * lag
+	}
+	return d
 }
 
 // task is one queued decision.
@@ -133,9 +158,9 @@ type shard struct {
 	sampleSeed uint64 // parallel.Seed(cfg.SampleSeed, bench)
 	up         *updater
 	brk        *breaker
-	// mon is the shard's guarantee monitor (nil unless Config.Watch is
-	// enabled). Only the updater goroutine feeds it; other goroutines may
-	// read its published state.
+	// mon is the shard's guarantee monitor (nil unless the shard
+	// samples). Only the updater goroutine feeds it; other goroutines
+	// may read its published state.
 	mon *watch.Monitor
 	// boostWin is the forced-sampling window armed by the monitor's
 	// recheck escalation, packed (from<<32 | until) so the decide path
@@ -277,8 +302,8 @@ func NewServer(reg *Registry, cfg Config) (*Server, error) {
 			// guarantee than under a holding one.
 			sh.brk.guarantee = sh.mon.StateName
 		}
-		sh.up = newUpdater(s, sh, cfg)
-		if cfg.Watch.Enabled && cfg.Watch.Recheck.Enabled {
+		sh.up = newUpdater(s, sh)
+		if sh.mon != nil {
 			// Recheck escalation: the monitor forces sampling over a
 			// deterministic future ID window and drives table fold-ins at
 			// release positions. Freeze mode keeps the boost (it only adds
@@ -334,10 +359,20 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.connMu.Unlock()
 		c := &conn{c: s.cfg.Faults.WrapConn(nc, key)}
 		s.connMu.Lock()
+		select {
+		case <-s.quit:
+			// Shutdown has already set its read deadlines and may be
+			// waiting on readerWG: a connection accepted now would escape
+			// both, so it is refused.
+			s.connMu.Unlock()
+			c.close()
+			return nil
+		default:
+		}
 		s.conns[c] = struct{}{}
+		s.readerWG.Add(1)
 		s.connMu.Unlock()
 		s.m.connections.Inc()
-		s.readerWG.Add(1)
 		go s.reader(c)
 	}
 }
@@ -819,8 +854,9 @@ func (s *Server) decide(sh *shard, snap *Snapshot, view classifier.Classifier,
 		s.m.sampleMiss.Inc()
 	}
 	// The request returns to the pool as soon as its response is encoded,
-	// but the updater consumes observations asynchronously (and may append
-	// them to the WAL): the input must be copied out, never aliased.
+	// but the updater consumes observations asynchronously (and the monitor
+	// may retain the input until a fold-in): it must be copied out, never
+	// aliased.
 	in := append([]float64(nil), req.In...)
 	return dresp, observation{in: in, id: rid, trace: req.TraceID, bad: bad, precise: precise}, true
 }

@@ -2,12 +2,9 @@ package serve
 
 import (
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,31 +14,22 @@ import (
 )
 
 // The WAL makes mithrad's serving state crash-safe: every installed
-// snapshot (the boot-time loads and every online-update swap) and the
-// online updater's in-flight sampling window persist to disk, so a
-// killed daemon restarts into the exact pre-crash snapshot version and
-// resumes the sampling window it was accumulating.
+// snapshot (the boot-time loads and every fold-in swap) persists to disk
+// before it publishes, so a killed daemon restarts into the exact
+// pre-crash snapshot version.
 //
-// Two record families, two durability disciplines:
-//
-//   - Snapshot installs are write-ahead with atomic rename: the record
-//     is written to a temp file, fsynced, and renamed to
-//     snap-<seq>.wal. A crash mid-install leaves either the old state
-//     or the new state, never a torn record — a rename is atomic and a
-//     temp file that never got renamed is simply ignored at recovery.
-//   - Window observations append to win-<bench>.wlog, one checksummed
-//     record per observation. A crash can tear the tail; recovery keeps
-//     the valid prefix and discards the torn record, which loses at
-//     most one sampled observation — statistically immaterial and
-//     always quality-safe (fewer observations only delays a re-check).
+// Snapshot installs are write-ahead with atomic rename: the record is
+// written to a temp file, fsynced, and renamed to snap-<seq>.wal. A
+// crash mid-install leaves either the old state or the new state, never
+// a torn record — a rename is atomic and a temp file that never got
+// renamed is simply ignored at recovery. The guarantee monitor's
+// sampling window is deliberately not persisted (DESIGN.md §11): a
+// restart only re-gathers evidence, it never reverts a repair.
 //
 // Every record is guarded by CRC32-C; recovery skips anything that does
 // not checksum, so disk corruption degrades to "older snapshot" rather
 // than "wrong snapshot".
-const (
-	walSnapMagic   = 0x4d57414c // "MWAL"
-	walWindowMagic = 0x4d57494e // "MWIN"
-)
+const walSnapMagic = 0x4d57414c // "MWAL"
 
 // ErrWALCorrupt wraps per-record corruption findings (reported via
 // Recovered.Skipped, never as a hard error — recovery is best-valid).
@@ -56,8 +44,7 @@ type WAL struct {
 
 	mu   sync.Mutex
 	seq  uint64
-	win  map[string]*os.File // bench -> open window log
-	fold *os.File            // open fold log (wal_fold.go); lazily created
+	fold *os.File // open fold log (wal_fold.go); lazily created
 }
 
 // OpenWAL opens (creating if needed) the WAL directory.
@@ -65,7 +52,7 @@ func OpenWAL(dir string) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: open wal: %w", err)
 	}
-	w := &WAL{dir: dir, win: map[string]*os.File{}}
+	w := &WAL{dir: dir}
 	names, err := filepath.Glob(filepath.Join(dir, "snap-*.wal"))
 	if err != nil {
 		return nil, fmt.Errorf("serve: scan wal: %w", err)
@@ -155,20 +142,10 @@ type WALSnapshot struct {
 	seq     uint64
 }
 
-// WindowObs is one persisted sampling-window observation (mirrors the
-// updater's observation type; exported for recovery plumbing).
-type WindowObs struct {
-	In      []float64
-	Bad     bool
-	Precise bool
-}
-
 // Recovered is the crash-recovery result: the newest valid snapshot per
-// benchmark, the surviving sampling-window observations per benchmark,
-// and what was skipped as corrupt.
+// benchmark and what was skipped as corrupt.
 type Recovered struct {
 	Snapshots map[string]WALSnapshot
-	Windows   map[string][]WindowObs
 	// Skipped lists corrupt or torn records dropped during recovery
 	// (file and reason), for the journal and the operator log.
 	Skipped []string
@@ -179,10 +156,7 @@ type Recovered struct {
 // state, and serving older state is quality-safe (the guarantee was
 // certified for it too).
 func (w *WAL) Recover() (*Recovered, error) {
-	rec := &Recovered{
-		Snapshots: map[string]WALSnapshot{},
-		Windows:   map[string][]WindowObs{},
-	}
+	rec := &Recovered{Snapshots: map[string]WALSnapshot{}}
 	names, err := filepath.Glob(filepath.Join(w.dir, "snap-*.wal"))
 	if err != nil {
 		return nil, fmt.Errorf("serve: wal recover: %w", err)
@@ -197,25 +171,6 @@ func (w *WAL) Recover() (*Recovered, error) {
 		cur, ok := rec.Snapshots[snap.Bench]
 		if !ok || snap.seq > cur.seq {
 			rec.Snapshots[snap.Bench] = snap
-		}
-	}
-	wins, err := filepath.Glob(filepath.Join(w.dir, "win-*.wlog"))
-	if err != nil {
-		return nil, fmt.Errorf("serve: wal recover windows: %w", err)
-	}
-	sort.Strings(wins)
-	for _, name := range wins {
-		bench, ok := benchOfWindowFile(name)
-		if !ok {
-			rec.Skipped = append(rec.Skipped, fmt.Sprintf("%s: unparseable window file name", filepath.Base(name)))
-			continue
-		}
-		obs, torn := readWindowLog(name)
-		if torn != "" {
-			rec.Skipped = append(rec.Skipped, fmt.Sprintf("%s: %s", filepath.Base(name), torn))
-		}
-		if len(obs) > 0 {
-			rec.Windows[bench] = obs
 		}
 	}
 	return rec, nil
@@ -254,123 +209,15 @@ func readSnapRecord(path string) (WALSnapshot, error) {
 	return WALSnapshot{Bench: bench, Version: version, Blob: append([]byte(nil), rest...), seq: seq}, nil
 }
 
-// windowFileFor hex-encodes the bench name into the window log file
-// name, so arbitrary benchmark names cannot escape the WAL directory.
-func (w *WAL) windowFileFor(bench string) string {
-	return filepath.Join(w.dir, "win-"+hex.EncodeToString([]byte(bench))+".wlog")
-}
-
-func benchOfWindowFile(path string) (string, bool) {
-	base := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "win-"), ".wlog")
-	raw, err := hex.DecodeString(base)
-	return string(raw), err == nil
-}
-
-// AppendWindow durably appends one sampling observation to the bench's
-// window log (write-ahead of the in-memory window update).
-func (w *WAL) AppendWindow(bench string, ob WindowObs) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	f := w.win[bench]
-	if f == nil {
-		var err error
-		f, err = os.OpenFile(w.windowFileFor(bench), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("serve: wal window: %w", err)
-		}
-		w.win[bench] = f
-	}
-	// Record: magic(4) flags(1) dim(2) floats crc(4).
-	buf := make([]byte, 0, 16+8*len(ob.In))
-	buf = binary.BigEndian.AppendUint32(buf, walWindowMagic)
-	var flags byte
-	if ob.Bad {
-		flags |= 1
-	}
-	if ob.Precise {
-		flags |= 2
-	}
-	buf = append(buf, flags)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(ob.In)))
-	for _, v := range ob.In {
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, walCRC))
-	if _, err := f.Write(buf); err != nil {
-		return fmt.Errorf("serve: wal window append: %w", err)
-	}
-	return nil
-}
-
-// ResetWindow truncates the bench's window log — called at each
-// guarantee re-check boundary, when the in-memory window resets too.
-func (w *WAL) ResetWindow(bench string) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if f := w.win[bench]; f != nil {
-		f.Close()
-		delete(w.win, bench)
-	}
-	if err := os.Remove(w.windowFileFor(bench)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("serve: wal window reset: %w", err)
-	}
-	return nil
-}
-
-// readWindowLog parses the valid prefix of a window log. The second
-// return names the torn/corrupt suffix ("" when the whole log parsed).
-func readWindowLog(path string) ([]WindowObs, string) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err.Error()
-	}
-	var out []WindowObs
-	for off := 0; off < len(raw); {
-		rest := raw[off:]
-		if len(rest) < 4+1+2+4 {
-			return out, fmt.Sprintf("torn record at byte %d", off)
-		}
-		if binary.BigEndian.Uint32(rest[:4]) != walWindowMagic {
-			return out, fmt.Sprintf("bad magic at byte %d", off)
-		}
-		dim := int(binary.BigEndian.Uint16(rest[5:7]))
-		recLen := 4 + 1 + 2 + 8*dim + 4
-		if dim > MaxInputDim || len(rest) < recLen {
-			return out, fmt.Sprintf("torn record at byte %d", off)
-		}
-		body, crc := rest[:recLen-4], binary.BigEndian.Uint32(rest[recLen-4:recLen])
-		if crc32.Checksum(body, walCRC) != crc {
-			return out, fmt.Sprintf("checksum mismatch at byte %d", off)
-		}
-		ob := WindowObs{Bad: rest[4]&1 != 0, Precise: rest[4]&2 != 0, In: make([]float64, dim)}
-		for i := range ob.In {
-			ob.In[i] = math.Float64frombits(binary.BigEndian.Uint64(rest[7+8*i : 15+8*i]))
-		}
-		out = append(out, ob)
-		off += recLen
-	}
-	return out, ""
-}
-
-// Close releases the open window logs. The snapshot records are already
+// Close releases the open fold log. The snapshot records are already
 // durable; Close is not a commit point.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var first error
-	for bench, f := range w.win {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-		delete(w.win, bench)
+	if w.fold == nil {
+		return nil
 	}
-	if w.fold != nil {
-		if err := w.fold.Close(); err != nil && first == nil {
-			first = err
-		}
-		w.fold = nil
-	}
-	return first
+	err := w.fold.Close()
+	w.fold = nil
+	return err
 }
-
-var _ = io.EOF // placate unused-import churn during refactors

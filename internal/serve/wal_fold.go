@@ -19,9 +19,8 @@ import (
 //   - restart: a rebooting node replays its own log to learn which
 //     versions it had applied, then asks a peer only for the gap.
 //
-// Same durability discipline as the window logs: one O_APPEND file,
-// checksummed records, valid-prefix recovery that reports (never
-// propagates) a torn tail.
+// Durability discipline: one O_APPEND file, checksummed records,
+// valid-prefix recovery that reports (never propagates) a torn tail.
 
 // walFoldMagic opens every fold record ("MFLD").
 const walFoldMagic = 0x4d464c44

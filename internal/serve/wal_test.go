@@ -1,6 +1,10 @@
 package serve
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -94,72 +98,57 @@ func TestWALCorruptSnapshotDegradesToOlderVersion(t *testing.T) {
 	}
 }
 
-func TestWALWindowAppendTornTailAndReset(t *testing.T) {
+// TestWALRecoverIgnoresLegacyWindowLog is the upgrade-safety check: a
+// WAL directory written by an older mithrad also holds a per-bench
+// sampling-window log (win-<hex bench>.wlog, "MWIN" records) beside the
+// snapshot records. Window state is no longer persisted, so recovery
+// must restore the snapshot and leave the legacy log alone, without an
+// error or a skipped-record report.
+func TestWALRecoverIgnoresLegacyWindowLog(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	obs := []WindowObs{
-		{In: []float64{0.1, 0.2}, Bad: false, Precise: false},
-		{In: []float64{0.3, 0.4}, Bad: true, Precise: false},
-		{In: []float64{0.5, 0.6}, Bad: true, Precise: true},
-	}
-	for _, ob := range obs {
-		if err := w.AppendWindow("fft", ob); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Tear the tail: a crash mid-append leaves a partial record.
-	winFile := w.windowFileFor("fft")
-	f, err := os.OpenFile(winFile, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if err := w.StoreSnapshot("fft", 4, []byte("blob-v4")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0x4d, 0x57, 0x49}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	w.Close()
 
-	rec, err := w.Recover()
-	if err != nil {
+	// One legacy window record, byte for byte as the old window log wrote
+	// it: magic(4) flags(1) dim(2) float64s crc32c(4).
+	rec := binary.BigEndian.AppendUint32(nil, 0x4d57494e)
+	rec = append(rec, 1) // bad, not precise
+	rec = binary.BigEndian.AppendUint16(rec, 2)
+	for _, v := range []float64{0.25, 0.75} {
+		rec = binary.BigEndian.AppendUint64(rec, math.Float64bits(v))
+	}
+	rec = binary.BigEndian.AppendUint32(rec, crc32.Checksum(rec, walCRC))
+	legacy := filepath.Join(dir, "win-"+hex.EncodeToString([]byte("fft"))+".wlog")
+	if err := os.WriteFile(legacy, rec, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if len(rec.Skipped) != 1 {
-		t.Fatalf("skipped = %v, want the torn tail reported once", rec.Skipped)
-	}
-	got := rec.Windows["fft"]
-	if len(got) != len(obs) {
-		t.Fatalf("recovered %d window observations, want %d", len(got), len(obs))
-	}
-	for i := range obs {
-		if got[i].Bad != obs[i].Bad || got[i].Precise != obs[i].Precise ||
-			len(got[i].In) != len(obs[i].In) || got[i].In[0] != obs[i].In[0] || got[i].In[1] != obs[i].In[1] {
-			t.Fatalf("observation %d = %+v, want %+v", i, got[i], obs[i])
-		}
 	}
 
-	// ResetWindow wipes the log: the next recovery sees no window.
-	if err := w.ResetWindow("fft"); err != nil {
-		t.Fatal(err)
-	}
-	rec, err = w.Recover()
+	w2, err := OpenWAL(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Windows["fft"]) != 0 {
-		t.Fatalf("window survived reset: %v", rec.Windows["fft"])
-	}
-	// Appends keep working after a reset (new file handle).
-	if err := w.AppendWindow("fft", obs[0]); err != nil {
-		t.Fatal(err)
-	}
-	rec, err = w.Recover()
+	defer w2.Close()
+	got, err := w2.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Windows["fft"]) != 1 {
-		t.Fatalf("post-reset append not recovered: %v", rec.Windows["fft"])
+	if len(got.Skipped) != 0 {
+		t.Fatalf("legacy window log reported as skipped: %v", got.Skipped)
+	}
+	if snap := got.Snapshots["fft"]; snap.Version != 4 || string(snap.Blob) != "blob-v4" {
+		t.Fatalf("recovery = v%d %q, want v4 blob-v4", snap.Version, snap.Blob)
+	}
+	// New installs keep sequencing past the recovered record.
+	if err := w2.StoreSnapshot("fft", 5, []byte("blob-v5")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = w2.Recover(); err != nil || got.Snapshots["fft"].Version != 5 {
+		t.Fatalf("post-upgrade install not recovered: %+v, %v", got.Snapshots["fft"], err)
 	}
 }

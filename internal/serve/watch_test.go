@@ -64,7 +64,7 @@ func driftJournal(t *testing.T, workers int) []byte {
 		Freeze:     true,
 		Obs:        o,
 		Faults:     fault.NewSet(plan),
-		Watch:      watch.Config{Enabled: true, Window: 16, RecoverAfter: 4, Exemplars: 4, Lag: 512},
+		Watch:      watch.Config{Window: 16, RecoverAfter: 4, Exemplars: 4, Lag: 512},
 	}
 	s, addr := startServer(t, cfg, snap)
 	cl, err := Dial("tcp", addr)

@@ -50,7 +50,8 @@ type Recheck struct {
 	// determinism contract: the boost must be armed on the decide path
 	// before the first ID in the window arrives, so BoostDelay has to
 	// exceed the in-flight ID skew past the release frontier —
-	// roughly Lag/SampleRate plus queue depth plus workers×batch.
+	// roughly Lag/SampleRate plus queue depth plus workers×batch. The
+	// serve layer fills it in from the sample rate when unset.
 	BoostDelay int
 	// BoostLen is the forced-sampling window length in request IDs
 	// (default 4096).

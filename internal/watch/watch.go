@@ -88,14 +88,18 @@ type Config struct {
 	Exemplars int
 	// Lag is the reorder-buffer depth: observations are released to the
 	// state machine in request-ID order once more than Lag are pending
-	// (default 512). It must exceed the server's maximum in-flight skew
-	// (queue depth + workers×max batch) for cross-worker determinism.
+	// (default DefaultLag). It must exceed the server's maximum
+	// in-flight skew (queue depth + workers×max batch) for cross-worker
+	// determinism.
 	Lag int
 	// Recheck arms the continuous-monitoring escalation mode
 	// (recovery.go): per-window CP trajectories, violation → sampling
 	// boost + table fold-in, and recovery-episode accounting.
 	Recheck Recheck
 }
+
+// DefaultLag is the reorder-buffer depth an unset Config.Lag gets.
+const DefaultLag = 512
 
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
@@ -111,7 +115,7 @@ func (c Config) withDefaults() Config {
 		c.Exemplars = 8
 	}
 	if c.Lag <= 0 {
-		c.Lag = 512
+		c.Lag = DefaultLag
 	}
 	c.Recheck = c.Recheck.withDefaults(c)
 	return c
@@ -120,9 +124,9 @@ func (c Config) withDefaults() Config {
 // Obs is one sampled observation delivered to the monitor: the request
 // identity, the sampled kernel input, whether the probe measured the
 // approximate output as bad, and whether the request was routed precise
-// (a precise routing always counts as a success, mirroring the serve
-// updater's window). In must not be mutated after delivery — in recheck
-// mode the monitor retains failing inputs until the next fold-in.
+// (a precise routing never degrades output quality, so it always counts
+// as a success). In must not be mutated after delivery — in recheck mode
+// the monitor retains failing inputs until the next fold-in.
 type Obs struct {
 	ID      uint32
 	Trace   uint64

@@ -140,7 +140,7 @@ func Report(cfg ReportConfig, w io.Writer, ids ...string) error {
 		return experiments.RunAll(s, w)
 	}
 	for _, id := range ids {
-		if err := experiments.RunOne(s, id, w); err != nil {
+		if err := experiments.RunOne(s, id, w, experiments.FormatText); err != nil {
 			return err
 		}
 	}
