@@ -74,9 +74,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		faultPlan    = fs.String("fault-plan", "", "deterministic fault-injection plan, e.g. 'seed=42,conn.reset=0.01,worker.panic=0.05@64' (chaos testing)")
 		rejectFull   = fs.Bool("reject-when-full", false, "shed load in-band (CodeQueueFull) instead of exerting backpressure when a shard queue saturates")
 		noBreaker    = fs.Bool("no-breaker", false, "disable the per-benchmark circuit breaker (fail-safe degradation)")
-		watchMargin  = fs.Float64("watch-margin", 0, "at-risk margin between the CP lower bound and the target (0 = default 0.02)")
-		watchRecover = fs.Int("watch-recover", 0, "consecutive passing evaluations before recovering -> holding (0 = window size)")
-		watchExempl  = fs.Int("watch-exemplars", 0, "guarantee-relevant request IDs kept per state transition (0 = default 8)")
 		watchLag     = fs.Int("watch-lag", 0, "reorder-buffer depth for ID-ordered monitor ingestion (0 = default 512)")
 		recheckWin   = fs.Int("recheck-window", 64, "guarantee monitor window: with -sample-rate > 0, re-check the guarantee over sliding windows of N sampled observations and escalate at-risk/violated into a sampling boost + table fold-in")
 		maxFoldIns   = fs.Int("max-foldins-to-recover", 0, "fold-ins allowed per recovery episode before the monitor journals recovery_exceeded and stops repairing (0 = default 8)")
@@ -264,11 +261,8 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		RejectWhenFull: *rejectFull,
 		Breaker:        serve.BreakerConfig{Disabled: *noBreaker},
 		Watch: watch.Config{
-			Window:       *recheckWin,
-			RiskMargin:   *watchMargin,
-			RecoverAfter: *watchRecover,
-			Exemplars:    *watchExempl,
-			Lag:          *watchLag,
+			Window: *recheckWin,
+			Lag:    *watchLag,
 			Recheck: watch.Recheck{
 				RepairEvery: *recheckWin,
 				MaxFoldIns:  *maxFoldIns,

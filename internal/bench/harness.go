@@ -44,19 +44,16 @@ const benchName = "synthetic"
 // the measured malloc count is reproducible on any machine. Compare
 // gates these exactly; RTT stages get slack.
 var hermeticStages = map[string]bool{
-	"wire_encode":            true,
-	"wire_parse":             true,
-	"misr_hash":              true,
-	"misr_hash_batch32":      true,
-	"table_classify":         true,
-	"table_classify_batch32": true,
-	"registry_lookup":        true,
-	"ring_lookup":            true,
-	"decide_steady":          true,
-	"watch_overhead":         true,
-	"drift_overhead":         true,
-	"watch_observe":          true,
-	"cluster_hop":            true,
+	"wire_encode":     true,
+	"wire_parse":      true,
+	"misr_hash":       true,
+	"table_classify":  true,
+	"registry_lookup": true,
+	"ring_lookup":     true,
+	"decide_steady":   true,
+	"drift_overhead":  true,
+	"watch_observe":   true,
+	"cluster_hop":     true,
 }
 
 // IsHermetic reports whether stage carries an exact allocs/op contract.
@@ -245,7 +242,7 @@ func Run(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 
-	// misr_hash / misr_hash_batch32: the signature computation alone.
+	// misr_hash: the signature computation alone.
 	h := misr.NewHasher(misr.Pool()[0], 12)
 	idx := []int{0, 1, 2}
 	words := []uint16{11, 42, 7}
@@ -255,35 +252,17 @@ func Run(cfg Config) ([]Row, error) {
 	}); err != nil {
 		return nil, err
 	}
-	batch := make([][]uint16, 32)
-	for i := range batch {
-		batch[i] = []uint16{uint16(rng.Intn(64)), uint16(rng.Intn(64)), uint16(rng.Intn(64))}
-	}
-	var hashOut [32]uint32
-	if err := herm("misr_hash_batch32", func() error {
-		h.HashBatchIndexed(batch, idx, hashOut[:])
-		sinkU32 += hashOut[0]
-		return nil
-	}); err != nil {
-		return nil, err
-	}
 
-	// table_classify / table_classify_batch32: the full quantize → hash →
-	// bitset decision.
-	if err := herm("table_classify", func() error {
-		sinkB = tab.Classify(in)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	// table_classify: the full quantize → hash → bitset decision, cycling
+	// over 32 seeded inputs so the row is not one cache-hot input repeated.
 	ins := make([][]float64, 32)
 	for i := range ins {
 		ins[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 	}
-	dst := make([]bool, 32)
-	if err := herm("table_classify_batch32", func() error {
-		tab.ClassifyBatch(ins, dst)
-		sinkB = dst[0]
+	var insIdx int
+	if err := herm("table_classify", func() error {
+		sinkB = tab.Classify(ins[insIdx%len(ins)])
+		insIdx++
 		return nil
 	}); err != nil {
 		return nil, err
@@ -351,46 +330,16 @@ func Run(cfg Config) ([]Row, error) {
 		return func([]float64) float64 { return 0 }
 	}
 
-	// watch_overhead: decide_steady re-measured against the serving shape
-	// `mithrad -sample-rate 0.05 -freeze` runs: sampler, probe and
-	// guarantee monitor armed, no fold-in hook. The driver's request ID
-	// (1) is not sampled at seed 42, so this is the path every unsampled
-	// decision takes. The hermetic contract is the mithrawatch design
-	// invariant: arming the monitor adds zero allocations to the
-	// trace-free steady decide path, and the ns/op delta against
-	// decide_steady is the full cost of carrying it.
-	wsnap, err := serve.NewSnapshot(benchName, tab, nil, 0.1, g, zeroProbe)
-	if err != nil {
-		return nil, err
-	}
-	wsrv, err := serve.NewServer(serve.NewRegistry(wsnap), serve.Config{
-		Workers: 1, MaxBatch: 32, Freeze: true,
-		SampleRate: 0.05, SampleSeed: 42,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		wsrv.Shutdown(ctx) //nolint:errcheck // best-effort teardown
-	}()
-	wdrv, err := wsrv.SteadyDriver(benchName, in)
-	if err != nil {
-		return nil, err
-	}
-	if err := herm("watch_overhead", wdrv.Step); err != nil {
-		return nil, err
-	}
-
 	// drift_overhead: decide_steady re-measured against a drift-armed
-	// server — recheck-mode monitor with the fold-in escalation and the
-	// forced-sampling boost window armed, probe constructed: the serving
+	// server — sampler, probe and recheck-mode monitor with the fold-in
+	// escalation and the forced-sampling boost window armed: the serving
 	// shape `mithrad -sample-rate 0.05 -recheck-window 16 -watch-lag 64`
-	// runs, on the same unsampled request ID as watch_overhead. The
-	// hermetic contract is the DESIGN.md §16 invariant: a drift-armed
-	// steady decide still allocates nothing (boost membership is one
-	// atomic load), so continuous monitoring is safe to leave on in
+	// runs. The driver's request ID (1) is not sampled at seed 42, so this
+	// is the path every unsampled decision takes, and the ns/op delta
+	// against decide_steady is the full cost of carrying the monitor. The
+	// hermetic contract is the DESIGN.md §14 and §16 invariant: a
+	// drift-armed steady decide still allocates nothing (boost membership
+	// is one atomic load), so continuous monitoring is safe to leave on in
 	// production.
 	dsnap, err := serve.NewSnapshot(benchName, tab, nil, 0.1, g, zeroProbe)
 	if err != nil {

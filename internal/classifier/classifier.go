@@ -48,18 +48,6 @@ type Classifier interface {
 	SizeBytes() int
 }
 
-// BatchClassifier is implemented by classifiers that can decide a whole
-// request batch in one call. ClassifyBatch(ins, dst) is equivalent to
-// dst[i] = Classify(ins[i]) for every i, but lets the implementation
-// amortize per-structure state across the batch (the table design sweeps
-// each MISR/bitset over all inputs before moving to the next, keeping
-// them cache-hot). dst must be at least len(ins) long; the filled prefix
-// is returned. Like Classify, not safe for concurrent use.
-type BatchClassifier interface {
-	Classifier
-	ClassifyBatch(ins [][]float64, dst []bool) []bool
-}
-
 // ConcurrentViewer is implemented by classifiers whose trained state can
 // back several concurrent evaluation streams. Classify itself reuses
 // per-classifier scratch buffers and is never safe to share across

@@ -122,14 +122,6 @@ type Table struct {
 	bitsets [][]uint64
 	scratch []uint16
 	gather  []uint16
-	// Batch scratch (ClassifyBatch): per-row quantized words, per-row
-	// word-slice headers, per-row hashed indices, per-row flag counts.
-	// Grown on demand, reused across batches — steady state allocates
-	// nothing.
-	batchWords []uint16
-	batchRows  [][]uint16
-	batchIdx   []uint32
-	batchFlags []uint8
 }
 
 // projection returns the element subset pool configuration c hashes, for
@@ -323,44 +315,12 @@ func (t *Table) Classify(in []float64) bool {
 	return combineFlags(t.cfg.Combine, flags, len(t.hashers))
 }
 
-// ClassifyBatch implements BatchClassifier: decisions identical to
-// per-input Classify, computed tables-outer — every input is quantized
-// once, then each MISR configuration sweeps the whole batch
-// (misr.HashBatchIndexed) before its bitset is probed, so the hasher's
-// step tables and the 0.5 KB bitset stay cache-hot across the batch.
-// Steady state allocates nothing: all scratch lives on the Table and is
-// grown once.
-//
-//mithra:hotpath
+// ClassifyBatch sets dst[i] = Classify(ins[i]) for every input and
+// returns the filled prefix; dst must be at least len(ins) long.
 func (t *Table) ClassifyBatch(ins [][]float64, dst []bool) []bool {
-	n := len(ins)
-	dim := t.quant.Dim()
-	//mithra:coldpath one-time scratch growth to the largest batch seen
-	if cap(t.batchWords) < n*dim {
-		t.batchWords = make([]uint16, n*dim)
-		t.batchRows = make([][]uint16, n)
-		t.batchIdx = make([]uint32, n)
-		t.batchFlags = make([]uint8, n)
-	}
-	rows := t.batchRows[:n]
-	flags := t.batchFlags[:n]
-	idx := t.batchIdx[:n]
-	for r, in := range ins {
-		rows[r] = t.quant.Quantize(in, t.batchWords[r*dim:(r+1)*dim])
-		flags[r] = 0
-	}
-	for i, h := range t.hashers {
-		h.HashBatchIndexed(rows, t.proj[i], idx)
-		bs := t.bitsets[i]
-		for r, ix := range idx {
-			if getBit(bs, ix) {
-				flags[r]++
-			}
-		}
-	}
-	dst = dst[:n]
-	for r := range dst {
-		dst[r] = combineFlags(t.cfg.Combine, int(flags[r]), len(t.hashers))
+	dst = dst[:len(ins)]
+	for i, in := range ins {
+		dst[i] = t.Classify(in)
 	}
 	return dst
 }

@@ -7,9 +7,8 @@ import (
 )
 
 // The MISR micro-benchmarks pin the signature-hashing stage of the serve
-// decide path (DESIGN.md §12): single-vector hashing, projected hashing,
-// and the batched sweep the shard workers use. All of them must report 0
-// allocs/op — the hash is the innermost loop of every served decision.
+// decide path (DESIGN.md §12): single-vector hashing and projected
+// hashing. All of them must report 0 allocs/op — the hash is the innermost loop of every served decision.
 
 func benchWords(n int) []uint16 {
 	rng := mathx.NewRNG(3)
@@ -49,23 +48,6 @@ func BenchmarkHashIndexed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkU32 = h.HashIndexed(words, idx)
 	}
-}
-
-func BenchmarkHashBatchIndexed(b *testing.B) {
-	h := NewHasher(Pool()[0], 12)
-	const rows, dim = 32, 16
-	batch := make([][]uint16, rows)
-	for r := range batch {
-		batch[r] = benchWords(dim)
-	}
-	idx := []int{0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15}
-	out := make([]uint32, rows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.HashBatchIndexed(batch, idx, out)
-	}
-	sinkU32 = out[0]
 }
 
 func BenchmarkQuantize(b *testing.B) {

@@ -94,26 +94,3 @@ func TestHashIndexedMatchesGather(t *testing.T) {
 		}
 	}
 }
-
-// TestHashBatchIndexedMatchesRows: the batched sweep must produce exactly
-// the per-row results, for every row.
-func TestHashBatchIndexedMatchesRows(t *testing.T) {
-	rng := mathx.NewRNG(47)
-	h := NewHasher(Pool()[7], 12)
-	const dim = 9
-	batch := make([][]uint16, 33)
-	for r := range batch {
-		batch[r] = make([]uint16, dim)
-		for i := range batch[r] {
-			batch[r][i] = uint16(rng.Uint64())
-		}
-	}
-	idx := []int{0, 2, 3, 5, 8}
-	out := make([]uint32, len(batch))
-	h.HashBatchIndexed(batch, idx, out)
-	for r, words := range batch {
-		if want := h.HashIndexed(words, idx); out[r] != want {
-			t.Fatalf("row %d: batch=%#x, single=%#x", r, out[r], want)
-		}
-	}
-}

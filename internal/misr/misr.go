@@ -172,24 +172,6 @@ func (h *Hasher) HashIndexed(words []uint16, idx []int) uint32 {
 	return uint32(state)
 }
 
-// HashBatchIndexed hashes one projected word sequence per batch row into
-// out (len(out) >= len(batch)), with the per-configuration loads hoisted
-// out of the row loop. Each batch row is one quantized accelerator input
-// vector; this is the serving batch loop's vectorized form — one hasher
-// sweeps a whole request batch before the next table's hasher runs, so
-// the step tables and the table's bitset stay cache-hot.
-//
-//mithra:hotpath
-func (h *Hasher) HashBatchIndexed(batch [][]uint16, idx []int, out []uint32) {
-	for r, words := range batch {
-		state := h.seed
-		for i, p := range idx {
-			state = h.fold(state, words[p], i)
-		}
-		out[r] = uint32(state)
-	}
-}
-
 // foldWord XOR-compresses a 16-bit word into the low `width` bits.
 func foldWord(w uint16, width uint) uint16 {
 	if width >= 16 {

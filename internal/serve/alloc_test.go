@@ -57,7 +57,7 @@ func (f *decideFixture) decideOnce(buf []byte, dresp *DecideResponse, eresp *Err
 	}
 	sh := f.s.shards[string(bench)]
 	req.Bench = sh.bench
-	resp, _, _ := f.s.decideSafe(sh, f.snap, f.view, f.probe, req, false, false, dresp, eresp)
+	resp, _, _ := f.s.decideSafe(sh, f.snap, f.view, f.probe, req, dresp, eresp)
 	out, err := AppendFrame(buf[:0], resp)
 	if err != nil {
 		panic(err)
@@ -169,21 +169,6 @@ func TestClassifyZeroAlloc(t *testing.T) {
 		view.Classify(in)
 	}); avg != 0 {
 		t.Fatalf("table Classify allocates %v per run, want 0", avg)
-	}
-	bc, ok := view.(classifier.BatchClassifier)
-	if !ok {
-		t.Fatal("table view does not batch")
-	}
-	ins := make([][]float64, 32)
-	for i := range ins {
-		ins[i] = in
-	}
-	dst := make([]bool, len(ins))
-	bc.ClassifyBatch(ins, dst) // warm batch scratch
-	if avg := testing.AllocsPerRun(100, func() {
-		bc.ClassifyBatch(ins, dst)
-	}); avg != 0 {
-		t.Fatalf("table ClassifyBatch allocates %v per run, want 0", avg)
 	}
 }
 

@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"testing"
-
-	"mithra/internal/classifier"
-)
+import "testing"
 
 // Micro-benchmarks for every stage of the serve decide path (DESIGN.md
 // §12). `mithra bench` drives the same stages from the binary to produce
@@ -61,22 +57,6 @@ func BenchmarkTableClassify(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkBool = view.Classify(in)
 	}
-}
-
-func BenchmarkTableClassifyBatch32(b *testing.B) {
-	bc := syntheticSnapshotB(b, "bench").view().(classifier.BatchClassifier)
-	ins := make([][]float64, 32)
-	for i := range ins {
-		ins[i] = []float64{0.2, 0.5, float64(i) / 32}
-	}
-	dst := make([]bool, len(ins))
-	bc.ClassifyBatch(ins, dst)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bc.ClassifyBatch(ins, dst)
-	}
-	sinkBool = dst[0]
 }
 
 // BenchmarkDecideSteady is the hermetic full decide path — pooled

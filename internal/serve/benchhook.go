@@ -61,7 +61,7 @@ func (d *SteadyDriver) Step() error {
 	}
 	sh := d.s.shards[string(bench)]
 	req.Bench = sh.bench
-	resp, ob, haveOb := d.s.decideSafe(sh, d.snap, d.view, d.probe, req, false, false, &d.dresp, &d.eresp)
+	resp, ob, haveOb := d.s.decideSafe(sh, d.snap, d.view, d.probe, req, &d.dresp, &d.eresp)
 	if haveOb {
 		sh.up.observe(ob)
 	}

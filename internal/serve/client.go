@@ -128,50 +128,14 @@ func (c *Client) DecideBatch(bench string, baseID uint32, inputs [][]float64) ([
 // and decisions parse in place — this is the loadgen and bench-harness
 // hot path, and the allocation-regression tests pin it at zero allocs
 // per call. Error handling stays on the generic decoder: any in-band
-// error aborts the batch with a typed wire error, exactly as before.
+// error aborts the batch with a typed wire error.
 func (c *Client) DecideBatchInto(bench string, baseID uint32, inputs [][]float64, out []DecideResponse) ([]DecideResponse, error) {
 	if len(out) < len(inputs) {
 		return nil, fmt.Errorf("serve: response storage holds %d, need %d", len(out), len(inputs))
 	}
-	req := DecideRequest{Bench: bench, TraceID: c.trace}
-	frames := c.wbuf[:0]
-	for i, in := range inputs {
-		req.ID = baseID + uint32(i)
-		req.In = in
-		var err error
-		if frames, err = AppendDecideRequest(frames, &req); err != nil {
-			return nil, err
-		}
-	}
-	c.wbuf = frames
-	if err := c.writeFrames(frames); err != nil {
-		return nil, err
-	}
 	out = out[:len(inputs)]
-	var resp DecideResponse
-	for range inputs {
-		payload, err := ReadFrameInto(c.br, c.rbuf)
-		c.rbuf = payload
-		if err != nil {
-			return nil, fmt.Errorf("serve: read response: %w: %v", ErrRetryable, err)
-		}
-		if perr := ParseDecideResponseInto(payload, &resp); perr != nil {
-			// Not a decide response: decode generically for a typed error.
-			msg, merr := ParseMessage(payload)
-			if merr != nil {
-				return nil, fmt.Errorf("serve: read response: %w: %v", ErrRetryable, merr)
-			}
-			if e, ok := msg.(*ErrorResponse); ok {
-				return nil, wireError(e)
-			}
-			return nil, protoErrf("unexpected response %T", msg)
-		}
-		i := int(resp.ID - baseID)
-		if i < 0 || i >= len(inputs) {
-			return nil, protoErrf("response id %d outside batch [%d,%d)",
-				resp.ID, baseID, baseID+uint32(len(inputs)))
-		}
-		out[i] = resp
+	if err := c.pipeline(bench, baseID, nil, inputs, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -189,10 +153,18 @@ func (c *Client) DecideIDs(bench string, ids []uint32, inputs [][]float64, out [
 		return fmt.Errorf("serve: DecideIDs wants len(ids)==len(inputs)<=len(out), have %d/%d/%d",
 			len(ids), len(inputs), len(out))
 	}
+	return c.pipeline(bench, 0, ids, inputs, out)
+}
+
+// pipeline is the one request/response loop behind DecideBatchInto and
+// DecideIDs: it encodes one request per input (IDs from batchID), writes
+// them in one call, and files each response at its batchSlot, whatever
+// order the server's shard workers answered in.
+func (c *Client) pipeline(bench string, baseID uint32, ids []uint32, inputs [][]float64, out []DecideResponse) error {
 	req := DecideRequest{Bench: bench, TraceID: c.trace}
 	frames := c.wbuf[:0]
 	for i, in := range inputs {
-		req.ID = ids[i]
+		req.ID = batchID(baseID, ids, i)
 		req.In = in
 		var err error
 		if frames, err = AppendDecideRequest(frames, &req); err != nil {
@@ -211,6 +183,7 @@ func (c *Client) DecideIDs(bench string, ids []uint32, inputs [][]float64, out [
 			return fmt.Errorf("serve: read response: %w: %v", ErrRetryable, err)
 		}
 		if perr := ParseDecideResponseInto(payload, &resp); perr != nil {
+			// Not a decide response: decode generically for a typed error.
 			msg, merr := ParseMessage(payload)
 			if merr != nil {
 				return fmt.Errorf("serve: read response: %w: %v", ErrRetryable, merr)
@@ -220,13 +193,35 @@ func (c *Client) DecideIDs(bench string, ids []uint32, inputs [][]float64, out [
 			}
 			return protoErrf("unexpected response %T", msg)
 		}
-		i := idSlot(ids, resp.ID)
+		i := batchSlot(baseID, ids, len(inputs), resp.ID)
 		if i < 0 {
 			return protoErrf("response id %d not in request set", resp.ID)
 		}
 		out[i] = resp
 	}
 	return nil
+}
+
+// batchID is the request ID of input i: baseID+i when ids is nil, ids[i]
+// otherwise.
+func batchID(baseID uint32, ids []uint32, i int) uint32 {
+	if ids == nil {
+		return baseID + uint32(i)
+	}
+	return ids[i]
+}
+
+// batchSlot maps a response ID back to its input slot among n requests:
+// id-baseID when ids is nil, idSlot(ids, id) otherwise; -1 when the ID
+// is not one of the batch's.
+func batchSlot(baseID uint32, ids []uint32, n int, id uint32) int {
+	if ids != nil {
+		return idSlot(ids, id)
+	}
+	if d := id - baseID; d < uint32(n) {
+		return int(d)
+	}
+	return -1
 }
 
 // idSlot binary-searches ascending ids for id, returning its index or -1.

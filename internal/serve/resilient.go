@@ -164,6 +164,23 @@ func (r *ResilientClient) Decide(bench string, id uint32, in []float64) (*Decide
 // retrying only the unanswered slots after a retryable failure. The
 // batch either completes fully or returns the last error.
 func (r *ResilientClient) DecideBatch(bench string, baseID uint32, inputs [][]float64) ([]DecideResponse, error) {
+	return r.decide(bench, baseID, nil, inputs)
+}
+
+// DecideIDs is DecideBatch for explicitly-keyed requests: ids[i]
+// (strictly ascending, not necessarily contiguous — the cluster router's
+// per-node sub-batches) identifies inputs[i]. Retry semantics match
+// DecideBatch: unanswered slots re-send, duplicate answers are ignored.
+func (r *ResilientClient) DecideIDs(bench string, ids []uint32, inputs [][]float64) ([]DecideResponse, error) {
+	if len(ids) != len(inputs) {
+		return nil, fmt.Errorf("serve: DecideIDs wants len(ids)==len(inputs), have %d/%d", len(ids), len(inputs))
+	}
+	return r.decide(bench, 0, ids, inputs)
+}
+
+// decide is the one retry loop behind DecideBatch and DecideIDs; request
+// IDs and response slots follow batchID and batchSlot.
+func (r *ResilientClient) decide(bench string, baseID uint32, ids []uint32, inputs [][]float64) ([]DecideResponse, error) {
 	out := make([]DecideResponse, len(inputs))
 	filled := make([]bool, len(inputs))
 	missing := len(inputs)
@@ -178,7 +195,7 @@ func (r *ResilientClient) DecideBatch(bench string, baseID uint32, inputs [][]fl
 			}
 		}
 		var err error
-		missing, err = r.attempt(bench, baseID, inputs, out, filled, missing)
+		missing, err = r.attempt(bench, baseID, ids, inputs, out, filled, missing)
 		if err == nil {
 			continue // missing==0 exits the loop
 		}
@@ -194,100 +211,11 @@ func (r *ResilientClient) DecideBatch(bench string, baseID uint32, inputs [][]fl
 	return out, nil
 }
 
-// DecideIDs is DecideBatch for explicitly-keyed requests: ids[i]
-// (strictly ascending, not necessarily contiguous — the cluster router's
-// per-node sub-batches) identifies inputs[i]. Retry semantics match
-// DecideBatch: unanswered slots re-send, duplicate answers are ignored.
-func (r *ResilientClient) DecideIDs(bench string, ids []uint32, inputs [][]float64) ([]DecideResponse, error) {
-	if len(ids) != len(inputs) {
-		return nil, fmt.Errorf("serve: DecideIDs wants len(ids)==len(inputs), have %d/%d", len(ids), len(inputs))
-	}
-	out := make([]DecideResponse, len(inputs))
-	filled := make([]bool, len(inputs))
-	missing := len(inputs)
-	var lastErr error
-	for attempt := 0; attempt < r.cfg.Attempts && missing > 0; attempt++ {
-		if attempt > 0 {
-			r.Retries++
-			r.backoff()
-			if err := r.reconnect(); err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		var err error
-		missing, err = r.attemptIDs(bench, ids, inputs, out, filled, missing)
-		if err == nil {
-			continue
-		}
-		lastErr = err
-		if !errors.Is(err, ErrRetryable) {
-			return nil, err
-		}
-	}
-	if missing > 0 {
-		return nil, fmt.Errorf("serve: %d of %d requests unanswered after %d attempts: %w",
-			missing, len(inputs), r.cfg.Attempts, lastErr)
-	}
-	return out, nil
-}
-
-// attemptIDs is attempt with explicit request IDs (slot lookup by binary
-// search instead of offset arithmetic).
-func (r *ResilientClient) attemptIDs(bench string, ids []uint32, inputs [][]float64,
-	out []DecideResponse, filled []bool, missing int) (int, error) {
-	r.arm()
-	req := DecideRequest{Bench: bench}
-	var frames []byte
-	for i, in := range inputs {
-		if filled[i] {
-			continue
-		}
-		req.ID = ids[i]
-		req.In = in
-		var err error
-		if frames, err = AppendFrame(frames, &req); err != nil {
-			return missing, err
-		}
-	}
-	if err := r.cl.writeFrames(frames); err != nil {
-		return missing, err
-	}
-	for missing > 0 {
-		msg, err := ReadMessage(r.cl.br)
-		if err != nil {
-			return missing, fmt.Errorf("serve: read response: %w: %v", ErrRetryable, err)
-		}
-		switch m := msg.(type) {
-		case *DecideResponse:
-			i := idSlot(ids, m.ID)
-			if i < 0 || filled[i] {
-				continue // duplicate or stale: idempotent fill ignores it
-			}
-			if m.Fallback {
-				r.Fallbacks++
-			}
-			out[i] = *m
-			filled[i] = true
-			missing--
-		case *ErrorResponse:
-			err := wireError(m)
-			if !errors.Is(err, ErrRetryable) {
-				return missing, err
-			}
-			return missing, fmt.Errorf("serve: request shed: %w", err)
-		default:
-			return missing, protoErrf("unexpected response %T", msg)
-		}
-	}
-	return 0, nil
-}
-
 // attempt sends the unfilled requests and reads until every one is
 // answered or the connection fails. Responses fill their slot by ID;
 // duplicates (re-answers from an earlier attempt racing a reconnect) and
 // stale IDs are ignored, which is what makes retry idempotent.
-func (r *ResilientClient) attempt(bench string, baseID uint32, inputs [][]float64,
+func (r *ResilientClient) attempt(bench string, baseID uint32, ids []uint32, inputs [][]float64,
 	out []DecideResponse, filled []bool, missing int) (int, error) {
 	r.arm()
 	req := DecideRequest{Bench: bench}
@@ -296,7 +224,7 @@ func (r *ResilientClient) attempt(bench string, baseID uint32, inputs [][]float6
 		if filled[i] {
 			continue
 		}
-		req.ID = baseID + uint32(i)
+		req.ID = batchID(baseID, ids, i)
 		req.In = in
 		var err error
 		if frames, err = AppendFrame(frames, &req); err != nil {
@@ -313,8 +241,8 @@ func (r *ResilientClient) attempt(bench string, baseID uint32, inputs [][]float6
 		}
 		switch m := msg.(type) {
 		case *DecideResponse:
-			i := int(m.ID - baseID)
-			if i < 0 || i >= len(inputs) || filled[i] {
+			i := batchSlot(baseID, ids, len(inputs), m.ID)
+			if i < 0 || filled[i] {
 				continue // duplicate or stale: idempotent fill ignores it
 			}
 			if m.Fallback {

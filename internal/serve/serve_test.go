@@ -234,6 +234,64 @@ func TestServerErrorResponses(t *testing.T) {
 	}
 }
 
+// TestPipelinedMixedWidthBatch: one wrong-width request inside a
+// pipelined window must fail alone. The 32 frames go out in one write,
+// so a worker drains them as one batch; ID 16 gets CodeBadDim and every
+// other decision equals the offline classifier's.
+func TestPipelinedMixedWidthBatch(t *testing.T) {
+	const n, bad = 32, 16
+	rng := mathx.NewRNG(11)
+	inputs := make([][]float64, n)
+	for i := range inputs {
+		inputs[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+	}
+	inputs[bad] = []float64{0.5}
+	for _, workers := range []int{1, 4} {
+		snap := syntheticSnapshot(t, "synth", nil)
+		_, addr := startServer(t, Config{Workers: workers}, snap)
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frames []byte
+		for i, in := range inputs {
+			if frames, err = AppendFrame(frames, &DecideRequest{ID: uint32(i), Bench: "synth", In: in}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := nc.Write(frames); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(nc)
+		view := snap.Table.ConcurrentView()
+		seen := make([]bool, n)
+		for range inputs {
+			msg, err := ReadMessage(br)
+			if err != nil {
+				t.Fatalf("workers %d: %v", workers, err)
+			}
+			switch m := msg.(type) {
+			case *ErrorResponse:
+				if m.Code != CodeBadDim || m.ID != bad {
+					t.Fatalf("workers %d: want CodeBadDim for id %d, got %#v", workers, bad, m)
+				}
+				seen[m.ID] = true
+			case *DecideResponse:
+				if m.ID == bad || m.ID >= n || seen[m.ID] {
+					t.Fatalf("workers %d: unexpected decision %#v", workers, m)
+				}
+				if want := view.Classify(inputs[m.ID]); m.Precise != want {
+					t.Fatalf("workers %d: decision %d: served %v, classifier %v", workers, m.ID, m.Precise, want)
+				}
+				seen[m.ID] = true
+			default:
+				t.Fatalf("workers %d: unexpected response %#v", workers, msg)
+			}
+		}
+		nc.Close()
+	}
+}
+
 func TestSamplingIsDeterministic(t *testing.T) {
 	// The sampled set must be a pure function of (seed, bench, id) — the
 	// same at any worker count and in any scheduling.

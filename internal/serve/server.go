@@ -591,10 +591,12 @@ type connGroup struct {
 
 // worker drains one shard's queue in bounded batches. The snapshot is
 // loaded once per batch (never mid-request); the worker keeps a private
-// classifier view and error probe per snapshot version.
+// classifier view and error probe per snapshot version, and classifies
+// each request through the view inside decideSafe's per-request panic
+// barrier.
 //
 // The batch loop is allocation-free at steady state: response structs,
-// the batch scratch, and the per-response frame buffers all live on the
+// the batch slice, and the per-response frame buffers all live on the
 // worker. Frame buffers recycle through a worker-local freelist rather
 // than a sync.Pool — writes complete before the batch ends, so the
 // worker never loses ownership, and a freelist (unlike a pool) cannot be
@@ -604,15 +606,12 @@ func (s *Server) worker(sh *shard) {
 	defer s.workerWG.Done()
 	var (
 		view        classifier.Classifier
-		batchView   classifier.BatchClassifier // non-nil when view batches
 		probe       ErrorProbe
 		viewVersion uint32
 		batch       = make([]task, 0, s.cfg.MaxBatch)
 		out         = make([]connGroup, 0, 4)
 		free        [][]byte // worker-local response-frame freelist
 		scratch     net.Buffers
-		ins         = make([][]float64, 0, s.cfg.MaxBatch)
-		pre         = make([]bool, s.cfg.MaxBatch)
 		dresp       DecideResponse
 		eresp       ErrorResponse
 	)
@@ -638,36 +637,8 @@ func (s *Server) worker(sh *shard) {
 		snap := s.reg.Get(sh.bench)
 		if view == nil || viewVersion != snap.Version {
 			view = snap.view()
-			batchView, _ = view.(classifier.BatchClassifier)
 			probe = snap.NewProbe()
 			viewVersion = snap.Version
-		}
-
-		// Batch-vectorized classification: when the view batches and every
-		// input has the kernel's width, each classifier structure (MISR +
-		// bitset, for the table design) sweeps the whole batch while
-		// cache-hot instead of being revisited request by request. The
-		// decisions are identical to per-request Classify (the classifier
-		// package tests pin that); mixed widths or a panicking batch sweep
-		// fall back to the per-request path, whose panic barrier degrades
-		// at single-request granularity.
-		havePre := false
-		if batchView != nil && len(batch) > 1 {
-			ins = ins[:0]
-			uniform := true
-			for _, t := range batch {
-				if len(t.req.In) != sh.inDim {
-					uniform = false
-					break
-				}
-				ins = append(ins, t.req.In)
-			}
-			if uniform {
-				havePre = classifyBatchSafe(batchView, ins, pre[:len(batch)])
-			}
-			for i := range ins {
-				ins[i] = nil // no stale references into pooled inputs
-			}
 		}
 
 		for i := range out {
@@ -675,9 +646,8 @@ func (s *Server) worker(sh *shard) {
 			out[i].bufs = out[i].bufs[:0]
 		}
 		out = out[:0]
-		for i, t := range batch {
-			resp, ob, haveOb := s.decideSafe(sh, snap, view, probe, t.req,
-				pre[i], havePre, &dresp, &eresp)
+		for _, t := range batch {
+			resp, ob, haveOb := s.decideSafe(sh, snap, view, probe, t.req, &dresp, &eresp)
 			if s.cfg.Cluster != nil {
 				// Durable decision record, keyed by the client's original
 				// request ID (fallbacks are excluded: the client re-asks them
@@ -719,20 +689,6 @@ func (s *Server) worker(sh *shard) {
 		s.m.batches.Inc()
 		s.m.batchSize.Observe(float64(len(batch)))
 	}
-}
-
-// classifyBatchSafe runs one batch sweep behind a panic barrier. A panic
-// (a poisoned snapshot, a bug) reports "no precomputed decisions": the
-// per-request path repeats the classification under its own per-request
-// barrier, so a batch-wide fault degrades exactly like a per-request one.
-func classifyBatchSafe(bc classifier.BatchClassifier, ins [][]float64, dst []bool) (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	bc.ClassifyBatch(ins, dst)
-	return true
 }
 
 // popBuf takes a response-frame buffer off the worker's freelist.
@@ -777,7 +733,7 @@ func appendConnFrame(out *[]connGroup, c *conn, frame []byte) {
 // quality-safe), the panic counts against the shard's breaker, and the
 // batch loop resumes with the next request.
 func (s *Server) decideSafe(sh *shard, snap *Snapshot, view classifier.Classifier,
-	probe ErrorProbe, req *DecideRequest, pre, havePre bool,
+	probe ErrorProbe, req *DecideRequest,
 	dresp *DecideResponse, eresp *ErrorResponse) (resp Message, ob observation, haveOb bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -793,7 +749,7 @@ func (s *Server) decideSafe(sh *shard, snap *Snapshot, view classifier.Classifie
 	if sh.fPanic.Hit() {
 		panic(fmt.Sprintf("%v: worker panic for %s", fault.ErrInjected, sh.bench))
 	}
-	resp, ob, haveOb = s.decide(sh, snap, view, probe, req, pre, havePre, dresp, eresp)
+	resp, ob, haveOb = s.decide(sh, snap, view, probe, req, dresp, eresp)
 	if _, decided := resp.(*DecideResponse); decided {
 		sh.brk.onSuccess()
 	}
@@ -804,11 +760,9 @@ func (s *Server) decideSafe(sh *shard, snap *Snapshot, view classifier.Classifie
 // sporadic sampler hits, measures the true accelerator error through the
 // precise path. The measurement never alters the served decision — it
 // feeds the online updater. The response is written into the worker's
-// reusable dresp/eresp structs (the hot path allocates nothing); with
-// havePre set, pre carries the batch-sweep classification for this
-// request and Classify is skipped.
+// reusable dresp/eresp structs (the hot path allocates nothing).
 func (s *Server) decide(sh *shard, snap *Snapshot, view classifier.Classifier,
-	probe ErrorProbe, req *DecideRequest, pre, havePre bool,
+	probe ErrorProbe, req *DecideRequest,
 	dresp *DecideResponse, eresp *ErrorResponse) (Message, observation, bool) {
 	if len(req.In) != sh.inDim {
 		s.m.errBadDim.Inc()
@@ -816,10 +770,7 @@ func (s *Server) decide(sh *shard, snap *Snapshot, view classifier.Classifier,
 			Msg: fmt.Sprintf("input dim %d, want %d", len(req.In), sh.inDim)}
 		return eresp, observation{}, false
 	}
-	precise := pre
-	if !havePre {
-		precise = view.Classify(req.In)
-	}
+	precise := view.Classify(req.In)
 	if precise {
 		s.m.decPrecise.Inc()
 	} else {
