@@ -287,7 +287,7 @@ func cmdLoadgen(args []string, stdout, stderr io.Writer) int {
 		precise := make([]bool, total)
 		rtts := make([][]time.Duration, *conns)
 		errs := make([]error, *conns)
-		rclients := make([]*serve.ResilientClient, *conns)
+		clients := make([]*serve.Client, *conns)
 		routed := make([]*cluster.RoutedClient, *conns)
 		fallbacksSeen := make([]int, *conns)
 		// Pacing: with C conns each sending P-sized batches, the fleet hits
@@ -309,48 +309,33 @@ func cmdLoadgen(args []string, stdout, stderr io.Writer) int {
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
-				var decide func(baseID uint32, batch [][]float64) ([]serve.DecideResponse, error)
-				var decideOne func(id uint32, in []float64) (*serve.DecideResponse, error)
+				retry := serve.RetryConfig{Seed: *seed + uint64(c) + 1}
+				var cl interface {
+					DecideBatch(bench string, baseID uint32, inputs [][]float64) ([]serve.DecideResponse, error)
+					Decide(bench string, id uint32, in []float64) (*serve.DecideResponse, error)
+				}
 				if cspec != nil {
-					rc, err := cluster.NewRoutedClient(cspec, *chaos,
-						serve.RetryConfig{Seed: *seed + uint64(c) + 1})
+					rc, err := cluster.NewRoutedClient(cspec, *chaos, retry)
 					if err != nil {
 						errs[c] = err
 						return
 					}
 					defer rc.Close()
-					routed[c] = rc
-					decide = func(baseID uint32, batch [][]float64) ([]serve.DecideResponse, error) {
-						return rc.DecideBatch(benchName, baseID, batch)
-					}
-					decideOne = func(id uint32, in []float64) (*serve.DecideResponse, error) {
-						return rc.Decide(benchName, id, in)
-					}
-				} else if *chaos {
-					rcl, err := serve.DialResilient(network, target,
-						serve.RetryConfig{Seed: *seed + uint64(c) + 1})
-					if err != nil {
-						errs[c] = err
-						return
-					}
-					defer rcl.Close()
-					rclients[c] = rcl
-					decide = func(baseID uint32, batch [][]float64) ([]serve.DecideResponse, error) {
-						return rcl.DecideBatch(benchName, baseID, batch)
-					}
-					decideOne = func(id uint32, in []float64) (*serve.DecideResponse, error) {
-						return rcl.Decide(benchName, id, in)
-					}
+					routed[c], cl = rc, rc
 				} else {
-					cl, err := serve.Dial(network, target)
+					var sc *serve.Client
+					var err error
+					if *chaos {
+						sc, err = serve.DialResilient(network, target, retry)
+					} else {
+						sc, err = serve.Dial(network, target)
+					}
 					if err != nil {
 						errs[c] = err
 						return
 					}
-					defer cl.Close()
-					decide = func(baseID uint32, batch [][]float64) ([]serve.DecideResponse, error) {
-						return cl.DecideBatch(benchName, baseID, batch)
-					}
+					defer sc.Close()
+					clients[c], cl = sc, sc
 				}
 				next := time.Now()
 				// Conn c owns every total-index t with (t/pipeline) % conns == c.
@@ -370,7 +355,7 @@ func cmdLoadgen(args []string, stdout, stderr io.Writer) int {
 						}
 					}
 					t0 := time.Now()
-					resps, err := decide(uint32(base), batch)
+					resps, err := cl.DecideBatch(benchName, uint32(base), batch)
 					if err != nil {
 						errs[c] = err
 						return
@@ -385,7 +370,7 @@ func cmdLoadgen(args []string, stdout, stderr io.Writer) int {
 						// half-open probe.
 						for attempt := 0; *chaos && r.Fallback && attempt < 512; attempt++ {
 							fallbacksSeen[c]++
-							nr, err := decideOne(r.ID, batch[i])
+							nr, err := cl.Decide(benchName, r.ID, batch[i])
 							if err != nil {
 								errs[c] = err
 								return
@@ -439,10 +424,10 @@ func cmdLoadgen(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "digest     %s\n", ds.Digest())
 		if *chaos {
 			retries, reconnects, fallbacks := 0, 0, 0
-			for c, rcl := range rclients {
-				if rcl != nil {
-					retries += rcl.Retries
-					reconnects += rcl.Reconnects
+			for c, cl := range clients {
+				if cl != nil {
+					retries += cl.Retries
+					reconnects += cl.Reconnects
 				}
 				if routed[c] != nil {
 					rt, rc2, _ := routed[c].Stats()

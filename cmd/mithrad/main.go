@@ -73,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		walDir       = fs.String("wal-dir", "", "crash-safe state directory: installed snapshots persist here and are recovered on restart")
 		faultPlan    = fs.String("fault-plan", "", "deterministic fault-injection plan, e.g. 'seed=42,conn.reset=0.01,worker.panic=0.05@64' (chaos testing)")
 		rejectFull   = fs.Bool("reject-when-full", false, "shed load in-band (CodeQueueFull) instead of exerting backpressure when a shard queue saturates")
-		noBreaker    = fs.Bool("no-breaker", false, "disable the per-benchmark circuit breaker (fail-safe degradation)")
 		watchLag     = fs.Int("watch-lag", 0, "reorder-buffer depth for ID-ordered monitor ingestion (0 = default 512)")
 		recheckWin   = fs.Int("recheck-window", 64, "guarantee monitor window: with -sample-rate > 0, re-check the guarantee over sliding windows of N sampled observations and escalate at-risk/violated into a sampling boost + table fold-in")
 		maxFoldIns   = fs.Int("max-foldins-to-recover", 0, "fold-ins allowed per recovery episode before the monitor journals recovery_exceeded and stops repairing (0 = default 8)")
@@ -259,7 +258,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		Obs:            o,
 		Faults:         faults,
 		RejectWhenFull: *rejectFull,
-		Breaker:        serve.BreakerConfig{Disabled: *noBreaker},
 		Watch: watch.Config{
 			Window: *recheckWin,
 			Lag:    *watchLag,

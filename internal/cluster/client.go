@@ -9,11 +9,11 @@ import (
 
 // RoutedClient is the cluster-aware serving client: it resolves the
 // spec's consistent-hash ring locally, splits each batch into per-node
-// sub-batches, and pins one connection per node. Routing client-side is
-// an optimization, not a correctness requirement — a stale or oblivious
-// client may send any request to any node, and the node forwards it —
-// but a routed batch touches each benchmark's home node directly and
-// pays no forwarding hop.
+// sub-batches, and pins one serve.Client per node. Routing client-side
+// is an optimization, not a correctness requirement — a stale or
+// oblivious client may send any request to any node, and the node
+// forwards it — but a routed batch touches each benchmark's home node
+// directly and pays no forwarding hop.
 //
 // Like the underlying clients it is not goroutine-safe: one routed
 // client per goroutine.
@@ -21,10 +21,8 @@ type RoutedClient struct {
 	router    *Router
 	resilient bool
 	retry     serve.RetryConfig
-	trace     uint64
 
-	plain map[string]*serve.Client
-	res   map[string]*serve.ResilientClient
+	clients map[string]*serve.Client
 
 	// scratch, reused across batches: per-node sub-batch assembly.
 	parts map[string]*part
@@ -38,9 +36,9 @@ type part struct {
 }
 
 // NewRoutedClient builds a routed client over spec. With resilient set,
-// per-node connections are serve.ResilientClients configured by retry
-// (chaos-tolerant loadgen); otherwise plain serve.Clients. Connections
-// are dialed lazily, on first use of each node.
+// per-node connections are dialed with serve.DialResilient and retry
+// (chaos-tolerant loadgen); otherwise with serve.Dial. Connections are
+// dialed lazily, on first use of each node.
 func NewRoutedClient(spec *Spec, resilient bool, retry serve.RetryConfig) (*RoutedClient, error) {
 	router, err := NewRouter(spec)
 	if err != nil {
@@ -50,35 +48,14 @@ func NewRoutedClient(spec *Spec, resilient bool, retry serve.RetryConfig) (*Rout
 		router:    router,
 		resilient: resilient,
 		retry:     retry,
-		plain:     map[string]*serve.Client{},
-		res:       map[string]*serve.ResilientClient{},
+		clients:   map[string]*serve.Client{},
 		parts:     map[string]*part{},
 	}, nil
 }
 
-// Router exposes the client's placement router (loadgen reporting).
-func (rc *RoutedClient) Router() *Router { return rc.router }
-
-// SetTrace arms trace propagation on every plain connection (resilient
-// connections do not carry traces; loadgen only traces plain runs).
-func (rc *RoutedClient) SetTrace(id uint64) {
-	rc.trace = id
-	for _, cl := range rc.plain {
-		cl.SetTrace(id)
-	}
-}
-
 // Decide asks for one decision, routed to its owning node.
 func (rc *RoutedClient) Decide(bench string, id uint32, in []float64) (*serve.DecideResponse, error) {
-	node := rc.router.Route(bench, id, in)
-	if rc.resilient {
-		cl, err := rc.resClient(node)
-		if err != nil {
-			return nil, err
-		}
-		return cl.Decide(bench, id, in)
-	}
-	cl, err := rc.plainClient(node)
+	cl, err := rc.client(rc.router.Route(bench, id, in))
 	if err != nil {
 		return nil, err
 	}
@@ -119,8 +96,7 @@ func (rc *RoutedClient) DecideBatch(bench string, baseID uint32, inputs [][]floa
 	sort.Strings(nodes)
 	out := make([]serve.DecideResponse, len(inputs))
 	for _, node := range nodes {
-		p := rc.parts[node]
-		if err := rc.decideIDs(node, bench, p, out); err != nil {
+		if err := rc.decideIDs(node, bench, rc.parts[node], out); err != nil {
 			return nil, fmt.Errorf("cluster: node %s: %w", node, err)
 		}
 	}
@@ -130,21 +106,7 @@ func (rc *RoutedClient) DecideBatch(bench string, baseID uint32, inputs [][]floa
 // decideIDs runs one node's sub-batch and scatters the answers back into
 // the caller's response slice.
 func (rc *RoutedClient) decideIDs(node, bench string, p *part, out []serve.DecideResponse) error {
-	if rc.resilient {
-		cl, err := rc.resClient(node)
-		if err != nil {
-			return err
-		}
-		resps, err := cl.DecideIDs(bench, p.ids, p.inputs)
-		if err != nil {
-			return err
-		}
-		for i, slot := range p.slots {
-			out[slot] = resps[i]
-		}
-		return nil
-	}
-	cl, err := rc.plainClient(node)
+	cl, err := rc.client(node)
 	if err != nil {
 		return err
 	}
@@ -158,27 +120,9 @@ func (rc *RoutedClient) decideIDs(node, bench string, p *part, out []serve.Decid
 	return nil
 }
 
-func (rc *RoutedClient) plainClient(node string) (*serve.Client, error) {
-	if cl := rc.plain[node]; cl != nil {
-		return cl, nil
-	}
-	addr := rc.router.Spec().Addr(node)
-	if addr == "" {
-		return nil, fmt.Errorf("cluster: unknown node %q", node)
-	}
-	cl, err := serve.Dial(network(addr))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: dial node %s: %w", node, err)
-	}
-	if rc.trace != 0 {
-		cl.SetTrace(rc.trace)
-	}
-	rc.plain[node] = cl
-	return cl, nil
-}
-
-func (rc *RoutedClient) resClient(node string) (*serve.ResilientClient, error) {
-	if cl := rc.res[node]; cl != nil {
+// client returns node's pinned connection, dialing it on first use.
+func (rc *RoutedClient) client(node string) (*serve.Client, error) {
+	if cl := rc.clients[node]; cl != nil {
 		return cl, nil
 	}
 	addr := rc.router.Spec().Addr(node)
@@ -186,18 +130,23 @@ func (rc *RoutedClient) resClient(node string) (*serve.ResilientClient, error) {
 		return nil, fmt.Errorf("cluster: unknown node %q", node)
 	}
 	nw, a := network(addr)
-	cl, err := serve.DialResilient(nw, a, rc.retry)
+	var cl *serve.Client
+	var err error
+	if rc.resilient {
+		cl, err = serve.DialResilient(nw, a, rc.retry)
+	} else {
+		cl, err = serve.Dial(nw, a)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial node %s: %w", node, err)
 	}
-	rc.res[node] = cl
+	rc.clients[node] = cl
 	return cl, nil
 }
 
-// Stats sums the resilient connections' recovery counters (zero for a
-// plain client).
+// Stats sums the pinned connections' recovery counters.
 func (rc *RoutedClient) Stats() (retries, reconnects, fallbacks int) {
-	for _, cl := range rc.res {
+	for _, cl := range rc.clients {
 		retries += cl.Retries
 		reconnects += cl.Reconnects
 		fallbacks += cl.Fallbacks
@@ -208,12 +157,7 @@ func (rc *RoutedClient) Stats() (retries, reconnects, fallbacks int) {
 // Close tears down every pinned connection, reporting the first error.
 func (rc *RoutedClient) Close() error {
 	var first error
-	for _, cl := range rc.plain {
-		if err := cl.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, cl := range rc.res {
+	for _, cl := range rc.clients {
 		if err := cl.Close(); err != nil && first == nil {
 			first = err
 		}

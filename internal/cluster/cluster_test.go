@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -352,6 +353,55 @@ func TestForwardingServesMisroutedClients(t *testing.T) {
 	}
 }
 
+// TestRoutedClientRetriesThroughFaults drives a 3-node cluster whose
+// peer links fail (peer.drop, conn.partition) with a routed client that
+// has retries armed. The client resolves a stale ring (a different ring
+// seed than the nodes share), so the requests it sends to non-owners
+// must be forwarded, and the first forwards on every link fail with the
+// retryable CodePeerDown. Every decision must still equal the offline
+// classifier's, and the retry path must really have run.
+func TestRoutedClientRetriesThroughFaults(t *testing.T) {
+	inputs := testInputs(400)
+	view := testTable(t).ConcurrentView()
+	plan := "seed=42,peer.drop=1@3,conn.partition=1@2"
+	for _, workers := range []int{1, 4} {
+		tc := startCluster(t, clusterOpts{
+			nodes: 3, workers: workers, freeze: true,
+			splits: "split synth 8\n",
+			faults: map[string]string{"n0": plan, "n1": plan, "n2": plan},
+		}, "synth")
+		stale, err := ParseSpec(strings.Replace(tc.spec.String(), "seed 7\n", "seed 8\n", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := NewRoutedClient(stale, true, serve.RetryConfig{Seed: 3, Attempts: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for base := 0; base < len(inputs); base += 32 {
+			end := min(base+32, len(inputs))
+			resps, err := rc.DecideBatch("synth", uint32(base), inputs[base:end])
+			if err != nil {
+				t.Fatalf("workers %d: %v", workers, err)
+			}
+			for i, r := range resps {
+				if r.ID != uint32(base+i) || r.Fallback {
+					t.Fatalf("workers %d: slot %d holds %+v", workers, base+i, r)
+				}
+				if want := view.Classify(inputs[base+i]); r.Precise != want {
+					t.Fatalf("workers %d: decision %d: served %v, classifier %v", workers, base+i, r.Precise, want)
+				}
+			}
+		}
+		retries, reconnects, _ := rc.Stats()
+		rc.Close()
+		t.Logf("workers %d: %d retries, %d reconnects", workers, retries, reconnects)
+		if retries == 0 {
+			t.Fatalf("workers %d: no retries — the faulted forwards never reached the client", workers)
+		}
+	}
+}
+
 // waitFor polls cond for up to 5 seconds.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -546,5 +596,25 @@ func TestHopDriverSteady(t *testing.T) {
 	}
 	if len(d.pending) != 0 {
 		t.Fatalf("pending table leaked %d entries", len(d.pending))
+	}
+}
+
+// TestHopDriverZeroAlloc pins the cluster_hop bench row's 0 allocs/op:
+// a forward hop's encode, decode and ID rewrite allocate nothing.
+func TestHopDriverZeroAlloc(t *testing.T) {
+	spec, err := ParseSpec("seed 7\nnode a 127.0.0.1:1\nnode b 127.0.0.1:2\nsplit x 4\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewHopDriver(spec, "x", 3, []float64{0.1, 0.2, 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(2000, func() {
+		if err := d.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("HopDriver.Step allocates %v per op, want 0", avg)
 	}
 }

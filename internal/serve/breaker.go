@@ -45,8 +45,6 @@ type BreakerConfig struct {
 	// Probes is how many consecutive half-open successes close the
 	// breaker (default 8).
 	Probes int
-	// Disabled turns the breaker off (requests always admitted).
-	Disabled bool
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -115,9 +113,6 @@ func newBreaker(bench string, cfg BreakerConfig, o *obs.Obs) *breaker {
 // admit reports whether a request may enter the shard queue. A false
 // first return means the caller must serve the precise fallback.
 func (b *breaker) admit() bool {
-	if b.cfg.Disabled {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -135,9 +130,6 @@ func (b *breaker) admit() bool {
 
 // onSuccess records one decided request (any non-panicking completion).
 func (b *breaker) onSuccess() {
-	if b.cfg.Disabled {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -154,9 +146,6 @@ func (b *breaker) onSuccess() {
 // onFailure records one failed request: a recovered worker panic or a
 // queue-saturation rejection.
 func (b *breaker) onFailure(reason string) {
-	if b.cfg.Disabled {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -171,9 +160,6 @@ func (b *breaker) onFailure(reason string) {
 // faults that invalidate serving itself (snapshot install failure while
 // the guarantee is violated).
 func (b *breaker) forceOpen(reason string) {
-	if b.cfg.Disabled {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state != breakerOpen {

@@ -106,7 +106,7 @@ func TestBreakerWindowResets(t *testing.T) {
 	}
 }
 
-func TestBreakerForceOpenAndDisabled(t *testing.T) {
+func TestBreakerForceOpen(t *testing.T) {
 	b, _, _ := testBreaker(t)
 	b.forceOpen("snapshot install failed")
 	if b.currentState() != breakerOpen {
@@ -114,12 +114,5 @@ func TestBreakerForceOpenAndDisabled(t *testing.T) {
 	}
 	if b.admit() {
 		t.Fatal("forced-open breaker admitted a request before the probe point")
-	}
-
-	d := newBreaker("off", BreakerConfig{Disabled: true}, nil)
-	d.onFailure("x")
-	d.forceOpen("x")
-	if !d.admit() || d.currentState() != breakerClosed {
-		t.Fatal("disabled breaker must always admit")
 	}
 }

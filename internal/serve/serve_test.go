@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -231,6 +232,63 @@ func TestServerErrorResponses(t *testing.T) {
 	}
 	if _, ok := msg.(Pong); !ok {
 		t.Fatalf("connection unusable after malformed payload: %#v", msg)
+	}
+}
+
+// scriptedClient connects a Client to a fake server over net.Pipe. For
+// each batch in answers, the server reads two requests and answers with
+// the listed response IDs (Version = batch number, from 1); after the
+// last batch it closes the connection.
+func scriptedClient(t *testing.T, answers ...[]uint32) *Client {
+	t.Helper()
+	cliEnd, srvEnd := net.Pipe()
+	go func() {
+		defer srvEnd.Close()
+		br := bufio.NewReader(srvEnd)
+		for batch, ids := range answers {
+			for range 2 {
+				if _, err := ReadMessage(br); err != nil {
+					return
+				}
+			}
+			for _, id := range ids {
+				if err := WriteMessage(srvEnd, &DecideResponse{ID: id, Version: uint32(batch + 1)}); err != nil {
+					return
+				}
+			}
+		}
+	}()
+	cl := NewClient(cliEnd)
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// TestClientResponseIDs: every slot of a batch is filled by its own
+// response ID. A duplicate answer is dropped and cannot stand in for a
+// missing one — which would leave the previous call's decision in out —
+// and an ID outside the request set is a protocol error.
+func TestClientResponseIDs(t *testing.T) {
+	in := [][]float64{{1}, {2}}
+	out := make([]DecideResponse, 2)
+
+	cl := scriptedClient(t, []uint32{11, 10}, []uint32{10, 10})
+	if _, err := cl.DecideBatchInto("synth", 10, in, out); err != nil {
+		t.Fatal(err)
+	}
+	if out[0].ID != 10 || out[1].ID != 11 || out[0].Version != 1 || out[1].Version != 1 {
+		t.Fatalf("first batch filed out of order: %+v", out)
+	}
+	_, err := cl.DecideBatchInto("synth", 10, in, out)
+	if err == nil {
+		t.Fatalf("ID 11 was never answered but the batch succeeded; out[1] = %+v is the previous call's", out[1])
+	}
+	if !errors.Is(err, ErrRetryable) {
+		t.Fatalf("unanswered slot after the server hung up: want a retryable read error, got %v", err)
+	}
+
+	cl = scriptedClient(t, []uint32{10, 99})
+	if _, err := cl.DecideBatchInto("synth", 10, in, out); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("response ID 99 outside the request set: want ErrProtocol, got %v", err)
 	}
 }
 

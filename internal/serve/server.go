@@ -66,7 +66,7 @@ type Config struct {
 	// commutative, so the hot path may update them from any worker).
 	Obs *obs.Obs
 	// Breaker configures the per-benchmark circuit breaker (zero value:
-	// defaults; Disabled turns it off).
+	// defaults).
 	Breaker BreakerConfig
 	// Faults is the active fault-injection plan (nil: no injection).
 	// Injected faults exercise the degradation paths: connection faults,
@@ -417,15 +417,14 @@ func (s *Server) reader(c *conn) {
 			s.dropConn(c)
 			return
 		}
-		// Fast path: a decide-request frame parses into a pooled request
-		// without touching the generic decoder. Ownership of the request
-		// transfers to enqueue (and onward to a shard worker); every
-		// non-queued outcome returns it to the pool here.
-		if len(payload) >= 3 && payload[0] == wireMagic &&
-			(payload[1] == wireV1 || payload[1] == wireV2) &&
-			payload[2] == msgDecideReq {
+		// Fast path: a decide request or a forwarded one (a single hop from
+		// a peer that did not own it) parses into a pooled request without
+		// touching the generic decoder. Ownership of the request transfers
+		// to enqueue (and onward to a shard worker); every non-queued
+		// outcome returns it to the pool here.
+		if len(payload) >= 3 && (payload[2] == msgDecideReq || payload[2] == msgForward) {
 			req := getReq()
-			bench, perr := ParseDecideRequestInto(payload, req)
+			bench, perr := parseRequestInto(payload, req)
 			if perr != nil {
 				putReq(req)
 				s.m.errMalformed.Inc()
@@ -441,39 +440,14 @@ func (s *Server) reader(c *conn) {
 				continue
 			}
 			req.Bench = sh.bench // interned: the shard's canonical name
-			if s.cfg.Cluster != nil {
+			// A forwarded request is always served locally — never re-routed —
+			// so a ring disagreement cannot loop a frame between nodes.
+			if s.cfg.Cluster != nil && !req.Forwarded {
 				if peer := s.cfg.Cluster.Route(sh.bench, req.ID, req.In); peer != "" {
 					s.forward(c, peer, req)
 					continue
 				}
 			}
-			s.enqueue(c, sh, req)
-			continue
-		}
-		// Forwarded frames (one hop from a peer that did not own the
-		// request) decode through the same pooled fast path and are always
-		// served locally — never re-routed — so a ring disagreement cannot
-		// loop a frame between nodes.
-		if len(payload) >= 3 && payload[0] == wireMagic &&
-			(payload[1] == wireV1 || payload[1] == wireV2) &&
-			payload[2] == msgForward {
-			req := getReq()
-			bench, perr := ParseForwardRequestInto(payload, req)
-			if perr != nil {
-				putReq(req)
-				s.m.errMalformed.Inc()
-				c.send(&ErrorResponse{Code: CodeMalformed, Msg: perr.Error()})
-				continue
-			}
-			sh := s.shards[string(bench)]
-			if sh == nil {
-				s.m.errUnknownBench.Inc()
-				c.send(&ErrorResponse{ID: req.ID, Code: CodeUnknownBench,
-					Msg: fmt.Sprintf("no snapshot for benchmark %q", string(bench))})
-				putReq(req)
-				continue
-			}
-			req.Bench = sh.bench
 			s.enqueue(c, sh, req)
 			continue
 		}
@@ -506,8 +480,8 @@ func (s *Server) reader(c *conn) {
 				c.send(&recs[i])
 			}
 		default:
-			// Decide requests never reach here (the fast paths above match
-			// exactly the frames ParseMessage would decode as one).
+			// Decide requests never reach here (the fast path above matches
+			// every frame ParseMessage would decode as one).
 			s.m.errMalformed.Inc()
 			c.send(&ErrorResponse{Code: CodeMalformed, Msg: fmt.Sprintf("unexpected message %T", msg)})
 		}

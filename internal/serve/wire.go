@@ -163,11 +163,10 @@ func AppendFrame(dst []byte, msg Message) ([]byte, error) {
 	dst = append(dst, 0, 0, 0, 0) // length backpatched below
 	switch m := msg.(type) {
 	case *DecideRequest:
-		dst = append(dst, wireMagic, decideVersion(m.TraceID))
 		if m.Forwarded {
-			return appendForwardRequestBody(dst, start, m)
+			return appendRequestBody(dst, start, msgForward, m.ID, m.Orig, m)
 		}
-		return appendDecideRequestBody(dst, start, m)
+		return appendRequestBody(dst, start, msgDecideReq, m.ID, 0, m)
 	case *FoldIn:
 		return appendFoldIn(dst, start, m)
 	case *FoldInAck:
@@ -226,6 +225,14 @@ func AppendFrame(dst []byte, msg Message) ([]byte, error) {
 	default:
 		return nil, protoErrf("unencodable message type %T", msg) //mithra:coldpath error formatting on a rejected message
 	}
+	return finishFrame(dst, start)
+}
+
+// finishFrame backpatches the length prefix at start once the payload
+// behind it is complete, rejecting payloads over MaxFrame.
+//
+//mithra:hotpath
+func finishFrame(dst []byte, start int) ([]byte, error) {
 	payload := len(dst) - start - 4
 	if payload > MaxFrame {
 		return nil, protoErrf("frame payload %d exceeds %d", payload, MaxFrame) //mithra:coldpath error formatting on an oversized frame
@@ -235,17 +242,15 @@ func AppendFrame(dst []byte, msg Message) ([]byte, error) {
 }
 
 // AppendDecideRequest appends a complete decide-request frame to dst. It
-// encodes exactly what AppendFrame(dst, m) would, but with a concrete
-// parameter type: the request never crosses an interface boundary, so a
-// stack-allocated request stays on the stack — this is the client's
-// steady-state encode path.
+// encodes exactly what AppendFrame(dst, m) would for a request that is
+// not Forwarded, but with a concrete parameter type: the request never
+// crosses an interface boundary, so a stack-allocated request stays on
+// the stack — this is the client's steady-state encode path.
 //
 //mithra:hotpath
 func AppendDecideRequest(dst []byte, m *DecideRequest) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length backpatched below
-	dst = append(dst, wireMagic, decideVersion(m.TraceID))
-	return appendDecideRequestBody(dst, start, m)
+	return appendRequestBody(append(dst, 0, 0, 0, 0), start, msgDecideReq, m.ID, 0, m)
 }
 
 // decideVersion selects the frame version for a decide message: version
@@ -259,19 +264,27 @@ func decideVersion(traceID uint64) byte {
 	return wireV1
 }
 
-// appendDecideRequestBody writes the decide-request body and backpatches
-// the length prefix at start (dst already carries prefix + magic/version).
+// appendRequestBody is the one encoder of a decide-shaped frame: a
+// msgDecideReq, or a msgForward (a decide request plus the Orig field).
+// dst already carries the length prefix at start; the body is
+//
+//	magic, version, typ, id uint32, [orig uint32 — msgForward only],
+//	bench-name length byte, bench name, dim uint16, dim float64 bits,
+//	[trace ID uint64 — version 2 only]
 //
 //mithra:hotpath
-func appendDecideRequestBody(dst []byte, start int, m *DecideRequest) ([]byte, error) {
+func appendRequestBody(dst []byte, start int, typ byte, id, orig uint32, m *DecideRequest) ([]byte, error) {
 	if len(m.Bench) > maxBenchName {
 		return nil, protoErrf("bench name %d bytes exceeds %d", len(m.Bench), maxBenchName) //mithra:coldpath error formatting on a rejected request
 	}
 	if len(m.In) > MaxInputDim {
 		return nil, protoErrf("input dim %d exceeds %d", len(m.In), MaxInputDim) //mithra:coldpath error formatting on a rejected request
 	}
-	dst = append(dst, msgDecideReq)
-	dst = binary.BigEndian.AppendUint32(dst, m.ID)
+	dst = append(dst, wireMagic, decideVersion(m.TraceID), typ)
+	dst = binary.BigEndian.AppendUint32(dst, id)
+	if typ == msgForward {
+		dst = binary.BigEndian.AppendUint32(dst, orig)
+	}
 	dst = append(dst, byte(len(m.Bench)))
 	dst = append(dst, m.Bench...)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.In)))
@@ -281,12 +294,7 @@ func appendDecideRequestBody(dst []byte, start int, m *DecideRequest) ([]byte, e
 	if m.TraceID != 0 {
 		dst = binary.BigEndian.AppendUint64(dst, m.TraceID)
 	}
-	payload := len(dst) - start - 4
-	if payload > MaxFrame {
-		return nil, protoErrf("frame payload %d exceeds %d", payload, MaxFrame) //mithra:coldpath error formatting on an oversized frame
-	}
-	binary.BigEndian.PutUint32(dst[start:start+4], uint32(payload))
-	return dst, nil
+	return finishFrame(dst, start)
 }
 
 // FrameTooLargeError reports an oversized frame before its payload is
@@ -372,21 +380,46 @@ func ReadFrameInto(r *bufio.Reader, buf []byte) ([]byte, error) {
 //
 //mithra:hotpath
 func ParseDecideRequestInto(payload []byte, req *DecideRequest) (bench []byte, err error) {
-	if len(payload) < 3 || payload[0] != wireMagic || payload[2] != msgDecideReq ||
-		(payload[1] != wireV1 && payload[1] != wireV2) {
+	if len(payload) < 3 || payload[2] != msgDecideReq {
 		return nil, protoErrf("not a decide request frame")
+	}
+	return parseRequestInto(payload, req)
+}
+
+// parseRequestInto is the one decoder of a decide-shaped frame (the
+// layout appendRequestBody writes): a msgDecideReq, or a msgForward, for
+// which req.Forwarded is set and req.Orig carries the original client
+// request ID. It allocates only to grow req.In; the benchmark name is
+// returned as a sub-slice of payload and req.Bench is NOT set.
+//
+//mithra:hotpath
+func parseRequestInto(payload []byte, req *DecideRequest) (bench []byte, err error) {
+	if len(payload) < 3 || payload[0] != wireMagic ||
+		(payload[1] != wireV1 && payload[1] != wireV2) ||
+		(payload[2] != msgDecideReq && payload[2] != msgForward) {
+		return nil, protoErrf("not a decide request or forward frame")
 	}
 	trail := 0
 	if payload[1] == wireV2 {
 		trail = 8
 	}
+	fwd := payload[2] == msgForward
+	hdr := 4 // ID
+	if fwd {
+		hdr = 8 // ID, Orig
+	}
 	body := payload[3:]
-	if len(body) < 5 {
-		return nil, protoErrf("decide request body %d bytes, want >= 5", len(body)) //mithra:coldpath error formatting on a malformed frame
+	if len(body) < hdr+1 {
+		return nil, protoErrf("decide request body %d bytes, want >= %d", len(body), hdr+1) //mithra:coldpath error formatting on a malformed frame
 	}
 	req.ID = binary.BigEndian.Uint32(body[:4])
-	nameLen := int(body[4])
-	body = body[5:]
+	req.Forwarded = fwd
+	req.Orig = 0
+	if fwd {
+		req.Orig = binary.BigEndian.Uint32(body[4:8])
+	}
+	nameLen := int(body[hdr])
+	body = body[hdr+1:]
 	if len(body) < nameLen+2 {
 		return nil, protoErrf("decide request truncated inside bench name")
 	}
@@ -463,21 +496,18 @@ func ParseMessage(payload []byte) (Message, error) {
 	}
 	body := payload[3:]
 	switch payload[2] {
-	case msgDecideReq:
-		return parseDecideReq(body, trail)
+	case msgDecideReq, msgForward:
+		req := &DecideRequest{}
+		bench, err := parseRequestInto(payload, req)
+		if err != nil {
+			return nil, err
+		}
+		req.Bench = string(bench)
+		return req, nil
 	case msgDecideResp:
-		if len(body) != 9+trail {
-			return nil, protoErrf("decide response body %d bytes, want %d", len(body), 9+trail)
-		}
-		resp := &DecideResponse{
-			ID:       binary.BigEndian.Uint32(body[:4]),
-			Precise:  body[4]&1 != 0,
-			Sampled:  body[4]&2 != 0,
-			Fallback: body[4]&4 != 0,
-			Version:  binary.BigEndian.Uint32(body[5:9]),
-		}
-		if trail != 0 {
-			resp.TraceID = binary.BigEndian.Uint64(body[9:])
+		resp := &DecideResponse{}
+		if err := ParseDecideResponseInto(payload, resp); err != nil {
+			return nil, err
 		}
 		return resp, nil
 	case msgError:
@@ -503,8 +533,6 @@ func ParseMessage(payload []byte) (Message, error) {
 			return nil, protoErrf("pong carries %d stray bytes", len(body))
 		}
 		return Pong{}, nil
-	case msgForward:
-		return parseForward(body, trail)
 	case msgFoldIn:
 		return parseFoldIn(body, trail)
 	case msgFoldInAck:
@@ -536,37 +564,6 @@ func ParseMessage(payload []byte) (Message, error) {
 		return &CatchUpResp{Bench: bench, Count: binary.BigEndian.Uint32(rest[:4])}, nil
 	}
 	return nil, protoErrf("unknown message type %d", payload[2])
-}
-
-func parseDecideReq(body []byte, trail int) (Message, error) {
-	if len(body) < 5 {
-		return nil, protoErrf("decide request body %d bytes, want >= 5", len(body))
-	}
-	id := binary.BigEndian.Uint32(body[:4])
-	nameLen := int(body[4])
-	body = body[5:]
-	if len(body) < nameLen+2 {
-		return nil, protoErrf("decide request truncated inside bench name")
-	}
-	bench := string(body[:nameLen])
-	body = body[nameLen:]
-	dim := int(binary.BigEndian.Uint16(body[:2]))
-	body = body[2:]
-	if dim > MaxInputDim {
-		return nil, protoErrf("input dim %d exceeds %d", dim, MaxInputDim)
-	}
-	if len(body) != 8*dim+trail {
-		return nil, protoErrf("decide request input is %d bytes, want %d", len(body), 8*dim+trail)
-	}
-	in := make([]float64, dim)
-	for i := range in {
-		in[i] = math.Float64frombits(binary.BigEndian.Uint64(body[8*i : 8*i+8]))
-	}
-	req := &DecideRequest{ID: id, Bench: bench, In: in}
-	if trail != 0 {
-		req.TraceID = binary.BigEndian.Uint64(body[8*dim:])
-	}
-	return req, nil
 }
 
 // WriteMessage frames msg and writes it to w in one call.

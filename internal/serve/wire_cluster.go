@@ -70,10 +70,6 @@ const maxFoldInInputs = 2048
 //
 //mithra:hotpath
 func AppendForwardRequest(dst []byte, fwdID uint32, req *DecideRequest) ([]byte, error) {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length backpatched below
-	dst = append(dst, wireMagic, decideVersion(req.TraceID), msgForward)
-	dst = binary.BigEndian.AppendUint32(dst, fwdID)
 	origID := req.ID
 	if req.Forwarded {
 		// Re-forwarding an already-hopped request must not happen (the
@@ -81,145 +77,23 @@ func AppendForwardRequest(dst []byte, fwdID uint32, req *DecideRequest) ([]byte,
 		// original identity still wins over the previous hop ID.
 		origID = req.Orig //mithra:coldpath defensive branch; forwarded frames are served locally
 	}
-	dst = binary.BigEndian.AppendUint32(dst, origID)
-	if len(req.Bench) > maxBenchName {
-		return nil, protoErrf("bench name %d bytes exceeds %d", len(req.Bench), maxBenchName) //mithra:coldpath error formatting on a rejected request
-	}
-	if len(req.In) > MaxInputDim {
-		return nil, protoErrf("input dim %d exceeds %d", len(req.In), MaxInputDim) //mithra:coldpath error formatting on a rejected request
-	}
-	dst = append(dst, byte(len(req.Bench)))
-	dst = append(dst, req.Bench...)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(req.In)))
-	for _, v := range req.In {
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	if req.TraceID != 0 {
-		dst = binary.BigEndian.AppendUint64(dst, req.TraceID)
-	}
-	payload := len(dst) - start - 4
-	if payload > MaxFrame {
-		return nil, protoErrf("frame payload %d exceeds %d", payload, MaxFrame) //mithra:coldpath error formatting on an oversized frame
-	}
-	binary.BigEndian.PutUint32(dst[start:start+4], uint32(payload))
-	return dst, nil
-}
-
-// appendForwardRequestBody finishes a msgForward frame for AppendFrame
-// (dst already carries prefix + magic/version; m.Forwarded is set, so
-// m.ID is the hop ID and m.Orig the original request ID).
-func appendForwardRequestBody(dst []byte, start int, m *DecideRequest) ([]byte, error) {
-	if len(m.Bench) > maxBenchName {
-		return nil, protoErrf("bench name %d bytes exceeds %d", len(m.Bench), maxBenchName)
-	}
-	if len(m.In) > MaxInputDim {
-		return nil, protoErrf("input dim %d exceeds %d", len(m.In), MaxInputDim)
-	}
-	dst = append(dst, msgForward)
-	dst = binary.BigEndian.AppendUint32(dst, m.ID)
-	dst = binary.BigEndian.AppendUint32(dst, m.Orig)
-	dst = append(dst, byte(len(m.Bench)))
-	dst = append(dst, m.Bench...)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.In)))
-	for _, v := range m.In {
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	if m.TraceID != 0 {
-		dst = binary.BigEndian.AppendUint64(dst, m.TraceID)
-	}
-	payload := len(dst) - start - 4
-	if payload > MaxFrame {
-		return nil, protoErrf("frame payload %d exceeds %d", payload, MaxFrame)
-	}
-	binary.BigEndian.PutUint32(dst[start:start+4], uint32(payload))
-	return dst, nil
+	start := len(dst)
+	return appendRequestBody(append(dst, 0, 0, 0, 0), start, msgForward, fwdID, origID, req)
 }
 
 // ParseForwardRequestInto decodes a msgForward frame payload into req
-// without allocating, mirroring ParseDecideRequestInto: the input vector
-// reuses req.In's capacity and the benchmark name is returned as a
-// sub-slice of payload for the caller to intern (req.Bench is NOT set).
-// On success req.Forwarded is true, req.ID is the hop ID, and req.Orig
-// the original client request ID.
+// without allocating, through the decoder ParseDecideRequestInto uses:
+// the input vector reuses req.In's capacity and the benchmark name is
+// returned as a sub-slice of payload for the caller to intern (req.Bench
+// is NOT set). On success req.Forwarded is true, req.ID is the hop ID,
+// and req.Orig the original client request ID.
 //
 //mithra:hotpath
 func ParseForwardRequestInto(payload []byte, req *DecideRequest) (bench []byte, err error) {
-	if len(payload) < 3 || payload[0] != wireMagic || payload[2] != msgForward ||
-		(payload[1] != wireV1 && payload[1] != wireV2) {
+	if len(payload) < 3 || payload[2] != msgForward {
 		return nil, protoErrf("not a forward frame")
 	}
-	trail := 0
-	if payload[1] == wireV2 {
-		trail = 8
-	}
-	body := payload[3:]
-	if len(body) < 9 {
-		return nil, protoErrf("forward body %d bytes, want >= 9", len(body)) //mithra:coldpath error formatting on a malformed frame
-	}
-	req.ID = binary.BigEndian.Uint32(body[:4])
-	req.Orig = binary.BigEndian.Uint32(body[4:8])
-	nameLen := int(body[8])
-	body = body[9:]
-	if len(body) < nameLen+2 {
-		return nil, protoErrf("forward frame truncated inside bench name")
-	}
-	bench = body[:nameLen]
-	body = body[nameLen:]
-	dim := int(binary.BigEndian.Uint16(body[:2]))
-	body = body[2:]
-	if dim > MaxInputDim {
-		return nil, protoErrf("input dim %d exceeds %d", dim, MaxInputDim) //mithra:coldpath error formatting on a malformed frame
-	}
-	if len(body) != 8*dim+trail {
-		return nil, protoErrf("forward input is %d bytes, want %d", len(body), 8*dim+trail) //mithra:coldpath error formatting on a malformed frame
-	}
-	in := req.In[:0]
-	if cap(in) < dim {
-		in = make([]float64, 0, dim) //mithra:coldpath one-time input-vector growth; capacity is kept by the pooled request
-	}
-	for i := 0; i < dim; i++ {
-		in = append(in, math.Float64frombits(binary.BigEndian.Uint64(body[8*i:8*i+8])))
-	}
-	req.In = in
-	req.TraceID = 0
-	if trail != 0 {
-		req.TraceID = binary.BigEndian.Uint64(body[8*dim:])
-	}
-	req.Forwarded = true
-	return bench, nil
-}
-
-// parseForward is the generic msgForward decoder for ParseMessage.
-func parseForward(body []byte, trail int) (Message, error) {
-	if len(body) < 9 {
-		return nil, protoErrf("forward body %d bytes, want >= 9", len(body))
-	}
-	id := binary.BigEndian.Uint32(body[:4])
-	orig := binary.BigEndian.Uint32(body[4:8])
-	nameLen := int(body[8])
-	body = body[9:]
-	if len(body) < nameLen+2 {
-		return nil, protoErrf("forward frame truncated inside bench name")
-	}
-	bench := string(body[:nameLen])
-	body = body[nameLen:]
-	dim := int(binary.BigEndian.Uint16(body[:2]))
-	body = body[2:]
-	if dim > MaxInputDim {
-		return nil, protoErrf("input dim %d exceeds %d", dim, MaxInputDim)
-	}
-	if len(body) != 8*dim+trail {
-		return nil, protoErrf("forward input is %d bytes, want %d", len(body), 8*dim+trail)
-	}
-	in := make([]float64, dim)
-	for i := range in {
-		in[i] = math.Float64frombits(binary.BigEndian.Uint64(body[8*i : 8*i+8]))
-	}
-	req := &DecideRequest{ID: id, Orig: orig, Bench: bench, In: in, Forwarded: true}
-	if trail != 0 {
-		req.TraceID = binary.BigEndian.Uint64(body[8*dim:])
-	}
-	return req, nil
+	return parseRequestInto(payload, req)
 }
 
 // appendFoldIn finishes a msgFoldIn frame for AppendFrame.
@@ -243,12 +117,7 @@ func appendFoldIn(dst []byte, start int, m *FoldIn) ([]byte, error) {
 			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
 		}
 	}
-	payload := len(dst) - start - 4
-	if payload > MaxFrame {
-		return nil, protoErrf("frame payload %d exceeds %d", payload, MaxFrame)
-	}
-	binary.BigEndian.PutUint32(dst[start:start+4], uint32(payload))
-	return dst, nil
+	return finishFrame(dst, start)
 }
 
 // parseFoldIn is the msgFoldIn decoder for ParseMessage.
