@@ -102,8 +102,8 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	// Cluster mode: the shared spec file fixes this node's listen address
 	// and the cluster-wide sampling config. Sampling flags must agree on
 	// every node or placement and sampling would disagree, so the spec
-	// overrides them; the WAL is mandatory because replica catch-up and
-	// the decision log live there.
+	// overrides them; the WAL is mandatory because the replicated
+	// snapshots and the decision log live there.
 	var cspec *cluster.Spec
 	if *clusterSpec != "" {
 		if *nodeName == "" {
@@ -111,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 			return 2
 		}
 		if *walDir == "" {
-			lg.Errorf("usage", "cluster mode requires -wal-dir (fold log, decision log, catch-up state)")
+			lg.Errorf("usage", "cluster mode requires -wal-dir (snapshot records, decision log)")
 			return 2
 		}
 		var err error
@@ -229,7 +229,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 			Spec:     cspec,
 			Self:     *nodeName,
 			Registry: reg,
-			WAL:      wal,
 			Recorder: recorder,
 			Faults:   faults,
 			Obs:      o,
@@ -349,8 +348,8 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 				return 1
 			}
 		}
-		// Boot catch-up: pull the fold-in history this node missed while it
-		// was down, so replicas converge before peers need them.
+		// Boot catch-up: fetch the newest table of every benchmark this
+		// node replicates, in case it missed pushes while it was down.
 		go node.CatchUp(10, 500*time.Millisecond)
 	}
 

@@ -208,25 +208,36 @@ func appendBaseDelta(out []byte, line []byte, g geometry) []byte {
 	return out
 }
 
-// Decompress restores the original data from a Compress stream.
-func Decompress(comp []byte) ([]byte, error) {
+// DecodedLen returns the decompressed size a Compress stream declares in
+// its header, without decoding or allocating it. Every line costs at
+// least its one-byte tag, so a stream cannot declare more than LineSize
+// bytes per byte that follows the header.
+func DecodedLen(comp []byte) (int, error) {
 	if len(comp) < 8 {
-		return nil, fmt.Errorf("bdi: stream too short (%d bytes)", len(comp))
+		return 0, fmt.Errorf("bdi: stream too short (%d bytes)", len(comp))
 	}
 	total := binary.LittleEndian.Uint64(comp)
-	if total > 1<<32 {
-		return nil, fmt.Errorf("bdi: implausible decompressed size %d", total)
+	if total > uint64(len(comp)-8)*LineSize {
+		return 0, fmt.Errorf("bdi: %d-byte stream cannot hold %d bytes", len(comp), total)
+	}
+	return int(total), nil
+}
+
+// Decompress restores the original data from a Compress stream.
+func Decompress(comp []byte) ([]byte, error) {
+	total, err := DecodedLen(comp)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]byte, 0, total)
 	pos := 8
-	for uint64(len(out)) < total {
+	for len(out) < total {
 		if pos >= len(comp) {
 			return nil, fmt.Errorf("bdi: truncated stream at line %d", len(out)/LineSize)
 		}
 		enc := Encoding(comp[pos])
 		pos++
 		var line [LineSize]byte
-		var err error
 		pos, err = decodeLine(comp, pos, enc, &line)
 		if err != nil {
 			return nil, err

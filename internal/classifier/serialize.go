@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"mithra/internal/bdi"
 	"mithra/internal/misr"
@@ -65,13 +66,18 @@ func DecodeTable(data []byte) (*Table, error) {
 		return nil, fmt.Errorf("classifier: table stream has %d MISR configs and %d projections for %d tables",
 			len(g.MISRConfig), len(g.Proj), g.Cfg.NumTables)
 	}
+	// Check the declared size before Decompress allocates it, so a short
+	// stream from a peer cannot claim gigabytes.
+	n, err := bdi.DecodedLen(g.Compressed)
+	if err != nil {
+		return nil, fmt.Errorf("classifier: table contents: %w", err)
+	}
+	if want := g.Cfg.NumTables * g.Cfg.TableBytes; n != want {
+		return nil, fmt.Errorf("classifier: table contents are %d bytes, want %d", n, want)
+	}
 	raw, err := bdi.Decompress(g.Compressed)
 	if err != nil {
 		return nil, fmt.Errorf("classifier: decompress table contents: %w", err)
-	}
-	if len(raw) != g.Cfg.NumTables*g.Cfg.TableBytes {
-		return nil, fmt.Errorf("classifier: table contents are %d bytes, want %d",
-			len(raw), g.Cfg.NumTables*g.Cfg.TableBytes)
 	}
 	dim := len(g.QuantMin)
 	if dim == 0 || len(g.QuantMax) != dim {
@@ -79,6 +85,23 @@ func DecodeTable(data []byte) (*Table, error) {
 	}
 	if g.QuantBits < 1 || g.QuantBits > 16 {
 		return nil, fmt.Errorf("classifier: quantizer bits %d out of range", g.QuantBits)
+	}
+	// Replicas decode tables pushed by peers, so nothing below may panic
+	// later: every hasher is a pool MISR (which also bounds Steps), and
+	// every projection gathers at most dim words from inside the input.
+	pool := misr.Pool()
+	for i, mc := range g.MISRConfig {
+		if !slices.Contains(pool, mc) {
+			return nil, fmt.Errorf("classifier: table %d MISR config %+v is not a pool entry", i, mc)
+		}
+		if len(g.Proj[i]) > dim {
+			return nil, fmt.Errorf("classifier: table %d projects %d of %d inputs", i, len(g.Proj[i]), dim)
+		}
+		for _, p := range g.Proj[i] {
+			if p < 0 || p >= dim {
+				return nil, fmt.Errorf("classifier: table %d projects input %d of %d", i, p, dim)
+			}
+		}
 	}
 	t := &Table{
 		cfg:     g.Cfg,

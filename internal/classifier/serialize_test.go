@@ -1,6 +1,7 @@
 package classifier
 
 import (
+	"runtime"
 	"testing"
 
 	"mithra/internal/mathx"
@@ -67,6 +68,22 @@ func TestDecodeTableErrors(t *testing.T) {
 	}
 	if _, err := DecodeTable(nil); err == nil {
 		t.Error("empty should fail")
+	}
+}
+
+// A peer can push a short stream whose BDI header claims 4 GiB of
+// table contents: DecodeTable must refuse it before allocating that.
+func TestDecodeTableRefusesOversizedContents(t *testing.T) {
+	data := hugeContentsStream(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeTable(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("stream claiming 4 GiB of contents decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("DecodeTable allocated %d bytes before refusing a %d-byte stream", got, len(data))
 	}
 }
 

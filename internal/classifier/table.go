@@ -106,6 +106,9 @@ func (c TableConfig) Validate() error {
 	if entries&(entries-1) != 0 {
 		return fmt.Errorf("classifier: table entry count %d must be a power of two", entries)
 	}
+	if entries > 1<<16 {
+		return fmt.Errorf("classifier: table entry count %d needs a MISR index wider than 16 bits", entries)
+	}
 	return nil
 }
 

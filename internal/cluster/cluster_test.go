@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -29,7 +30,6 @@ type testCluster struct {
 	regs    map[string]*serve.Registry
 	obses   map[string]*obs.Obs
 	dlogs   map[string]string
-	walDirs map[string]string
 }
 
 // clusterOpts shapes one test deployment.
@@ -40,7 +40,6 @@ type clusterOpts struct {
 	freeze     bool
 	splits     string // extra spec lines, e.g. "split hot 8\n"
 	probeErr   float64
-	wal        bool
 	// oodProbe swaps the constant-error probe for a domain-sensitive
 	// one: zero error inside [-0.02, 1.02] per component, 1 outside —
 	// the failure mode distribution drift induces (mirrors the serve
@@ -100,7 +99,6 @@ func startCluster(t *testing.T, opts clusterOpts, benches ...string) *testCluste
 		regs:    map[string]*serve.Registry{},
 		obses:   map[string]*obs.Obs{},
 		dlogs:   map[string]string{},
-		walDirs: map[string]string{},
 	}
 	g := stats.Guarantee{QualityLoss: 0.05, SuccessRate: 0.6, Confidence: 0.9}
 	for i := range lns {
@@ -131,16 +129,7 @@ func startCluster(t *testing.T, opts clusterOpts, benches ...string) *testCluste
 			snaps[j] = snap
 		}
 		reg := serve.NewRegistry(snaps...)
-		dir := t.TempDir()
-		var wal *serve.WAL
-		if opts.wal {
-			wal, err = serve.OpenWAL(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.walDirs[name] = dir
-		}
-		dlog := filepath.Join(dir, "decisions.dlog")
+		dlog := filepath.Join(t.TempDir(), "decisions.dlog")
 		rec, err := OpenRecorder(dlog)
 		if err != nil {
 			t.Fatal(err)
@@ -165,7 +154,7 @@ func startCluster(t *testing.T, opts clusterOpts, benches ...string) *testCluste
 			t.Fatal(err)
 		}
 		node, err := NewNode(NodeConfig{
-			Spec: spec, Self: name, Registry: reg, WAL: wal,
+			Spec: spec, Self: name, Registry: reg,
 			Recorder: rec, Faults: faults, Obs: o, Logf: t.Logf,
 		})
 		if err != nil {
@@ -192,9 +181,6 @@ func startCluster(t *testing.T, opts clusterOpts, benches ...string) *testCluste
 			srv.Shutdown(ctx) //nolint:errcheck // best-effort teardown
 			node.Close()
 			rec.Close() //nolint:errcheck
-			if wal != nil {
-				wal.Close() //nolint:errcheck
-			}
 		})
 	}
 	return tc
@@ -419,24 +405,55 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // so a small Lag lets the home node re-check (and fold) while serving.
 var foldWatch = watch.Config{Window: 16, Lag: 8}
 
-// TestFoldInReplication forces a guarantee violation on a benchmark's
-// home node and waits for the repaired snapshot to replicate: every
-// node must converge to the same version through the push path.
-func TestFoldInReplication(t *testing.T) {
-	tc := startCluster(t, clusterOpts{
-		nodes: 3, workers: 2, sampleRate: 1, probeErr: 1.0, wal: true,
-		watch: foldWatch,
-	}, "synth")
-	home := tc.nodes["n0"].Router().Home("synth")
+// encodedTable is the replicated form of a node's current synth table.
+func encodedTable(t *testing.T, reg *serve.Registry) []byte {
+	t.Helper()
+	b, err := reg.Get("synth").Table.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
-	// Safe-region inputs the stale table accelerates; the probe reports
-	// them all as bad, so the home node's monitor folds and swaps.
+// sameTable reports whether reg serves home's synth version and table.
+func sameTable(t *testing.T, reg, home *serve.Registry) bool {
+	return reg.Get("synth").Version == home.Get("synth").Version &&
+		bytes.Equal(encodedTable(t, reg), encodedTable(t, home))
+}
+
+// safeInputs are inputs from the region the stale table accelerates;
+// the fold-in tests' probe reports them all as bad, so the home node's
+// monitor folds and swaps.
+func safeInputs() [][]float64 {
 	rng := mathx.NewRNG(13)
 	inputs := make([][]float64, 64)
 	for i := range inputs {
 		inputs[i] = []float64{0.5 * rng.Float64(), rng.Float64(), rng.Float64()}
 	}
-	driveRouted(t, tc.spec, "synth", inputs)
+	return inputs
+}
+
+// replicaOf names a node of a two-node cluster other than home.
+func replicaOf(tc *testCluster, home string) string {
+	names := tc.spec.Names()
+	if names[0] != home {
+		return names[0]
+	}
+	return names[1]
+}
+
+// TestFoldInReplication forces a guarantee violation on a benchmark's
+// home node and waits for the repaired snapshot to replicate: every
+// node must converge to the home node's version and table bytes through
+// the push path.
+func TestFoldInReplication(t *testing.T) {
+	tc := startCluster(t, clusterOpts{
+		nodes: 3, workers: 2, sampleRate: 1, probeErr: 1.0,
+		watch: foldWatch,
+	}, "synth")
+	home := tc.nodes["n0"].Router().Home("synth")
+
+	driveRouted(t, tc.spec, "synth", safeInputs())
 
 	waitFor(t, "home fold-in", func() bool {
 		return tc.regs[home].Get("synth").Version >= 2
@@ -450,23 +467,20 @@ func TestFoldInReplication(t *testing.T) {
 		waitFor(t, "replica "+name+" convergence", func() bool {
 			return reg.Get("synth").Version >= homeVer
 		})
-		// The replica's fold history (memory and WAL) must now replay the
-		// same versions the home node installed. The home's monitor may
-		// still be folding, so wait for history and registry to agree.
-		node := tc.nodes[name]
-		waitFor(t, "replica "+name+" history", func() bool {
-			recs := node.FoldIns("synth", 0)
-			return len(recs) > 0 && recs[len(recs)-1].Version == reg.Get("synth").Version
+		// The home's monitor may still be folding, so wait for the
+		// replica to serve the home's latest version, bit for bit.
+		waitFor(t, "replica "+name+" table", func() bool {
+			return sameTable(t, reg, tc.regs[home])
 		})
 	}
 }
 
 // TestCatchUpRepairsPartition replays replication with every push from
 // the home node dropped by fault injection: replicas stay stale until
-// catch-up fetches the fold history over the wire.
+// catch-up fetches the home node's current table in one message.
 func TestCatchUpRepairsPartition(t *testing.T) {
 	tc := startCluster(t, clusterOpts{
-		nodes: 3, workers: 1, sampleRate: 1, probeErr: 1.0, wal: true,
+		nodes: 3, workers: 1, sampleRate: 1, probeErr: 1.0,
 		watch: foldWatch,
 		faults: map[string]string{
 			"n0": "seed=3,peer.drop=1",
@@ -476,12 +490,7 @@ func TestCatchUpRepairsPartition(t *testing.T) {
 	}, "synth")
 	home := tc.nodes["n0"].Router().Home("synth")
 
-	rng := mathx.NewRNG(13)
-	inputs := make([][]float64, 64)
-	for i := range inputs {
-		inputs[i] = []float64{0.5 * rng.Float64(), rng.Float64(), rng.Float64()}
-	}
-	driveRouted(t, tc.spec, "synth", inputs)
+	driveRouted(t, tc.spec, "synth", safeInputs())
 	waitFor(t, "home fold-in", func() bool {
 		return tc.regs[home].Get("synth").Version >= 2
 	})
@@ -494,7 +503,8 @@ func TestCatchUpRepairsPartition(t *testing.T) {
 		}
 	}
 	// Catch-up dials the home node directly (peer.drop only fires on the
-	// push path's sends) and replays the missing fold-ins in order.
+	// push path's sends) and fetches the home node's current table in one
+	// message.
 	for _, name := range tc.spec.Names() {
 		if name == home {
 			continue
@@ -508,62 +518,187 @@ func TestCatchUpRepairsPartition(t *testing.T) {
 	}
 }
 
-// TestFoldHistorySurvivesRestart reopens a replica's WAL in a fresh
-// Node — the crash/restart path — and checks the fold history is
-// restored for serving peers' catch-ups.
-func TestFoldHistorySurvivesRestart(t *testing.T) {
+// TestReplicaRestartCatchesUp rebuilds a replica's node and registry
+// at the seed version — a restart that lost every push — and checks
+// that one catch-up brings it to the home node's version and table.
+func TestReplicaRestartCatchesUp(t *testing.T) {
 	tc := startCluster(t, clusterOpts{
-		nodes: 2, workers: 1, sampleRate: 1, probeErr: 1.0, wal: true,
+		nodes: 2, workers: 1, sampleRate: 1, probeErr: 1.0,
 		watch: foldWatch,
 	}, "synth")
 	home := tc.nodes["n0"].Router().Home("synth")
 
-	rng := mathx.NewRNG(13)
-	inputs := make([][]float64, 64)
-	for i := range inputs {
-		inputs[i] = []float64{0.5 * rng.Float64(), rng.Float64(), rng.Float64()}
+	driveRouted(t, tc.spec, "synth", safeInputs())
+	waitFor(t, "home fold-in", func() bool {
+		return tc.regs[home].Get("synth").Version >= 2
+	})
+	name := replicaOf(tc, home)
+	stopNode(t, tc, name)
+	rebirthCatchesUp(t, tc, name, synthSnapshot(t, testTable(t), 0))
+}
+
+// TestReplicaRestartsFromWAL restarts a replica from its WAL, which is
+// the only durable copy of the tables it replicated: the recovered state
+// must hold a replicated version, and catch-up then brings the replica
+// to the home node's version and table.
+func TestReplicaRestartsFromWAL(t *testing.T) {
+	tc := startCluster(t, clusterOpts{
+		nodes: 2, workers: 1, sampleRate: 1, probeErr: 1.0,
+		watch: foldWatch,
+	}, "synth")
+	home := tc.nodes["n0"].Router().Home("synth")
+	name := replicaOf(tc, home)
+	wal, err := serve.OpenWAL(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	driveRouted(t, tc.spec, "synth", inputs)
-	waitFor(t, "replication", func() bool {
-		for _, name := range tc.spec.Names() {
-			if tc.regs[name].Get("synth").Version < 2 {
-				return false
-			}
+	// The synth snapshots carry no compiled program for Snapshot.Export
+	// (serve.AttachWAL's record), so the replica's WAL records hold the
+	// encoded table: the state replication changes.
+	tc.regs[name].SetPersist(func(s *serve.Snapshot) error {
+		tab, err := s.Table.Encode()
+		if err != nil {
+			return err
 		}
-		return true
+		return wal.StoreSnapshot(s.Bench, s.Version, tab)
 	})
 
-	name := tc.spec.Names()[0]
-	if name == home {
-		name = tc.spec.Names()[1]
+	driveRouted(t, tc.spec, "synth", safeInputs())
+	waitFor(t, "replicated fold-in", func() bool {
+		return tc.regs[name].Get("synth").Version >= 2
+	})
+	stopNode(t, tc, name)
+	pre := tc.regs[name].Get("synth")
+	want := encodedTable(t, tc.regs[name])
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
 	}
-	// Crash the replica before reading its history: the home's monitor
-	// may still be folding, and a live replica would keep appending.
+
+	rec, err := wal.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := rec.Snapshots["synth"]
+	if !ok || got.Version != pre.Version || !bytes.Equal(got.Blob, want) {
+		t.Fatalf("WAL recovered synth v%d (found %v), replica served v%d", got.Version, ok, pre.Version)
+	}
+	tab, err := classifier.DecodeTable(got.Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebirthCatchesUp(t, tc, name, synthSnapshot(t, tab, got.Version))
+}
+
+// stopNode shuts down the named node's server and closes its node.
+func stopNode(t *testing.T, tc *testCluster, name string) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := tc.servers[name].Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
 	tc.nodes[name].Close()
-	want := len(tc.nodes[name].FoldIns("synth", 0))
-	if want == 0 {
-		t.Fatal("replica has no fold history to restart with")
-	}
-	wal, err := serve.OpenWAL(tc.walDirs[name])
+}
+
+// synthSnapshot builds a synth snapshot serving tab at version (0: the
+// registry assigns the seed version).
+func synthSnapshot(t *testing.T, tab *classifier.Table, version uint32) *serve.Snapshot {
+	t.Helper()
+	snap, err := serve.NewSnapshot("synth", tab, nil, 0.1,
+		stats.Guarantee{QualityLoss: 0.05, SuccessRate: 0.6, Confidence: 0.9}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wal.Close()
-	reborn, err := NewNode(NodeConfig{
-		Spec: spec2(t, tc.spec), Self: name,
-		Registry: tc.regs[name], WAL: wal, Logf: t.Logf,
-	})
+	snap.Version = version
+	return snap
+}
+
+// rebirthCatchesUp rebuilds the stopped node name over a fresh registry
+// serving snap and checks that catch-up brings it to the home node's
+// latest version, bit for bit.
+func rebirthCatchesUp(t *testing.T, tc *testCluster, name string, snap *serve.Snapshot) {
+	t.Helper()
+	home := tc.nodes["n0"].Router().Home("synth")
+	reg := serve.NewRegistry(snap)
+	reborn, err := NewNode(NodeConfig{Spec: spec2(t, tc.spec), Self: name, Registry: reg, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reborn.Close()
-	if got := len(reborn.FoldIns("synth", 0)); got != want {
-		t.Fatalf("restarted node restored %d fold-ins, want %d", got, want)
+	// The home's monitor may still be folding: catch up until the reborn
+	// replica serves the home's latest version, bit for bit.
+	waitFor(t, "catch-up to the home table", func() bool {
+		if err := reborn.CatchUpBench("synth"); err != nil {
+			t.Fatal(err)
+		}
+		return sameTable(t, reg, tc.regs[home])
+	})
+	if v := reg.Get("synth").Version; v < 2 {
+		t.Fatalf("reborn replica at v%d after catch-up", v)
+	}
+	// Asking again finds nothing older to replace (or the home's next
+	// version): either way the answer is not an error.
+	if err := reborn.CatchUpBench("synth"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplicaRefusesMismatchedTable pushes tables the replica cannot
+// serve — fit for another input width, or not a table at all — straight
+// to a replica: each must be refused with FoldFailed and counted in
+// cluster.foldin.errors, and the replica keeps serving its version.
+func TestReplicaRefusesMismatchedTable(t *testing.T) {
+	tc := startCluster(t, clusterOpts{nodes: 2, freeze: true}, "synth")
+	home := tc.nodes["n0"].Router().Home("synth")
+	name := replicaOf(tc, home)
+	rng := mathx.NewRNG(3)
+	samples := make([]classifier.Sample, 500)
+	for i := range samples {
+		in := []float64{rng.Float64(), rng.Float64()}
+		samples[i] = classifier.Sample{In: in, Bad: in[0] > 0.9}
+	}
+	narrow, err := classifier.TrainTable(classifier.DefaultTableConfig(), samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrongDim, err := narrow.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := net.Dial("tcp", tc.spec.Addr(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	for i, table := range [][]byte{wrongDim, []byte("not a table")} {
+		if err := serve.WriteMessage(nc, &serve.FoldIn{Bench: "synth", Version: 5, Table: table}); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := serve.ReadMessage(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack, ok := msg.(*serve.FoldInAck); !ok || ack.Status != serve.FoldFailed {
+			t.Fatalf("push %d answered %#v, want a FoldFailed ack", i, msg)
+		}
+		if got := tc.obses[name].Counter("cluster.foldin.errors").Value(); got != int64(i+1) {
+			t.Fatalf("cluster.foldin.errors = %d after %d refused pushes", got, i+1)
+		}
+	}
+	cl, err := serve.Dial("tcp", tc.spec.Addr(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	resps, err := cl.DecideBatch("synth", 0, testInputs(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range resps {
+		if r.Version != 1 || r.Fallback {
+			t.Fatalf("replica answered %+v after refusing the pushes, want version 1", r)
+		}
 	}
 }
 

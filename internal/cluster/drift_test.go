@@ -92,8 +92,8 @@ func clusterDriftRun(t *testing.T, nodes, workers int) (string, int64) {
 	// observations, the monitor flushes and journals its final state,
 	// and any last fold-in is installed before we pin the home version.
 	// The replicas stay up until they have converged: the last fold-ins
-	// are pushed on goroutines of their own, and a replica drained while
-	// a push is in flight could never receive it.
+	// are pushed by the home node's sender goroutine, and a replica
+	// drained while a push is in flight could never receive it.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := tc.servers[home].Shutdown(ctx); err != nil {
@@ -112,6 +112,9 @@ func clusterDriftRun(t *testing.T, nodes, workers int) (string, int64) {
 		waitFor(t, "replica "+name+" convergence", func() bool {
 			return reg.Get("synth").Version >= homeVer
 		})
+		if !sameTable(t, reg, tc.regs[home]) {
+			t.Fatalf("replica %s table differs from the home node's at v%d", name, homeVer)
+		}
 		if err := tc.servers[name].Shutdown(ctx); err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -19,11 +18,9 @@ type NodeConfig struct {
 	Spec *Spec
 	Self string
 	// Registry is the node's snapshot registry (shared with the server).
+	// Its WAL persist hook, attached by mithrad exactly as in single-node
+	// mode, is what makes replicated tables durable.
 	Registry *serve.Registry
-	// WAL, when non-nil, persists the fold log (replication history and
-	// catch-up source). The snapshot records are attached separately by
-	// mithrad, exactly as in single-node mode.
-	WAL *serve.WAL
 	// Recorder, when non-nil, receives the durable decision records that
 	// the cluster digest is merged from.
 	Recorder *Recorder
@@ -37,12 +34,17 @@ type NodeConfig struct {
 	Logf func(format string, args ...any)
 }
 
+// pushQueue bounds the fold-in pushes waiting for the sender goroutine.
+// Fold-ins are rare (at most MaxFoldIns per recovery episode), so a full
+// queue means the peers are unreachable, and dropping is safe: the next
+// push or a catch-up carries a newer table.
+const pushQueue = 64
+
 // nodeMetrics resolves the node's counters once (obs lookups lock).
 type nodeMetrics struct {
 	foldPushed   *obs.Counter
 	foldPushFail *obs.Counter
 	foldApplied  *obs.Counter
-	foldBuffered *obs.Counter
 	foldStale    *obs.Counter
 	foldErrors   *obs.Counter
 	catchupRuns  *obs.Counter
@@ -50,38 +52,34 @@ type nodeMetrics struct {
 }
 
 // Node implements serve.ClusterHooks for one mithrad process: routing
-// and forwarding on the decide path, fold-in replication and catch-up on
+// and forwarding on the decide path, table replication and catch-up on
 // the update path, and durable decision records for the cluster digest.
 type Node struct {
 	spec   *Spec
 	self   string
 	router *Router
 	reg    *serve.Registry
-	wal    *serve.WAL
 	rec    *Recorder
 	m      nodeMetrics
 	o      *obs.Obs
 	logf   func(string, ...any)
 
-	peers map[string]*peerLink   // forwarding links, by peer name
-	folds map[string]*foldSender // fold-in push channels, by peer name
+	peers map[string]*peerLink // forwarding links, by peer name
+	folds []*foldSender        // fold-in push links, in peer name order
 
-	// foldMu guards the replication state machine: the per-bench fold
-	// history (mirrored in the WAL fold log) and the out-of-order buffer.
-	foldMu  sync.Mutex
-	history map[string][]serve.FoldIn
-	buffer  map[string]map[uint32][][]float64
+	// applyMu serializes replicated installs (pushes and catch-up), so
+	// the version check and the install act as one step.
+	applyMu sync.Mutex
 
-	// kick wakes the catch-up goroutine for a benchmark with a detected
-	// version gap; quit stops it.
-	kick     chan string
+	// pushes feeds installed snapshots to the sender goroutine in version
+	// order; quit stops it.
+	pushes   chan *serve.Snapshot
 	quit     chan struct{}
 	quitOnce sync.Once
 	wg       sync.WaitGroup
 }
 
-// NewNode builds the node, restoring its fold history from the WAL fold
-// log (the in-memory history serves peers' CatchUpReqs).
+// NewNode builds the node and starts its fold-in sender.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if _, err := cfg.Spec.Node(cfg.Self); err != nil {
 		return nil, err
@@ -99,7 +97,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		self:   cfg.Self,
 		router: router,
 		reg:    cfg.Registry,
-		wal:    cfg.WAL,
 		rec:    cfg.Recorder,
 		o:      cfg.Obs,
 		logf:   logf,
@@ -107,35 +104,24 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			foldPushed:   cfg.Obs.Counter("cluster.foldin.pushed"),
 			foldPushFail: cfg.Obs.Counter("cluster.foldin.push_failures"),
 			foldApplied:  cfg.Obs.Counter("cluster.foldin.applied"),
-			foldBuffered: cfg.Obs.Counter("cluster.foldin.buffered"),
 			foldStale:    cfg.Obs.Counter("cluster.foldin.stale"),
 			foldErrors:   cfg.Obs.Counter("cluster.foldin.errors"),
 			catchupRuns:  cfg.Obs.Counter("cluster.catchup.runs"),
 			catchupFail:  cfg.Obs.Counter("cluster.catchup.failures"),
 		},
-		peers:   map[string]*peerLink{},
-		folds:   map[string]*foldSender{},
-		history: map[string][]serve.FoldIn{},
-		buffer:  map[string]map[uint32][][]float64{},
-		kick:    make(chan string, 64),
-		quit:    make(chan struct{}),
+		peers:  map[string]*peerLink{},
+		pushes: make(chan *serve.Snapshot, pushQueue),
+		quit:   make(chan struct{}),
 	}
 	for _, p := range cfg.Spec.Nodes {
 		if p.Name == cfg.Self {
 			continue
 		}
 		n.peers[p.Name] = newPeerLink(cfg.Self, p, cfg.Faults)
-		n.folds[p.Name] = newFoldSender(cfg.Self, p, cfg.Faults)
-	}
-	if cfg.WAL != nil {
-		history, skipped := cfg.WAL.ReadFoldIns()
-		n.history = history
-		if skipped != "" {
-			logf("cluster: fold log: skipped %s", skipped)
-		}
+		n.folds = append(n.folds, newFoldSender(cfg.Self, p, cfg.Faults))
 	}
 	n.wg.Add(1)
-	go n.catchUpLoop()
+	go n.sendLoop()
 	return n, nil
 }
 
@@ -180,64 +166,66 @@ func (n *Node) FlushRecords() error {
 }
 
 // OnFoldIn is the updater hook (serve.Config.OnFoldIn) on a benchmark's
-// home node: record the freshly installed fold-in — in-memory history
-// and WAL fold log — then stream it to every peer. The push happens on a
-// separate goroutine so the shard updater never blocks on the network;
-// peers that miss the push (down, partitioned) repair the gap via
-// catch-up.
-func (n *Node) OnFoldIn(bench string, version uint32, inputs [][]float64) {
-	rec := serve.FoldIn{Bench: bench, Version: version, Inputs: inputs}
-	n.foldMu.Lock()
-	n.recordFoldLocked(rec)
-	n.foldMu.Unlock()
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		n.push(&rec)
-	}()
+// home node: queue the freshly installed snapshot for the sender
+// goroutine, which pushes its table to every peer. It never blocks the
+// updater; a push dropped on a full queue is superseded by the next push
+// or by the replica's catch-up.
+func (n *Node) OnFoldIn(snap *serve.Snapshot) {
+	select {
+	case n.pushes <- snap:
+	default:
+		n.m.foldPushFail.Inc()
+		n.logf("cluster: fold-in %s v%d dropped: push queue full", snap.Bench, snap.Version)
+	}
 }
 
-// push streams one fold-in to every peer, in sorted name order.
-func (n *Node) push(rec *serve.FoldIn) {
-	names := make([]string, 0, len(n.folds))
-	for name := range n.folds {
-		names = append(names, name)
+// sendLoop pushes queued snapshots in the order they were installed.
+// On Close it drains what is already queued, then exits.
+func (n *Node) sendLoop() {
+	defer n.wg.Done()
+	for {
+		select {
+		case snap := <-n.pushes:
+			n.push(snap)
+		case <-n.quit:
+			for len(n.pushes) > 0 {
+				n.push(<-n.pushes)
+			}
+			return
+		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		status, err := n.folds[name].send(rec)
+}
+
+// push sends one snapshot's table to every peer, in name order.
+func (n *Node) push(snap *serve.Snapshot) {
+	fold, err := snap.FoldIn()
+	if err != nil {
+		n.m.foldPushFail.Inc()
+		n.logf("cluster: fold-in %s v%d: %v", snap.Bench, snap.Version, err)
+		return
+	}
+	for _, fs := range n.folds {
+		status, err := fs.send(fold)
 		if err != nil {
 			n.m.foldPushFail.Inc()
-			n.logf("cluster: fold-in %s v%d -> %s failed: %v", rec.Bench, rec.Version, name, err)
+			n.logf("cluster: fold-in %s v%d -> %s failed: %v", fold.Bench, fold.Version, fs.peer, err)
 			continue
 		}
 		n.m.foldPushed.Inc()
-		if status == serve.FoldBuffered {
-			n.logf("cluster: fold-in %s v%d buffered by %s (gap)", rec.Bench, rec.Version, name)
+		if status == serve.FoldFailed {
+			n.logf("cluster: fold-in %s v%d refused by %s", fold.Bench, fold.Version, fs.peer)
 		}
 	}
 }
 
-// recordFoldLocked appends one fold-in to the node's replication history
-// (callers hold foldMu). History is in ascending version order per
-// benchmark because appends follow installs.
-func (n *Node) recordFoldLocked(rec serve.FoldIn) {
-	n.history[rec.Bench] = append(n.history[rec.Bench], rec)
-	if n.wal != nil {
-		if err := n.wal.AppendFoldIn(rec.Bench, rec.Version, rec.Inputs); err != nil {
-			n.m.foldErrors.Inc()
-			n.logf("cluster: fold log append %s v%d: %v", rec.Bench, rec.Version, err)
-		}
-	}
-}
-
-// ApplyFoldIn implements serve.ClusterHooks on the receiving side: apply
-// replicated fold-ins strictly in (benchmark, version) order through the
-// monotone Registry.Install path, buffering versions that arrive ahead
-// of a gap and kicking catch-up to repair the gap.
-func (n *Node) ApplyFoldIn(bench string, version uint32, inputs [][]float64) uint8 {
-	n.foldMu.Lock()
-	defer n.foldMu.Unlock()
+// ApplyFoldIn implements serve.ClusterHooks on the receiving side:
+// install a replicated table over the current snapshot when its version
+// is newer, through the monotone Registry.Install path. Because a table
+// is the whole state, a replica that missed versions jumps straight to
+// the newest one.
+func (n *Node) ApplyFoldIn(bench string, version uint32, table []byte) uint8 {
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
 	cur := n.reg.Get(bench)
 	if cur == nil {
 		return serve.FoldUnknown
@@ -246,87 +234,33 @@ func (n *Node) ApplyFoldIn(bench string, version uint32, inputs [][]float64) uin
 		n.m.foldStale.Inc()
 		return serve.FoldStale
 	}
-	benchBuf := n.buffer[bench]
-	if benchBuf == nil {
-		benchBuf = map[uint32][][]float64{}
-		n.buffer[bench] = benchBuf
+	ns, err := cur.WithReplica(version, table)
+	if err == nil {
+		_, err = n.reg.Install(ns)
 	}
-	benchBuf[version] = inputs
-	for {
-		cur = n.reg.Get(bench)
-		next, ok := benchBuf[cur.Version+1]
-		if !ok {
-			break
-		}
-		ns := cur.WithFoldIn(next)
-		if _, err := n.reg.Install(ns); err != nil {
-			// Persist failure (disk, injected snapshot.install): keep the
-			// record buffered; a later apply or catch-up retries it.
-			n.m.foldErrors.Inc()
-			n.logf("cluster: fold-in install %s v%d: %v", bench, cur.Version+1, err)
-			return serve.FoldBuffered
-		}
-		delete(benchBuf, ns.Version)
-		n.m.foldApplied.Inc()
-		// Per-bench replica surface: `mithra watch` over several addresses
-		// sums these into its REPL column, and the journaled note ties each
-		// replicated repair into the home node's recovery story.
-		n.o.Counter("cluster.foldin.applied." + bench).Inc()
-		n.o.Note("foldin_replica", map[string]any{
-			"bench": bench, "version": ns.Version, "inputs": len(next),
-		})
-		n.recordFoldLocked(serve.FoldIn{Bench: bench, Version: ns.Version, Inputs: next})
+	if err != nil {
+		// Refused table, or a persist failure (disk, injected
+		// snapshot.install): the previous version keeps serving, and the
+		// next push or catch-up retries with a newer table.
+		n.m.foldErrors.Inc()
+		n.logf("cluster: fold-in %s v%d: %v", bench, version, err)
+		return serve.FoldFailed
 	}
-	if n.reg.Get(bench).Version >= version {
-		return serve.FoldApplied
-	}
-	// A gap precedes this version: ask the benchmark's home node for the
-	// missing records (non-blocking; the kick channel coalesces).
-	n.m.foldBuffered.Inc()
-	select {
-	case n.kick <- bench:
-	default:
-	}
-	return serve.FoldBuffered
+	n.m.foldApplied.Inc()
+	// Per-bench replica surface: `mithra watch` over several addresses
+	// sums these into its REPL column, and the journaled note ties each
+	// replicated repair into the home node's recovery story.
+	n.o.Counter("cluster.foldin.applied." + bench).Inc()
+	n.o.Note("foldin_replica", map[string]any{"bench": bench, "version": version})
+	return serve.FoldApplied
 }
 
-// FoldIns implements serve.ClusterHooks: this node's fold history for
-// bench strictly after version `after`, for catch-up serving.
-func (n *Node) FoldIns(bench string, after uint32) []serve.FoldIn {
-	n.foldMu.Lock()
-	defer n.foldMu.Unlock()
-	hist := n.history[bench]
-	out := make([]serve.FoldIn, 0, len(hist))
-	for _, rec := range hist {
-		if rec.Version > after {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
-// catchUpLoop services gap repairs detected by ApplyFoldIn.
-func (n *Node) catchUpLoop() {
-	defer n.wg.Done()
-	for {
-		select {
-		case <-n.quit:
-			return
-		case bench := <-n.kick:
-			if err := n.CatchUpBench(bench); err != nil {
-				n.m.catchupFail.Inc()
-				n.logf("cluster: catch-up %s: %v", bench, err)
-			}
-		}
-	}
-}
-
-// CatchUp replays every benchmark this node replicates (home elsewhere)
+// CatchUp fetches every benchmark this node replicates (home elsewhere)
 // from its home node, retrying each failed benchmark up to `retries`
 // times with a fixed delay — peers boot concurrently, so the first dial
 // often races the home node's listener. Call after the local listener is
-// up (a fold push may arrive while catch-up runs; the version ordering
-// makes that safe).
+// up (a push may arrive while catch-up runs; the version check makes
+// that safe).
 func (n *Node) CatchUp(retries int, delay time.Duration) {
 	for _, bench := range n.reg.Benches() {
 		if n.router.Home(bench) == n.self {
@@ -348,8 +282,10 @@ func (n *Node) CatchUp(retries int, delay time.Duration) {
 	}
 }
 
-// CatchUpBench fetches and applies every fold-in of bench newer than the
-// local snapshot from the benchmark's home node.
+// CatchUpBench asks the benchmark's home node for its current table and
+// installs it when it is newer than the local snapshot. The request
+// rides a fresh connection (catch-up is rare; pooling would buy
+// nothing).
 func (n *Node) CatchUpBench(bench string) error {
 	home := n.router.Home(bench)
 	if home == n.self {
@@ -360,60 +296,39 @@ func (n *Node) CatchUpBench(bench string) error {
 		return fmt.Errorf("cluster: no local snapshot for %q", bench)
 	}
 	n.m.catchupRuns.Inc()
-	recs, err := n.fetchFoldIns(home, bench, cur.Version)
+	spec, err := n.spec.Node(home)
 	if err != nil {
 		return err
 	}
-	for i := range recs {
-		n.ApplyFoldIn(recs[i].Bench, recs[i].Version, recs[i].Inputs)
-	}
-	if len(recs) > 0 {
-		n.logf("cluster: caught up %s from %s: %d fold-ins, now v%d",
-			bench, home, len(recs), n.reg.Get(bench).Version)
-	}
-	return nil
-}
-
-// fetchFoldIns asks peer for bench's fold-ins after version `after` on a
-// fresh connection (catch-up is rare; pooling would buy nothing).
-func (n *Node) fetchFoldIns(peer, bench string, after uint32) ([]serve.FoldIn, error) {
-	spec, err := n.spec.Node(peer)
-	if err != nil {
-		return nil, err
-	}
-	if n.peers[peer] != nil && n.peers[peer].fPart.Hit() {
-		return nil, fmt.Errorf("cluster: link %s<->%s partitioned", n.self, peer)
+	if n.peers[home].fPart.Hit() {
+		return fmt.Errorf("cluster: link %s<->%s partitioned", n.self, home)
 	}
 	nc, err := net.Dial(network(spec.Addr))
 	if err != nil {
-		return nil, fmt.Errorf("cluster: dial %s (%s): %w", peer, spec.Addr, err)
+		return fmt.Errorf("cluster: dial %s (%s): %w", home, spec.Addr, err)
 	}
 	defer nc.Close()
-	if err := serve.WriteMessage(nc, &serve.CatchUpReq{Bench: bench, After: after}); err != nil {
-		return nil, fmt.Errorf("cluster: catch-up request to %s: %w", peer, err)
+	if err := serve.WriteMessage(nc, &serve.CatchUpReq{Bench: bench, After: cur.Version}); err != nil {
+		return fmt.Errorf("cluster: catch-up request to %s: %w", home, err)
 	}
-	br := bufio.NewReader(nc)
-	msg, err := serve.ReadMessage(br)
+	msg, err := serve.ReadMessage(bufio.NewReader(nc))
 	if err != nil {
-		return nil, fmt.Errorf("cluster: catch-up response from %s: %w", peer, err)
+		return fmt.Errorf("cluster: catch-up response from %s: %w", home, err)
 	}
-	hdr, ok := msg.(*serve.CatchUpResp)
-	if !ok {
-		return nil, fmt.Errorf("cluster: peer %s answered catch-up with %T", peer, msg)
-	}
-	recs := make([]serve.FoldIn, 0, hdr.Count)
-	for i := uint32(0); i < hdr.Count; i++ {
-		msg, err := serve.ReadMessage(br)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: catch-up stream from %s: %w", peer, err)
+	switch m := msg.(type) {
+	case *serve.FoldIn:
+		if n.ApplyFoldIn(bench, m.Version, m.Table) == serve.FoldFailed {
+			return fmt.Errorf("cluster: catch-up %s v%d from %s refused", bench, m.Version, home)
 		}
-		rec, ok := msg.(*serve.FoldIn)
-		if !ok {
-			return nil, fmt.Errorf("cluster: catch-up stream from %s carried %T", peer, msg)
+		n.logf("cluster: caught up %s from %s, now v%d", bench, home, n.Version(bench))
+		return nil
+	case *serve.FoldInAck:
+		if m.Status != serve.FoldStale {
+			return fmt.Errorf("cluster: peer %s answered catch-up %s with status %d", home, bench, m.Status)
 		}
-		recs = append(recs, *rec)
+		return nil // the home node has nothing newer
 	}
-	return recs, nil
+	return fmt.Errorf("cluster: peer %s answered catch-up with %T", home, msg)
 }
 
 // Version reports the node's current snapshot version for bench (0 when
@@ -425,16 +340,16 @@ func (n *Node) Version(bench string) uint32 {
 	return 0
 }
 
-// Close stops the catch-up goroutine, tears down peer links, and waits
-// for in-flight pushes. The recorder is closed by its owner (mithrad),
+// Close waits for the sender to push what is already queued, then tears
+// down the peer links. The recorder is closed by its owner (mithrad),
 // after the server drains.
 func (n *Node) Close() {
 	n.quitOnce.Do(func() { close(n.quit) })
+	n.wg.Wait()
 	for _, link := range n.peers {
 		link.close()
 	}
 	for _, fs := range n.folds {
 		fs.close()
 	}
-	n.wg.Wait()
 }

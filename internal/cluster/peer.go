@@ -182,11 +182,10 @@ func network(addr string) (string, string) {
 	return "tcp", addr
 }
 
-// foldSender pushes fold-in records to one peer synchronously (send,
-// await ack) on its own lazily-dialed connection, serialized by a mutex:
-// fold-ins are rare (one per guarantee violation window) and strictly
-// ordered per benchmark, so one in-flight push at a time is the simple
-// way to keep the per-peer stream in version order.
+// foldSender pushes replicated tables to one peer synchronously (send,
+// await ack) on its own lazily-dialed connection. Only the node's sender
+// goroutine sends, so the per-peer stream stays in version order; the
+// mutex orders a send against close.
 type foldSender struct {
 	self, peer, addr string
 	fDrop            *fault.Injector
@@ -207,9 +206,9 @@ func newFoldSender(self string, peer NodeSpec, faults *fault.Set) *foldSender {
 	}
 }
 
-// send pushes one fold-in and returns the peer's ack status. Any failure
-// tears the connection down; the peer repairs the resulting gap via
-// catch-up, so push is best-effort by design.
+// send pushes one table and returns the peer's ack status. Any failure
+// tears the connection down; the next push or the peer's catch-up
+// carries a newer table, so push is best-effort by design.
 func (f *foldSender) send(rec *serve.FoldIn) (uint8, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

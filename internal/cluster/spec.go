@@ -8,9 +8,11 @@
 // frames are forwarded between nodes over the existing wire protocol, so
 // correctness never depends on client freshness; routing only moves work.
 //
-// Online fold-ins replicate from a benchmark's home node to every peer in
-// (benchmark, version) order through the monotone Registry.Install path,
-// with a WAL-backed fold log for catch-up after a restart. The cluster-
+// Online fold-ins replicate as state: after each fold-in a benchmark's
+// home node pushes the repaired table to every peer, which installs it
+// through the monotone Registry.Install path when its version is newer;
+// a restarted or partitioned replica fetches the home node's current
+// table with one catch-up request. The cluster-
 // wide acceptance gate is the determinism contract extended across
 // machines: the merge of all nodes' decision logs, ordered by request ID,
 // is byte-identical to a single-node replay of the same trace.

@@ -31,9 +31,9 @@ and os.Rename in a function that never syncs the containing directory
 var durableScope = map[string]bool{
 	"serve": true,
 	"fault": true,
-	// cluster appends the decision logs and replays the WAL fold log; its
-	// durability discipline (O_APPEND single-write blocks, checksummed
-	// valid-prefix recovery) is the same contract as serve's.
+	// cluster appends the decision logs; their durability discipline
+	// (O_APPEND single-write blocks, checksummed valid-prefix recovery)
+	// is the same contract as serve's.
 	"cluster": true,
 }
 

@@ -296,6 +296,73 @@ func TestWALCrashRecoveryRestoresRepairedSnapshot(t *testing.T) {
 	}
 }
 
+// TestWALPersistsReplicatedTable checks that a table a replica installs
+// from a peer (Snapshot.WithReplica) is stored write-ahead like a local
+// repair: the WAL is a replica's only durable copy of replicated state,
+// so recovery must reinstate the pushed version and table bytes.
+func TestWALPersistsReplicatedTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a full deployment")
+	}
+	fx, err := compiledFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, err := OpenWAL(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	AttachWAL(reg, wal, nil, nil)
+	snap, err := LoadSnapshot(fx.blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Install(snap); err != nil {
+		t.Fatal(err)
+	}
+	// The home node's repaired table: the seed table with some inputs
+	// folded in as bad.
+	repaired := snap.Table.Clone()
+	for _, in := range fx.inputs[:64] {
+		repaired.Update(in, true)
+	}
+	pushed, err := repaired.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seed, err := snap.Table.Encode(); err != nil || bytes.Equal(seed, pushed) {
+		t.Fatalf("folding changed no table bits (err %v)", err)
+	}
+	ns, err := reg.Get("fft").WithReplica(3, pushed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Install(ns); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := wal.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := rec.Snapshots["fft"]
+	if !ok || got.Version != 3 {
+		t.Fatalf("recovered fft v%d (found %v), want v3", got.Version, ok)
+	}
+	rsnap, err := LoadSnapshot(got.Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := rsnap.Table.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, pushed) {
+		t.Fatal("recovered table differs from the replicated one")
+	}
+}
+
 // TestInstallFaultForcesBreakerOpen: when a guarantee violation's repair
 // cannot be persisted (injected snapshot-install failure), the shard
 // force-opens its breaker — the guarantee is restored by serving

@@ -23,15 +23,12 @@ type ClusterHooks interface {
 	// and nothing was sent; the caller answers CodePeerDown in-band.
 	Forward(peer string, req *DecideRequest, respond func(Message)) error
 
-	// ApplyFoldIn delivers a replicated fold-in received from a peer and
-	// returns its FoldInAck status (FoldApplied, FoldBuffered, FoldStale,
-	// or FoldUnknown). Implementations apply versions strictly in order
-	// through Registry.Install and buffer gaps.
-	ApplyFoldIn(bench string, version uint32, inputs [][]float64) uint8
-
-	// FoldIns returns this node's fold-in history for bench after
-	// version `after`, ascending, for catch-up serving.
-	FoldIns(bench string, after uint32) []FoldIn
+	// ApplyFoldIn delivers a replicated table (FoldIn.Table) received
+	// from a peer and returns its FoldInAck status (FoldApplied,
+	// FoldFailed, FoldStale, or FoldUnknown). Implementations install a
+	// newer version over the current snapshot through Registry.Install
+	// and ack an older one stale.
+	ApplyFoldIn(bench string, version uint32, table []byte) uint8
 
 	// Record buffers one durable decision record: request id of bench
 	// decided as precise/approx. Decisions are pure functions of

@@ -79,12 +79,7 @@ func (u *updater) foldIn(inputs [][]float64) (watch.Reclassify, bool) {
 	o.Counter("serve.snapshot.swaps").Inc()
 	o.Counter("serve.update.inputs").Add(int64(len(inputs)))
 	if u.s.cfg.OnFoldIn != nil {
-		// Replication hook: the monitor recycles its pending slice after
-		// this call, so the hook gets its own copy of the headers (the
-		// input vectors themselves are private copies made on the
-		// sampling path).
-		bad := append([][]float64(nil), inputs...)
-		u.s.cfg.OnFoldIn(u.sh.bench, ns.Version, bad)
+		u.s.cfg.OnFoldIn(ns)
 	}
 	view := ns.Table.ConcurrentView()
 	return view.Classify, true

@@ -129,7 +129,8 @@ func TestRegistryPersistFailureLeavesStateUnchanged(t *testing.T) {
 
 // TestRegistryFirstInstallKeepsPresetVersion is the recovery contract:
 // WAL recovery reinstates a snapshot at its pre-crash version by
-// presetting Version before the first install.
+// presetting Version before the first install. Replication relies on
+// the same rule for later installs.
 func TestRegistryFirstInstallKeepsPresetVersion(t *testing.T) {
 	snap := syntheticSnapshot(t, "alpha", nil)
 	snap.Version = 7
@@ -147,5 +148,17 @@ func TestRegistryFirstInstallKeepsPresetVersion(t *testing.T) {
 	}
 	if got := reg.Get("alpha").Version; got != 8 {
 		t.Fatalf("post-recovery swap version = %d, want 8", got)
+	}
+	// A replica jumps to a peer's newer version: a preset above the
+	// predecessor's is kept, and one at or below it is not.
+	for _, c := range []struct{ preset, want uint32 }{{11, 11}, {5, 12}, {12, 13}} {
+		upd := snap.withTable(snap.Table.Clone())
+		upd.Version = c.preset
+		if _, err := reg.Install(upd); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Get("alpha").Version; got != c.want {
+			t.Fatalf("install with preset %d: version %d, want %d", c.preset, got, c.want)
+		}
 	}
 }

@@ -407,19 +407,17 @@ func TestOnlineUpdateRestoresGuarantee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// OnFoldIn records which inputs the monitor has folded in.
+	// OnFoldIn records every repaired snapshot the monitor installs.
 	var (
 		foldMu sync.Mutex
-		folded = map[[3]float64]bool{}
+		folded []*Snapshot
 	)
 	srv, addr := startServer(t, Config{
 		Workers: 2, SampleRate: 1, SampleSeed: 3, Obs: o,
-		OnFoldIn: func(_ string, _ uint32, ins [][]float64) {
+		OnFoldIn: func(snap *Snapshot) {
 			foldMu.Lock()
 			defer foldMu.Unlock()
-			for _, in := range ins {
-				folded[[3]float64(in)] = true
-			}
+			folded = append(folded, snap)
 		},
 		// Lag 64 covers one 64-request batch's in-flight skew, so the
 		// monitor releases each batch in ID order once the next arrives
@@ -481,6 +479,9 @@ func TestOnlineUpdateRestoresGuarantee(t *testing.T) {
 
 	// The repaired table must now route every observed-bad input the
 	// monitor folded in through the precise path, at the current version.
+	// A fold-in sets every table's bit for each input it folds, and later
+	// fold-ins never clear bits, so any input a repaired snapshot routes
+	// precise (a superset of its folded inputs) must stay precise.
 	// The monitor folds only while its window violates the guarantee, so
 	// inputs whose failures it released after its last fold-in of the
 	// episode (the window already certified with them accelerated) may
@@ -494,9 +495,14 @@ func TestOnlineUpdateRestoresGuarantee(t *testing.T) {
 	cur := srv.Registry().Get("synth")
 	precise := 0
 	foldMu.Lock()
+	if len(folded) == 0 {
+		t.Fatal("OnFoldIn never saw a repaired snapshot")
+	}
 	for i, r := range resps {
-		if folded[[3]float64(inputs[i])] && !r.Precise {
-			t.Fatalf("input %d still accelerated after the table update", i)
+		for _, snap := range folded {
+			if !r.Precise && snap.Table.ConcurrentView().Classify(inputs[i]) {
+				t.Fatalf("input %d still accelerated after the v%d table update", i, snap.Version)
+			}
 		}
 		if r.Precise {
 			precise++

@@ -91,12 +91,11 @@ type Config struct {
 	// path is unchanged without a cluster.
 	Cluster ClusterHooks
 	// OnFoldIn fires after the monitor's fold-in installs a repaired
-	// snapshot: the benchmark, the freshly installed snapshot version,
-	// and the folded violating inputs (a private copy). The cluster node
-	// uses it to append the fold-in to its WAL fold log and stream it to
-	// peers. It runs on the shard's updater goroutine; implementations
-	// must not block on the network (hand off to a sender instead).
-	OnFoldIn func(bench string, version uint32, inputs [][]float64)
+	// snapshot, with that (immutable) snapshot. The cluster node uses it
+	// to push the repaired table to peers. It runs on the shard's updater
+	// goroutine; implementations must not block on the network (hand off
+	// to a sender instead).
+	OnFoldIn func(snap *Snapshot)
 }
 
 // withDefaults fills unset knobs.
@@ -467,18 +466,14 @@ func (s *Server) reader(c *conn) {
 				c.send(&ErrorResponse{Code: CodeMalformed, Msg: "fold-in on a non-cluster node"})
 				continue
 			}
-			status := s.cfg.Cluster.ApplyFoldIn(m.Bench, m.Version, m.Inputs)
+			status := s.cfg.Cluster.ApplyFoldIn(m.Bench, m.Version, m.Table)
 			c.send(&FoldInAck{Bench: m.Bench, Version: m.Version, Status: status})
 		case *CatchUpReq:
 			if s.cfg.Cluster == nil {
 				c.send(&ErrorResponse{Code: CodeMalformed, Msg: "catch-up on a non-cluster node"})
 				continue
 			}
-			recs := s.cfg.Cluster.FoldIns(m.Bench, m.After)
-			c.send(&CatchUpResp{Bench: m.Bench, Count: uint32(len(recs))})
-			for i := range recs {
-				c.send(&recs[i])
-			}
+			c.send(s.catchUp(m))
 		default:
 			// Decide requests never reach here (the fast path above matches
 			// every frame ParseMessage would decode as one).
@@ -486,6 +481,24 @@ func (s *Server) reader(c *conn) {
 			c.send(&ErrorResponse{Code: CodeMalformed, Msg: fmt.Sprintf("unexpected message %T", msg)})
 		}
 	}
+}
+
+// catchUp answers a peer's CatchUpReq with this node's current table of
+// the benchmark when it is newer than the peer's version, and otherwise
+// with a FoldInAck saying why not.
+func (s *Server) catchUp(m *CatchUpReq) Message {
+	snap := s.reg.Get(m.Bench)
+	if snap == nil {
+		return &FoldInAck{Bench: m.Bench, Version: m.After, Status: FoldUnknown}
+	}
+	if snap.Version <= m.After {
+		return &FoldInAck{Bench: m.Bench, Version: snap.Version, Status: FoldStale}
+	}
+	fold, err := snap.FoldIn()
+	if err != nil {
+		return &FoldInAck{Bench: m.Bench, Version: snap.Version, Status: FoldFailed}
+	}
+	return fold
 }
 
 // forward ships a mis-routed request to the owning node through the

@@ -187,17 +187,42 @@ func (s *Snapshot) view() classifier.Classifier {
 
 // WithFoldIn returns a copy of s whose table has the given violating
 // inputs folded in, in order — exactly the transformation the online
-// updater applies when a guarantee re-check fails. A replica that starts
-// from the same snapshot and applies the same fold-ins in the same order
-// holds a table byte-identical to the home node's, which is what makes
-// fold-in replication (DESIGN.md §15) a deterministic state machine. The
-// copy has no version yet; Registry.Install assigns the next one.
+// updater applies when a guarantee re-check fails. The copy has no
+// version yet; Registry.Install assigns the next one.
 func (s *Snapshot) WithFoldIn(inputs [][]float64) *Snapshot {
 	tab := s.Table.Clone()
 	for _, in := range inputs {
 		tab.Update(in, true)
 	}
 	return s.withTable(tab)
+}
+
+// FoldIn is the replication message for this snapshot (DESIGN.md §15):
+// its benchmark, version and encoded table.
+func (s *Snapshot) FoldIn() (*FoldIn, error) {
+	tab, err := s.Table.Encode()
+	if err != nil {
+		return nil, err
+	}
+	return &FoldIn{Bench: s.Bench, Version: s.Version, Table: tab}, nil
+}
+
+// WithReplica returns a copy of s serving the table a peer replicated
+// (FoldIn.Table) at that peer's version, for Registry.Install to publish
+// unchanged. A table that does not decode, or that was fit for another
+// input width or configuration than s's, is refused.
+func (s *Snapshot) WithReplica(version uint32, table []byte) (*Snapshot, error) {
+	tab, err := classifier.DecodeTable(table)
+	if err != nil {
+		return nil, err
+	}
+	if tab.InputDim() != s.Table.InputDim() || tab.Config() != s.Table.Config() {
+		return nil, fmt.Errorf("serve: replicated %s table (dim %d, %+v) does not match the served one (dim %d, %+v)",
+			s.Bench, tab.InputDim(), tab.Config(), s.Table.InputDim(), s.Table.Config())
+	}
+	cp := s.withTable(tab)
+	cp.Version = version
+	return cp, nil
 }
 
 // withTable returns a copy of s serving an updated table (the online
@@ -255,22 +280,25 @@ func (r *Registry) SetPersist(fn func(*Snapshot) error) {
 }
 
 // Install publishes s as the current snapshot for its benchmark and
-// returns the snapshot it replaced (nil for a first install). The
-// installed snapshot's version is the predecessor's plus one; a first
-// install keeps a preset nonzero version, which is how WAL recovery
-// reinstates the exact pre-crash version. When a persist hook is set
-// and fails, nothing is published and the previous snapshot keeps
-// serving — the caller decides how to degrade (the online updater
-// force-opens the breaker).
+// returns the snapshot it replaced (nil for a first install). A preset
+// version above the predecessor's (or any nonzero one on a first
+// install) is kept — that is how WAL recovery reinstates the exact
+// pre-crash version and how a replica jumps to a peer's version — and
+// otherwise the installed version is the predecessor's plus one. When a
+// persist hook is set and fails, nothing is published and the previous
+// snapshot keeps serving — the caller decides how to degrade (the
+// online updater force-opens the breaker).
 func (r *Registry) Install(s *Snapshot) (*Snapshot, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old := *r.cur.Load()
 	prev := old[s.Bench]
+	var base uint32
 	if prev != nil {
-		s.Version = prev.Version + 1
-	} else if s.Version == 0 {
-		s.Version = 1
+		base = prev.Version
+	}
+	if s.Version <= base {
+		s.Version = base + 1
 	}
 	if r.persist != nil {
 		if err := r.persist(s); err != nil {

@@ -49,15 +49,14 @@ const (
 	msgPong       = 4
 	msgError      = 5
 	// Cluster messages (DESIGN.md §15). msgForward wraps a mis-routed
-	// decide request hopping between nodes; msgFoldIn streams one online
-	// fold-in to a replica, answered by msgFoldInAck; msgCatchUp asks a
-	// peer for every fold-in after a version, answered by msgCatchUpResp
-	// followed by that many msgFoldIn frames.
-	msgForward     = 6
-	msgFoldIn      = 7
-	msgFoldInAck   = 8
-	msgCatchUp     = 9
-	msgCatchUpResp = 10
+	// decide request hopping between nodes; msgFoldIn pushes a
+	// benchmark's encoded table at one version to a replica, answered by
+	// msgFoldInAck; msgCatchUp asks a peer for its table if newer than a
+	// version, answered by one msgFoldIn or a msgFoldInAck.
+	msgForward   = 6
+	msgFoldIn    = 7
+	msgFoldInAck = 8
+	msgCatchUp   = 9
 )
 
 // Error codes carried by msgError frames.
@@ -151,7 +150,7 @@ type (
 
 // Message is one decoded protocol message: *DecideRequest (Forwarded set
 // for msgForward frames), *DecideResponse, *ErrorResponse, *FoldIn,
-// *FoldInAck, *CatchUpReq, *CatchUpResp, Ping, or Pong.
+// *FoldInAck, *CatchUpReq, Ping, or Pong.
 type Message any
 
 // AppendFrame appends a complete frame (length prefix + payload) for msg
@@ -168,7 +167,13 @@ func AppendFrame(dst []byte, msg Message) ([]byte, error) {
 		}
 		return appendRequestBody(dst, start, msgDecideReq, m.ID, 0, m)
 	case *FoldIn:
-		return appendFoldIn(dst, start, m)
+		if len(m.Bench) > maxBenchName {
+			return nil, protoErrf("bench name %d bytes exceeds %d", len(m.Bench), maxBenchName) //mithra:coldpath error formatting on an oversized bench name
+		}
+		dst = append(dst, wireMagic, wireV1, msgFoldIn, byte(len(m.Bench)))
+		dst = append(dst, m.Bench...)
+		dst = binary.BigEndian.AppendUint32(dst, m.Version)
+		dst = append(dst, m.Table...)
 	case *FoldInAck:
 		if len(m.Bench) > maxBenchName {
 			return nil, protoErrf("bench name %d bytes exceeds %d", len(m.Bench), maxBenchName) //mithra:coldpath error formatting on an oversized bench name
@@ -184,13 +189,6 @@ func AppendFrame(dst []byte, msg Message) ([]byte, error) {
 		dst = append(dst, wireMagic, wireV1, msgCatchUp, byte(len(m.Bench)))
 		dst = append(dst, m.Bench...)
 		dst = binary.BigEndian.AppendUint32(dst, m.After)
-	case *CatchUpResp:
-		if len(m.Bench) > maxBenchName {
-			return nil, protoErrf("bench name %d bytes exceeds %d", len(m.Bench), maxBenchName) //mithra:coldpath error formatting on an oversized bench name
-		}
-		dst = append(dst, wireMagic, wireV1, msgCatchUpResp, byte(len(m.Bench)))
-		dst = append(dst, m.Bench...)
-		dst = binary.BigEndian.AppendUint32(dst, m.Count)
 	case *DecideResponse:
 		dst = append(dst, wireMagic, decideVersion(m.TraceID), msgDecideResp)
 		dst = binary.BigEndian.AppendUint32(dst, m.ID)
@@ -534,7 +532,15 @@ func ParseMessage(payload []byte) (Message, error) {
 		}
 		return Pong{}, nil
 	case msgFoldIn:
-		return parseFoldIn(body, trail)
+		bench, rest, err := parseClusterPrefix(body, trail, "fold-in")
+		if err != nil {
+			return nil, err
+		}
+		if len(rest) < 4 {
+			return nil, protoErrf("fold-in body %d trailing bytes, want >= 4", len(rest))
+		}
+		return &FoldIn{Bench: bench, Version: binary.BigEndian.Uint32(rest[:4]),
+			Table: append([]byte(nil), rest[4:]...)}, nil
 	case msgFoldInAck:
 		bench, rest, err := parseClusterPrefix(body, trail, "fold-in ack")
 		if err != nil {
@@ -553,15 +559,6 @@ func ParseMessage(payload []byte) (Message, error) {
 			return nil, protoErrf("catch-up request body %d trailing bytes, want 4", len(rest))
 		}
 		return &CatchUpReq{Bench: bench, After: binary.BigEndian.Uint32(rest[:4])}, nil
-	case msgCatchUpResp:
-		bench, rest, err := parseClusterPrefix(body, trail, "catch-up response")
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) != 4 {
-			return nil, protoErrf("catch-up response body %d trailing bytes, want 4", len(rest))
-		}
-		return &CatchUpResp{Bench: bench, Count: binary.BigEndian.Uint32(rest[:4])}, nil
 	}
 	return nil, protoErrf("unknown message type %d", payload[2])
 }
