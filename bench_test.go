@@ -119,8 +119,9 @@ func BenchmarkAblationFixedPoint(b *testing.B) { runExperiment(b, "abl-fixed") }
 
 // --- Microbenchmarks for the performance-critical substrates ------------
 
-// BenchmarkMISRHash measures the table classifier's hash path (sobel's
-// 9-element input).
+// BenchmarkMISRHash measures the reference MISR hash over sobel's
+// 9-element input (the table classifier indexes through its affine
+// lookup table instead; BenchmarkTableClassify times that).
 func BenchmarkMISRHash(b *testing.B) {
 	h := misr.NewHasher(misr.Pool()[0], 12)
 	words := make([]uint16, 9)

@@ -44,16 +44,17 @@ const benchName = "synthetic"
 // the measured malloc count is reproducible on any machine. Compare
 // gates these exactly; RTT stages get slack.
 var hermeticStages = map[string]bool{
-	"wire_encode":     true,
-	"wire_parse":      true,
-	"misr_hash":       true,
-	"table_classify":  true,
-	"registry_lookup": true,
-	"ring_lookup":     true,
-	"decide_steady":   true,
-	"drift_overhead":  true,
-	"watch_observe":   true,
-	"cluster_hop":     true,
+	"wire_encode":        true,
+	"wire_parse":         true,
+	"misr_hash":          true,
+	"table_classify":     true,
+	"table_classify_64d": true,
+	"registry_lookup":    true,
+	"ring_lookup":        true,
+	"decide_steady":      true,
+	"drift_overhead":     true,
+	"watch_observe":      true,
+	"cluster_hop":        true,
 }
 
 // IsHermetic reports whether stage carries an exact allocs/op contract.
@@ -142,17 +143,27 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[i]
 }
 
-// syntheticTable trains the dim-3 table every stage classifies against:
-// inputs with in[0] > 0.9 are bad — the same geometry the serve tests
-// use, cheap to train and fully determined by the seed.
-func syntheticTable(seed uint64) (*classifier.Table, error) {
+// syntheticTable trains a dim-wide table on seeded uniform inputs: those
+// with in[0] > 0.9 are bad. At dim 3 it is the table every serving stage
+// classifies against — the same geometry the serve tests use, cheap to
+// train and fully determined by the seed.
+func syntheticTable(seed uint64, dim int) (*classifier.Table, error) {
 	rng := mathx.NewRNG(seed)
 	samples := make([]classifier.Sample, 2000)
 	for i := range samples {
-		in := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		in := seededInput(rng, dim)
 		samples[i] = classifier.Sample{In: in, Bad: in[0] > 0.9}
 	}
 	return classifier.TrainTable(classifier.DefaultTableConfig(), samples)
+}
+
+// seededInput draws a dim-wide input uniform in [0,1).
+func seededInput(rng *mathx.RNG, dim int) []float64 {
+	in := make([]float64, dim)
+	for i := range in {
+		in[i] = rng.Float64()
+	}
+	return in
 }
 
 // sinks defeat dead-code elimination in the measurement loops.
@@ -176,7 +187,7 @@ func Run(cfg Config) ([]Row, error) {
 		rttWarm, rtt1Ops, rtt32Ops = 30, 400, 80
 	}
 
-	tab, err := syntheticTable(cfg.Seed)
+	tab, err := syntheticTable(cfg.Seed, 3)
 	if err != nil {
 		return nil, err
 	}
@@ -242,12 +253,11 @@ func Run(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 
-	// misr_hash: the signature computation alone.
+	// misr_hash: the reference MISR signature alone, over three words.
 	h := misr.NewHasher(misr.Pool()[0], 12)
-	idx := []int{0, 1, 2}
 	words := []uint16{11, 42, 7}
 	if err := herm("misr_hash", func() error {
-		sinkU32 += h.HashIndexed(words, idx)
+		sinkU32 += h.Hash(words)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -262,6 +272,27 @@ func Run(cfg Config) ([]Row, error) {
 	var insIdx int
 	if err := herm("table_classify", func() error {
 		sinkB = tab.Classify(ins[insIdx%len(ins)])
+		insIdx++
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+
+	// table_classify_64d: the same decision at jpeg's input width — 64
+	// elements, default geometry (8 projected tables, QuantBits 6) —
+	// where the per-element indexing dominates.
+	tab64, err := syntheticTable(cfg.Seed, 64)
+	if err != nil {
+		return nil, err
+	}
+	rng64 := mathx.NewRNG(cfg.Seed + 2)
+	ins64 := make([][]float64, 32)
+	for i := range ins64 {
+		ins64[i] = seededInput(rng64, 64)
+	}
+	insIdx = 0
+	if err := herm("table_classify_64d", func() error {
+		sinkB = tab64.Classify(ins64[insIdx%len(ins64)])
 		insIdx++
 		return nil
 	}); err != nil {

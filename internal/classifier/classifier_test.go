@@ -104,6 +104,10 @@ func TestTrainTableErrors(t *testing.T) {
 	if _, err := TrainTable(DefaultTableConfig(), nil); err == nil {
 		t.Error("no samples should error")
 	}
+	wide := []Sample{{In: make([]float64, MaxInputDim+1)}}
+	if _, err := TrainTable(DefaultTableConfig(), wide); err == nil {
+		t.Errorf("a %d-wide input should error", MaxInputDim+1)
+	}
 }
 
 func TestTableZeroFalseNegativesOnTrainingData(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"math"
 	"testing"
 
 	"mithra/internal/bdi"
@@ -44,7 +45,8 @@ func hugeContentsStream(tb testing.TB) []byte {
 
 // FuzzDecodeTable feeds arbitrary streams to DecodeTable, which decodes
 // tables pushed by cluster peers: it must never panic, and any table it
-// accepts must classify and update a dim-wide input without panicking.
+// accepts must classify dim-wide inputs — before and after an update —
+// exactly as the per-table Hash reference does.
 func FuzzDecodeTable(f *testing.F) {
 	rng := mathx.NewRNG(31)
 	tab, err := TrainTable(TableConfig{NumTables: 4, TableBytes: 64, Combine: CombineMajority, QuantBits: 6, Project: true},
@@ -62,6 +64,11 @@ func FuzzDecodeTable(f *testing.F) {
 	f.Add(encodeGobTable(f, oneTable(TableConfig{NumTables: 1, TableBytes: 16384}, []int{0})))
 	// A projection index past the one-wide input.
 	f.Add(encodeGobTable(f, oneTable(TableConfig{NumTables: 1, TableBytes: 64}, []int{5})))
+	// A repeated projection element and an empty projection: the lookup
+	// rows must XOR both positions' images, and an empty table hashes to
+	// its seed.
+	f.Add(encodeGobTable(f, oneTable(TableConfig{NumTables: 1, TableBytes: 64}, []int{0, 0})))
+	f.Add(encodeGobTable(f, oneTable(TableConfig{NumTables: 1, TableBytes: 64}, []int{})))
 	f.Add(hugeContentsStream(f))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -69,8 +76,14 @@ func FuzzDecodeTable(f *testing.F) {
 		if err != nil {
 			return
 		}
-		in := make([]float64, got.InputDim())
-		got.Classify(in)
-		got.Update(in, true)
+		dim := got.InputDim()
+		ins := [][]float64{make([]float64, dim), make([]float64, dim), make([]float64, dim)}
+		for d := 0; d < dim; d++ {
+			ins[1][d] = float64(d%7) / 6
+			ins[2][d] = math.NaN()
+		}
+		checkMatchesRef(t, "decoded", got, ins)
+		got.Update(ins[1], true)
+		checkMatchesRef(t, "decoded after update", got, ins)
 	})
 }

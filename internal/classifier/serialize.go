@@ -66,8 +66,16 @@ func DecodeTable(data []byte) (*Table, error) {
 		return nil, fmt.Errorf("classifier: table stream has %d MISR configs and %d projections for %d tables",
 			len(g.MISRConfig), len(g.Proj), g.Cfg.NumTables)
 	}
-	// Check the declared size before Decompress allocates it, so a short
-	// stream from a peer cannot claim gigabytes.
+	// Check every size before anything is allocated from it, so a short
+	// stream from a peer can claim neither gigabytes of table contents nor
+	// a lookup table wider than MaxInputDim inputs.
+	dim := len(g.QuantMin)
+	if dim == 0 || len(g.QuantMax) != dim {
+		return nil, fmt.Errorf("classifier: malformed quantizer in table stream")
+	}
+	if dim > MaxInputDim {
+		return nil, fmt.Errorf("classifier: table stream quantizer has %d inputs, more than %d", dim, MaxInputDim)
+	}
 	n, err := bdi.DecodedLen(g.Compressed)
 	if err != nil {
 		return nil, fmt.Errorf("classifier: table contents: %w", err)
@@ -78,10 +86,6 @@ func DecodeTable(data []byte) (*Table, error) {
 	raw, err := bdi.Decompress(g.Compressed)
 	if err != nil {
 		return nil, fmt.Errorf("classifier: decompress table contents: %w", err)
-	}
-	dim := len(g.QuantMin)
-	if dim == 0 || len(g.QuantMax) != dim {
-		return nil, fmt.Errorf("classifier: malformed quantizer in table stream")
 	}
 	if g.QuantBits < 1 || g.QuantBits > 16 {
 		return nil, fmt.Errorf("classifier: quantizer bits %d out of range", g.QuantBits)
@@ -109,8 +113,6 @@ func DecodeTable(data []byte) (*Table, error) {
 		hashers: make([]*misr.Hasher, g.Cfg.NumTables),
 		proj:    g.Proj,
 		bitsets: make([][]uint64, g.Cfg.NumTables),
-		scratch: make([]uint16, dim),
-		gather:  make([]uint16, dim),
 	}
 	width := g.Cfg.indexWidth()
 	wordsPerTable := (g.Cfg.TableBytes*8 + 63) / 64
@@ -127,6 +129,7 @@ func DecodeTable(data []byte) (*Table, error) {
 		}
 		t.bitsets[i] = bs
 	}
+	t.lut = newLUT(t.quant, t.hashers, t.proj)
 	return t, nil
 }
 

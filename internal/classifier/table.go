@@ -123,8 +123,8 @@ type Table struct {
 	proj [][]int
 	// bitsets[t] holds TableBytes*8 single-bit entries for table t.
 	bitsets [][]uint64
-	scratch []uint16
-	gather  []uint16
+	// lut computes every table's index at once; shared by clones.
+	lut *lut
 }
 
 // projection returns the element subset pool configuration c hashes, for
@@ -165,6 +165,9 @@ func TrainTable(cfg TableConfig, samples []Sample) (*Table, error) {
 	if cfg.QuantBits == 0 {
 		cfg.QuantBits = 6
 	}
+	if dim := len(samples[0].In); dim > MaxInputDim {
+		return nil, fmt.Errorf("classifier: input dim %d exceeds %d", dim, MaxInputDim)
+	}
 	inputs := make([][]float64, len(samples))
 	for i, s := range samples {
 		inputs[i] = s.In
@@ -174,7 +177,7 @@ func TrainTable(cfg TableConfig, samples []Sample) (*Table, error) {
 	dim := quant.Dim()
 
 	// Pre-hash every sample under every pool configuration (each with its
-	// own element projection).
+	// own element projection), through one pool-wide lookup table.
 	pool := misr.Pool()
 	hashers := make([]*misr.Hasher, len(pool))
 	projs := make([][]int, len(pool))
@@ -182,16 +185,15 @@ func TrainTable(cfg TableConfig, samples []Sample) (*Table, error) {
 		hashers[i] = misr.NewHasher(pc, width)
 		projs[i] = projection(cfg, i, dim)
 	}
-	words := make([]uint16, dim)
-	gather := make([]uint16, dim)
+	poolLUT := newLUT(quant, hashers, projs)
 	sampleIdx := make([][]uint32, len(pool))
 	for c := range pool {
 		sampleIdx[c] = make([]uint32, len(samples))
 	}
 	for si, s := range samples {
-		q := quant.Quantize(s.In, words)
+		sig := poolLUT.sign(s.In)
 		for c := range pool {
-			sampleIdx[c][si] = hashers[c].Hash(gatherWords(q, projs[c], gather))
+			sampleIdx[c][si] = sig.index(c)
 		}
 	}
 
@@ -237,25 +239,14 @@ func TrainTable(cfg TableConfig, samples []Sample) (*Table, error) {
 		hashers: make([]*misr.Hasher, cfg.NumTables),
 		proj:    make([][]int, cfg.NumTables),
 		bitsets: make([][]uint64, cfg.NumTables),
-		scratch: make([]uint16, dim),
-		gather:  make([]uint16, dim),
 	}
 	for i, c := range chosen {
 		t.hashers[i] = hashers[c]
 		t.proj[i] = projs[c]
 		t.bitsets[i] = cfgBits[c]
 	}
+	t.lut = newLUT(quant, t.hashers, t.proj)
 	return t, nil
-}
-
-// gatherWords copies the projected elements of q into buf and returns the
-// projected slice.
-func gatherWords(q []uint16, proj []int, buf []uint16) []uint16 {
-	buf = buf[:len(proj)]
-	for i, p := range proj {
-		buf[i] = q[p]
-	}
-	return buf
 }
 
 // countFalseDecisions evaluates an ensemble candidate on the training set.
@@ -301,21 +292,21 @@ func getBit(bs []uint64, idx uint32) bool {
 // Name implements Classifier.
 func (*Table) Name() string { return "table" }
 
-// Classify implements Classifier: hash the input through every table's
-// MISR in parallel and combine the single-bit reads. The projected
-// elements are hashed in place (HashIndexed), so a decision allocates
-// nothing.
+// Classify implements Classifier: index the input under every table at
+// once through the lookup table — the software form of the paper's MISRs
+// hashing in parallel — and combine the single-bit reads. A decision
+// allocates nothing.
 //
 //mithra:hotpath
 func (t *Table) Classify(in []float64) bool {
-	q := t.quant.Quantize(in, t.scratch)
+	sig := t.lut.sign(in)
 	flags := 0
-	for i, h := range t.hashers {
-		if getBit(t.bitsets[i], h.HashIndexed(q, t.proj[i])) {
+	for i, bs := range t.bitsets {
+		if getBit(bs, sig.index(i)) {
 			flags++
 		}
 	}
-	return combineFlags(t.cfg.Combine, flags, len(t.hashers))
+	return combineFlags(t.cfg.Combine, flags, len(t.bitsets))
 }
 
 // ClassifyBatch sets dst[i] = Classify(ins[i]) for every input and
@@ -337,9 +328,9 @@ func (t *Table) Update(in []float64, bad bool) {
 	if !bad {
 		return
 	}
-	q := t.quant.Quantize(in, t.scratch)
-	for i, h := range t.hashers {
-		setBit(t.bitsets[i], h.Hash(gatherWords(q, t.proj[i], t.gather)))
+	sig := t.lut.sign(in)
+	for i, bs := range t.bitsets {
+		setBit(bs, sig.index(i))
 	}
 }
 
@@ -402,9 +393,10 @@ func (t *Table) Config() TableConfig { return t.cfg }
 // Classify and Update expect inputs of exactly this length.
 func (t *Table) InputDim() int { return t.quant.Dim() }
 
-// Clone returns a deep copy whose online updates do not affect the
-// original (used to evaluate online training without mutating the
-// deployed classifier).
+// Clone returns a copy whose online updates do not affect the original
+// (used to evaluate online training without mutating the deployed
+// classifier). Only the bitsets are copied; the read-only quantizer,
+// hashers, projections and lookup table are shared.
 func (t *Table) Clone() *Table {
 	c := &Table{
 		cfg:     t.cfg,
@@ -412,8 +404,7 @@ func (t *Table) Clone() *Table {
 		hashers: t.hashers,
 		proj:    t.proj,
 		bitsets: make([][]uint64, len(t.bitsets)),
-		scratch: make([]uint16, len(t.scratch)),
-		gather:  make([]uint16, len(t.gather)),
+		lut:     t.lut,
 	}
 	for i, bs := range t.bitsets {
 		c.bitsets[i] = append([]uint64(nil), bs...)
@@ -421,9 +412,10 @@ func (t *Table) Clone() *Table {
 	return c
 }
 
-// ConcurrentView implements ConcurrentViewer: a deep clone decides
-// identically to the original while owning every mutable buffer, so one
-// worker can classify with it while others use their own views.
+// ConcurrentView implements ConcurrentViewer: a clone decides
+// identically to the original while owning the only mutable state, the
+// bitsets, so one worker can classify with it while others use their own
+// views.
 func (t *Table) ConcurrentView() Classifier { return t.Clone() }
 
 var (

@@ -46,7 +46,7 @@ const (
 
 // HotpathFunc is one function annotated //mithra:hotpath.
 type HotpathFunc struct {
-	Name      string // rendered name, e.g. "(*Hasher).HashIndexed"
+	Name      string // rendered name, e.g. "(*Hasher).Hash"
 	File      string
 	StartLine int
 	EndLine   int
@@ -225,7 +225,7 @@ func trailingComment(fset *token.FileSet, f *ast.File, c *ast.Comment) bool {
 }
 
 // funcDisplayName renders a FuncDecl's name with its receiver type, e.g.
-// "(*Hasher).HashIndexed".
+// "(*Hasher).Hash".
 func funcDisplayName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return fd.Name.Name

@@ -6,9 +6,8 @@ import (
 	"mithra/internal/mathx"
 )
 
-// The MISR micro-benchmarks pin the signature-hashing stage of the serve
-// decide path (DESIGN.md §12): single-vector hashing and projected
-// hashing. All of them must report 0 allocs/op — the hash is the innermost loop of every served decision.
+// The MISR micro-benchmarks time the reference hash (the misr_hash row,
+// DESIGN.md §12) and quantization. All of them must report 0 allocs/op.
 
 func benchWords(n int) []uint16 {
 	rng := mathx.NewRNG(3)
@@ -39,17 +38,6 @@ func BenchmarkHashReference(b *testing.B) {
 	}
 }
 
-func BenchmarkHashIndexed(b *testing.B) {
-	h := NewHasher(Pool()[0], 12)
-	words := benchWords(16)
-	idx := []int{0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkU32 = h.HashIndexed(words, idx)
-	}
-}
-
 func BenchmarkQuantize(b *testing.B) {
 	rng := mathx.NewRNG(5)
 	in := make([]float64, 16)
@@ -62,7 +50,7 @@ func BenchmarkQuantize(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Quantize(in, dst)
+		q.QuantizeAt(0, in, dst)
 	}
 }
 

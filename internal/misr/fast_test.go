@@ -71,26 +71,41 @@ func TestStepTablesMatchReference(t *testing.T) {
 	}
 }
 
-// TestHashIndexedMatchesGather: hashing through a projection index must
-// equal hashing a materialized gather of the same elements.
-func TestHashIndexedMatchesGather(t *testing.T) {
+// evalAffine evaluates Affine's form on words: the constant XOR the
+// image of every set bit.
+func evalAffine(c uint16, img [][16]uint16, words []uint16) uint32 {
+	for i, w := range words {
+		for b := 0; b < 16; b++ {
+			if w&(1<<b) != 0 {
+				c ^= img[i][b]
+			}
+		}
+	}
+	return uint32(c)
+}
+
+// TestAffineMatchesHash: the affine form must reproduce Hash for every
+// pool configuration, every width, input lengths 1–64 and in-range words
+// at every quantizer width. The classifier's lookup table is built from
+// this form, so this is what its decisions rest on.
+func TestAffineMatchesHash(t *testing.T) {
 	rng := mathx.NewRNG(43)
-	h := NewHasher(Pool()[3], 12)
-	words := make([]uint16, 16)
-	for trial := 0; trial < 200; trial++ {
-		for i := range words {
-			words[i] = uint16(rng.Uint64())
-		}
-		idx := make([]int, 1+rng.Intn(len(words)))
-		for i := range idx {
-			idx[i] = rng.Intn(len(words))
-		}
-		gathered := make([]uint16, len(idx))
-		for i, p := range idx {
-			gathered[i] = words[p]
-		}
-		if got, want := h.HashIndexed(words, idx), h.Hash(gathered); got != want {
-			t.Fatalf("trial %d: HashIndexed=%#x, gathered Hash=%#x (idx %v)", trial, got, want, idx)
+	for width := 4; width <= 16; width++ {
+		for ci, cfg := range Pool() {
+			h := NewHasher(cfg, width)
+			for n := 1; n <= 64; n++ {
+				c, img := h.Affine(n)
+				for qbits := 1; qbits <= 16; qbits++ {
+					words := make([]uint16, n)
+					for i := range words {
+						words[i] = uint16(rng.Uint64() & (1<<qbits - 1))
+					}
+					if got, want := evalAffine(c, img, words), h.Hash(words); got != want {
+						t.Fatalf("config %d width %d len %d bits %d: affine %#x, Hash %#x (words %v)",
+							ci, width, n, qbits, got, want, words)
+					}
+				}
+			}
 		}
 	}
 }

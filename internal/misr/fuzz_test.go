@@ -87,10 +87,9 @@ func FuzzQuantizeHash(f *testing.F) {
 			t.Fatalf("quantizer dim %d, want %d", q.Dim(), dim)
 		}
 		limit := uint16(uint32(1)<<uint(bits) - 1)
-		buf := make([]uint16, dim)
 		h := NewHasher(Pool()[0], 10)
 		for _, in := range inputs {
-			words := q.Quantize(in, buf)
+			words := quantize(q, in)
 			for j, w := range words {
 				if w > limit {
 					t.Fatalf("word %d = %d exceeds %d-bit limit %d", j, w, bits, limit)
@@ -100,7 +99,7 @@ func FuzzQuantizeHash(f *testing.F) {
 			if idx := h.Hash(words); idx >= 1<<10 {
 				t.Fatalf("index %d out of range", idx)
 			}
-			for j, w := range q.Quantize(in, buf) {
+			for j, w := range quantize(q, in) {
 				if w != first[j] {
 					t.Fatal("quantization not deterministic")
 				}
@@ -114,12 +113,12 @@ func FuzzQuantizeHash(f *testing.F) {
 			over[j] = q.Max[j] + 1e6
 			under[j] = q.Min[j] - 1e6
 		}
-		for j, w := range q.Quantize(over, buf) {
+		for j, w := range quantize(q, over) {
 			if w != limit {
 				t.Fatalf("over-range feature %d quantized to %d, want %d", j, w, limit)
 			}
 		}
-		for j, w := range q.Quantize(under, buf) {
+		for j, w := range quantize(q, under) {
 			if w != 0 {
 				t.Fatalf("under-range feature %d quantized to %d, want 0", j, w)
 			}

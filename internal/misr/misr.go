@@ -76,9 +76,10 @@ type Hasher struct {
 	// stepLo/stepHi byte-slice the register's Steps-step transition.
 	// A Galois LFSR step is linear over GF(2) — step(a^b) == step(a)^step(b)
 	// — so the k-step image of any state is the XOR of the images of its
-	// two bytes. Two 256-entry lookups replace the per-word step loop on
-	// the serving hot path; the tables are filled from the same loop, so
-	// the fast path is bit-identical to the reference by construction.
+	// two bytes. Two 256-entry lookups replace the per-word step loop in
+	// Hash and give Affine its step-matrix powers; the tables are filled
+	// from the same loop, so both are bit-identical to the reference by
+	// construction.
 	stepLo [256]uint16
 	stepHi [256]uint16
 }
@@ -158,18 +159,43 @@ func (h *Hasher) fold(state, w uint16, i int) uint16 {
 	return state & h.mask
 }
 
-// HashIndexed hashes the projected word sequence words[idx[0]],
-// words[idx[1]], ... without materializing the gathered slice — the
-// position-dependent rotation is keyed by the position within idx, so the
-// result is bit-identical to Hash over a pre-gathered copy.
+// Affine returns Hash's affine form over n-word inputs. Every stage of
+// fold — byte swap, rotation, foldWord, the LFSR step and the mask — is
+// linear over GF(2), so
 //
-//mithra:hotpath
-func (h *Hasher) HashIndexed(words []uint16, idx []int) uint32 {
-	state := h.seed
-	for i, p := range idx {
-		state = h.fold(state, words[p], i)
+//	Hash(w) == c ^ XOR{ img[i][b] : bit b of w[i] is set }
+//
+// for every w of length n. img[i][b] is the image of bit b of the word
+// at position i: the swap, rotation and width fold send that bit to one
+// register bit, which the remaining n-1-i steps carry to a fixed vector.
+// The step-matrix powers come from stepLo/stepHi, one step per power, so
+// the form is exact by the same linearity the step tables rest on.
+func (h *Hasher) Affine(n int) (c uint16, img [][16]uint16) {
+	img = make([][16]uint16, n)
+	// pow[r] is S^k applied to word bit r after the width fold (bit
+	// r%width of the register), for k = n-1-i.
+	var pow [16]uint16
+	for r := uint(0); r < 16; r++ {
+		pow[r] = 1 << (r % h.width)
 	}
-	return uint32(state)
+	swap := 0
+	if h.cfg.ByteSwap {
+		swap = 8
+	}
+	for i := n - 1; i >= 0; i-- {
+		rot := swap + h.cfg.InRot + 7*i
+		for b := 0; b < 16; b++ {
+			img[i][b] = pow[(b+rot)&15]
+		}
+		for r := range pow {
+			pow[r] = h.stepLo[pow[r]&0xff] ^ h.stepHi[pow[r]>>8]
+		}
+	}
+	c = h.seed
+	for i := 0; i < n; i++ {
+		c = h.stepLo[c&0xff] ^ h.stepHi[c>>8]
+	}
+	return c, img
 }
 
 // foldWord XOR-compresses a 16-bit word into the low `width` bits.
@@ -244,16 +270,23 @@ func FitQuantizerBits(inputs [][]float64, bits int) *Quantizer {
 	return q
 }
 
-// Quantize writes the fixed-point form of in into dst (length >= Dim) and
-// returns dst[:Dim]. Out-of-range values saturate.
-func (q *Quantizer) Quantize(in []float64, dst []uint16) []uint16 {
-	dst = dst[:len(q.Min)]
+// QuantizeAt writes the fixed-point words of features lo..lo+len(dst)-1,
+// read from in[lo:], into dst; each word is in [0, 2^Bits). Out-of-range
+// values (±Inf included) saturate, and NaN maps to word 0: Go leaves the
+// conversion of NaN to an integer implementation-defined, and a word
+// outside the range would index past the classifier's lookup rows.
+func (q *Quantizer) QuantizeAt(lo int, in []float64, dst []uint16) {
+	hi := lo + len(dst)
+	mins, maxs, xs := q.Min[lo:hi], q.Max[lo:hi], in[lo:hi]
 	levels := float64(uint32(1)<<uint(q.Bits)) - 1
 	for i := range dst {
-		x := (in[i] - q.Min[i]) / (q.Max[i] - q.Min[i])
-		dst[i] = uint16(mathx.Clamp(x, 0, 1) * levels)
+		r := (xs[i] - mins[i]) / (maxs[i] - mins[i])
+		if r != r {
+			dst[i] = 0
+			continue
+		}
+		dst[i] = uint16(mathx.Clamp(r, 0, 1) * levels)
 	}
-	return dst
 }
 
 // Dim returns the quantizer's feature dimension.

@@ -205,17 +205,23 @@ func TestFoldWord(t *testing.T) {
 	}
 }
 
+// quantize returns the quantized words of a whole input vector.
+func quantize(q *Quantizer, in []float64) []uint16 {
+	dst := make([]uint16, q.Dim())
+	q.QuantizeAt(0, in, dst)
+	return dst
+}
+
 func TestQuantizer(t *testing.T) {
 	q := FitQuantizer([][]float64{{0, -1, 100}, {10, 1, 200}})
-	dst := make([]uint16, 3)
-	got := q.Quantize([]float64{5, 0, 150}, dst)
+	got := quantize(q, []float64{5, 0, 150})
 	for i, v := range got {
 		if v < 30000 || v > 36000 {
 			t.Errorf("midpoint dim %d quantized to %d, want ~32767", i, v)
 		}
 	}
 	// Saturation.
-	got = q.Quantize([]float64{-100, 100, 1e9}, dst)
+	got = quantize(q, []float64{-100, 100, 1e9})
 	if got[0] != 0 || got[1] != 65535 || got[2] != 65535 {
 		t.Errorf("saturation failed: %v", got)
 	}
@@ -226,8 +232,7 @@ func TestQuantizer(t *testing.T) {
 
 func TestQuantizerConstantFeature(t *testing.T) {
 	q := FitQuantizer([][]float64{{5, 1}, {5, 2}})
-	dst := make([]uint16, 2)
-	got := q.Quantize([]float64{5, 1.5}, dst)
+	got := quantize(q, []float64{5, 1.5})
 	if got[0] != 0 {
 		t.Errorf("constant feature quantized to %d", got[0])
 	}
@@ -247,10 +252,8 @@ func TestQuantizerPreservesLocality(t *testing.T) {
 	// depends on aliasing being about hash structure, not quantization
 	// noise).
 	q := FitQuantizer([][]float64{{0}, {1}})
-	dst1 := make([]uint16, 1)
-	dst2 := make([]uint16, 1)
-	a := q.Quantize([]float64{0.5}, dst1)[0]
-	b := q.Quantize([]float64{0.500001}, dst2)[0]
+	a := quantize(q, []float64{0.5})[0]
+	b := quantize(q, []float64{0.500001})[0]
 	if a != b && b != a+1 {
 		t.Errorf("adjacent values quantized far apart: %d vs %d", a, b)
 	}

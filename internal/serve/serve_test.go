@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -149,6 +150,40 @@ func TestServerDecidesLikeClassifier(t *testing.T) {
 		}
 		if r.Version != 1 {
 			t.Fatalf("decision %d from version %d", i, r.Version)
+		}
+	}
+}
+
+// TestServerDecidesNonFiniteInputsLikeClassifier: NaN, ±Inf and
+// ±MaxFloat64 in every input position travel the wire as raw IEEE-754
+// bits and are served exactly as the offline classifier decides them.
+func TestServerDecidesNonFiniteInputsLikeClassifier(t *testing.T) {
+	snap := syntheticSnapshot(t, "synth", nil)
+	_, addr := startServer(t, Config{Workers: 2}, snap)
+	cl, err := Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, 0.95, 0.5}
+	var inputs [][]float64
+	for _, a := range vals {
+		for _, b := range vals {
+			for _, c := range vals {
+				inputs = append(inputs, []float64{a, b, c})
+			}
+		}
+	}
+	resps, err := cl.DecideBatch("synth", 0, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range resps {
+		if r.Fallback {
+			t.Fatalf("input %v: served the panic fallback", inputs[i])
+		}
+		if want := snap.Table.Classify(inputs[i]); r.Precise != want {
+			t.Fatalf("input %v: served %v, classifier %v", inputs[i], r.Precise, want)
 		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"mithra/internal/classifier"
 )
 
 // The wire protocol is a length-prefixed binary framing designed for the
@@ -35,8 +37,9 @@ const (
 	// MaxFrame bounds a frame's payload; anything larger is rejected
 	// before allocation (a four-byte prefix could otherwise demand 4 GiB).
 	MaxFrame = 1 << 20
-	// MaxInputDim bounds the decision input vector width.
-	MaxInputDim = 4096
+	// MaxInputDim bounds the decision input vector width: no table
+	// classifier is wider.
+	MaxInputDim = classifier.MaxInputDim
 	// maxBenchName bounds the benchmark-name field.
 	maxBenchName = 255
 )
