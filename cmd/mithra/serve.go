@@ -78,9 +78,9 @@ func loadProgramInputs(cfgPath, scale string, seed uint64) (*core.Program, [][]f
 // cmdDecide computes the offline decision vector for one dataset — the
 // reference a served run is compared against. With -addr/-unix it asks a
 // mithrad server instead, stamping every request batch with a wire-v2
-// trace ID and (under -trace) journaling a client-to-worker span tree:
+// trace ID and (under -trace) journaling a client-to-server span tree:
 // one span per pipelined batch, annotated with the trace ID the server
-// echoed back, so `mithra journal show` reconstructs which worker-side
+// echoed back, so `mithra journal show` reconstructs which server-side
 // decisions belong to which client batch.
 func cmdDecide(args []string, stdout, stderr io.Writer) int {
 	var (
@@ -225,7 +225,7 @@ func cmdLoadgen(args []string, stdout, stderr io.Writer) int {
 		qps = fs.Float64("qps", 0, "target decisions/sec (0 = as fast as possible)")
 		decisions = fs.String("decisions", "", "write the served decision journal to this file (first pass only when -repeat > 1)")
 		benchJSON = fs.String("bench-json", "", "append a run row to this BENCH_serve.json file")
-		label = fs.String("label", "", "label recorded in the bench row (e.g. workers4)")
+		label = fs.String("label", "", "label recorded in the bench row (e.g. conns4)")
 		chaos = fs.Bool("chaos", false, "resilient mode: retry across connection faults and server restarts, and re-ask fallback decisions until the classifier answers (chaos testing)")
 		drift = fs.String("drift", "", "seeded drift schedule applied to the input stream by global request index, e.g. 'kind=sudden,at=4096,shift=0.3' (see mithra loadgen -drift docs; drifted decisions are not offline-comparable)")
 		of.registerLog(fs)
@@ -266,8 +266,8 @@ func cmdLoadgen(args []string, stdout, stderr io.Writer) int {
 		}
 		// Drift mode: the request stream is the dataset transformed by a
 		// seeded, replayable schedule — a pure function of (spec, global
-		// request index), so two runs (or two worker counts server-side)
-		// see byte-identical drifted inputs.
+		// request index), so two runs (or two client shapes) see
+		// byte-identical drifted inputs.
 		var dr *dataset.Drift
 		if *drift != "" {
 			dr, err = dataset.ParseDrift(*drift)

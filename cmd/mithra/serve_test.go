@@ -119,7 +119,7 @@ func TestServedMatchesOfflineCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := serve.NewServer(serve.NewRegistry(snap), serve.Config{
-		Workers: 4, SampleRate: 0.25, SampleSeed: 17, Freeze: true,
+		SampleRate: 0.25, SampleSeed: 17, Freeze: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestServedMatchesOfflineCLI(t *testing.T) {
 
 	code, stdout, stderr = mithraCLI("loadgen", "-addr", ln.Addr().String(),
 		"-config", prog, "-scale", "test", "-seed", "7", "-conns", "3", "-pipeline", "16",
-		"-decisions", served, "-bench-json", benchJSON, "-label", "workers4", "-quiet")
+		"-decisions", served, "-bench-json", benchJSON, "-label", "served", "-quiet")
 	if code != 0 {
 		t.Fatalf("loadgen exit %d: %s", code, stderr)
 	}
@@ -176,7 +176,7 @@ func TestServedMatchesOfflineCLI(t *testing.T) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("BENCH_serve.json: %v", err)
 	}
-	if len(doc.Runs) != 1 || doc.Runs[0].Label != "workers4" || doc.Runs[0].Bench != "fft" ||
+	if len(doc.Runs) != 1 || doc.Runs[0].Label != "served" || doc.Runs[0].Bench != "fft" ||
 		doc.Runs[0].Decisions == 0 || doc.Runs[0].DecisionsPerSec <= 0 {
 		t.Fatalf("bench rows = %+v", doc.Runs)
 	}
@@ -198,7 +198,7 @@ func TestServedMatchesOfflineCLI(t *testing.T) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Runs) != 2 || doc.Runs[0].Label != "repeat2" || doc.Runs[1].Label != "workers4" {
+	if len(doc.Runs) != 2 || doc.Runs[0].Label != "repeat2" || doc.Runs[1].Label != "served" {
 		t.Fatalf("bench rows after merge = %+v", doc.Runs)
 	}
 

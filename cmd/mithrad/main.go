@@ -17,9 +17,11 @@
 // the monitor's measurements but withholds its fold-ins, which makes
 // served decisions byte-identical to an offline replay (DESIGN.md §10).
 //
-// Shutdown (SIGINT/SIGTERM) drains gracefully: listeners close, queued
-// requests are answered, then connections close — bounded by
-// -drain-timeout, shared with the debug endpoint's HTTP drain.
+// Each connection's reader decides the requests it parses and answers a
+// pipelined batch with one write, so parallelism comes from client
+// connections. Shutdown (SIGINT/SIGTERM) drains gracefully: listeners
+// close, readers answer what they owe, then connections close — bounded
+// by -drain-timeout, shared with the debug endpoint's HTTP drain.
 package main
 
 import (
@@ -60,9 +62,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		listen       = fs.String("listen", "", "TCP listen address (e.g. 127.0.0.1:7433)")
 		unixPath     = fs.String("unix", "", "Unix socket path")
 		debugAddr    = fs.String("debug-addr", "", "debug/JSON endpoint address (metrics, pprof, POST /decide)")
-		workers      = fs.Int("workers", 0, "decision workers per benchmark shard (0 = all cores)")
-		queueDepth   = fs.Int("queue-depth", 256, "bounded request queue depth per shard")
-		maxBatch     = fs.Int("max-batch", 32, "max requests one worker drains per wakeup")
 		sampleRate   = fs.Float64("sample-rate", 0, "sporadic error-sampling rate (0 disables online updates)")
 		sampleSeed   = fs.Uint64("sample-seed", 42, "deterministic sampler seed")
 		freeze       = fs.Bool("freeze", false, "measure but never swap snapshots (replay mode)")
@@ -72,13 +71,15 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		logJSON      = fs.Bool("log-json", false, "emit progress and errors as JSON lines")
 		walDir       = fs.String("wal-dir", "", "crash-safe state directory: installed snapshots persist here and are recovered on restart")
 		faultPlan    = fs.String("fault-plan", "", "deterministic fault-injection plan, e.g. 'seed=42,conn.reset=0.01,worker.panic=0.05@64' (chaos testing)")
-		rejectFull   = fs.Bool("reject-when-full", false, "shed load in-band (CodeQueueFull) instead of exerting backpressure when a shard queue saturates")
 		watchLag     = fs.Int("watch-lag", 0, "reorder-buffer depth for ID-ordered monitor ingestion (0 = default 512)")
 		recheckWin   = fs.Int("recheck-window", 64, "guarantee monitor window: with -sample-rate > 0, re-check the guarantee over sliding windows of N sampled observations and escalate at-risk/violated into a sampling boost + table fold-in")
 		maxFoldIns   = fs.Int("max-foldins-to-recover", 0, "fold-ins allowed per recovery episode before the monitor journals recovery_exceeded and stops repairing (0 = default 8)")
 		clusterSpec  = fs.String("cluster-spec", "", "cluster spec file shared by every node (enables multi-node mode; requires -node and -wal-dir)")
 		nodeName     = fs.String("node", "", "this node's name in the -cluster-spec file")
 	)
+	// -workers is accepted and ignored: each connection's reader decides
+	// its own requests, and existing scripts still pass the flag.
+	fs.Int("workers", 0, "ignored (kept for old scripts): each connection's reader decides its requests; parallelism comes from client connections")
 	err := fs.Parse(args)
 	if errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(stderr, "usage: mithrad -snapshot <file>[,<file>...] [-listen addr] [-unix path] [flags]\nflags:")
@@ -248,15 +249,11 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	}
 
 	cfg := serve.Config{
-		Workers:        *workers,
-		QueueDepth:     *queueDepth,
-		MaxBatch:       *maxBatch,
-		SampleRate:     *sampleRate,
-		SampleSeed:     *sampleSeed,
-		Freeze:         *freeze,
-		Obs:            o,
-		Faults:         faults,
-		RejectWhenFull: *rejectFull,
+		SampleRate: *sampleRate,
+		SampleSeed: *sampleSeed,
+		Freeze:     *freeze,
+		Obs:        o,
+		Faults:     faults,
 		Watch: watch.Config{
 			Window: *recheckWin,
 			Lag:    *watchLag,

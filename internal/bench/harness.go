@@ -36,8 +36,12 @@ type Config struct {
 	LintRoot string
 }
 
-// benchName is the synthetic benchmark every harness stage serves.
-const benchName = "synthetic"
+// benchName is the synthetic benchmark every harness stage serves;
+// benchName64 serves the 64-element table of the rtt_p32_64d stage.
+const (
+	benchName   = "synthetic"
+	benchName64 = "synthetic64"
+)
 
 // hermeticStages are the stages whose allocs/op is an exact contract: no
 // socket, no goroutine handoff, single-threaded under GOMAXPROCS(1), so
@@ -191,13 +195,23 @@ func Run(cfg Config) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The jpeg-width table: 64 elements, default geometry (8 projected
+	// tables, QuantBits 6).
+	tab64, err := syntheticTable(cfg.Seed, 64)
+	if err != nil {
+		return nil, err
+	}
 	g := stats.Guarantee{QualityLoss: 0.05, SuccessRate: 0.6, Confidence: 0.9}
 	snap, err := serve.NewSnapshot(benchName, tab, nil, 0.1, g, nil)
 	if err != nil {
 		return nil, err
 	}
-	reg := serve.NewRegistry(snap)
-	srv, err := serve.NewServer(reg, serve.Config{Workers: 1, MaxBatch: 32, Freeze: true})
+	snap64, err := serve.NewSnapshot(benchName64, tab64, nil, 0.1, g, nil)
+	if err != nil {
+		return nil, err
+	}
+	reg := serve.NewRegistry(snap, snap64)
+	srv, err := serve.NewServer(reg, serve.Config{Freeze: true})
 	if err != nil {
 		return nil, err
 	}
@@ -278,13 +292,8 @@ func Run(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 
-	// table_classify_64d: the same decision at jpeg's input width — 64
-	// elements, default geometry (8 projected tables, QuantBits 6) —
-	// where the per-element indexing dominates.
-	tab64, err := syntheticTable(cfg.Seed, 64)
-	if err != nil {
-		return nil, err
-	}
+	// table_classify_64d: the same decision at jpeg's input width, where
+	// the per-element indexing dominates.
 	rng64 := mathx.NewRNG(cfg.Seed + 2)
 	ins64 := make([][]float64, 32)
 	for i := range ins64 {
@@ -299,7 +308,7 @@ func Run(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 
-	// registry_lookup: the per-batch snapshot resolve on the worker path.
+	// registry_lookup: the per-request snapshot resolve on the reader path.
 	if err := herm("registry_lookup", func() error {
 		if reg.Get(benchName) == nil {
 			return fmt.Errorf("bench: registry lost %s", benchName)
@@ -345,9 +354,9 @@ func Run(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 
-	// decide_steady: the hermetic end-to-end decide — pooled request,
-	// frame parse, shard intern, classify, response encode — via the
-	// server's SteadyDriver window. This is the zero-alloc contract row.
+	// decide_steady: the hermetic end-to-end decide — frame parse, shard
+	// intern, classify, response encode — via the server's SteadyDriver
+	// window. This is the zero-alloc contract row.
 	drv, err := srv.SteadyDriver(benchName, in)
 	if err != nil {
 		return nil, err
@@ -377,7 +386,6 @@ func Run(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 	dsrv, err := serve.NewServer(serve.NewRegistry(dsnap), serve.Config{
-		Workers: 1, MaxBatch: 32,
 		SampleRate: 0.05, SampleSeed: 42,
 		Watch: watch.Config{
 			Window: 16, RecoverAfter: 8, Lag: 64,
@@ -428,23 +436,21 @@ func Run(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 
-	// RTT stages: real loopback round trips through the full server
-	// (reader goroutine, shard queue, worker, writev response path).
+	// RTT stages: real loopback round trips through the full server (the
+	// connection reader reads, decides and answers each window with one
+	// write), one connection, pipeline requests per window.
 	cl, err := serve.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Close()
-	rtt := func(stage string, pipeline, ops int) error {
-		inputs := make([][]float64, pipeline)
-		for i := range inputs {
-			inputs[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		}
+	rtt := func(stage, bench string, inputs [][]float64, ops int) error {
+		pipeline := len(inputs)
 		out := make([]serve.DecideResponse, pipeline)
 		lat := make([]float64, ops)
 		id := uint32(1)
 		m, err := measureRTT(rttWarm, ops, lat, func() error {
-			_, e := cl.DecideBatchInto(benchName, id, inputs, out)
+			_, e := cl.DecideBatchInto(bench, id, inputs, out)
 			id += uint32(pipeline)
 			return e
 		})
@@ -453,7 +459,7 @@ func Run(cfg Config) ([]Row, error) {
 		}
 		sort.Float64s(lat)
 		rows = append(rows, Row{
-			Label: cfg.Label, Stage: stage, Bench: benchName,
+			Label: cfg.Label, Stage: stage, Bench: bench,
 			Conns: 1, Pipeline: pipeline,
 			Decisions: m.ops * pipeline, Seconds: m.seconds,
 			DecisionsPerSec: float64(m.ops*pipeline) / m.seconds,
@@ -464,10 +470,22 @@ func Run(cfg Config) ([]Row, error) {
 		})
 		return nil
 	}
-	if err := rtt("rtt_p1", 1, rtt1Ops); err != nil {
+	inputs3 := func(n int) [][]float64 {
+		ins := make([][]float64, n)
+		for i := range ins {
+			ins[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		}
+		return ins
+	}
+	if err := rtt("rtt_p1", benchName, inputs3(1), rtt1Ops); err != nil {
 		return nil, err
 	}
-	if err := rtt("rtt_p32", 32, rtt32Ops); err != nil {
+	if err := rtt("rtt_p32", benchName, inputs3(32), rtt32Ops); err != nil {
+		return nil, err
+	}
+	// rtt_p32_64d: 32-request windows of jpeg-width inputs, the shape
+	// where deciding a window costs about as much as moving it.
+	if err := rtt("rtt_p32_64d", benchName64, ins64, rtt32Ops); err != nil {
 		return nil, err
 	}
 

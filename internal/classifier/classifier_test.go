@@ -108,6 +108,11 @@ func TestTrainTableErrors(t *testing.T) {
 	if _, err := TrainTable(DefaultTableConfig(), wide); err == nil {
 		t.Errorf("a %d-wide input should error", MaxInputDim+1)
 	}
+	// An infinite training input widens its feature's range to infinity.
+	unbounded := []Sample{{In: []float64{0, 1}}, {In: []float64{math.Inf(1), 2}}}
+	if _, err := TrainTable(DefaultTableConfig(), unbounded); err == nil {
+		t.Error("an infinite input should error")
+	}
 }
 
 func TestTableZeroFalseNegativesOnTrainingData(t *testing.T) {

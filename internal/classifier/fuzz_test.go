@@ -35,6 +35,15 @@ func oneTable(cfg TableConfig, proj []int) gobTable {
 	}
 }
 
+// unboundedQuantizerStream is a one-table stream whose quantizer range
+// is [NaN, +Inf]: every input would map to word 0, so one entry would
+// decide everything.
+func unboundedQuantizerStream(tb testing.TB) []byte {
+	g := oneTable(TableConfig{NumTables: 1, TableBytes: 64}, []int{0})
+	g.QuantMin, g.QuantMax = []float64{math.NaN()}, []float64{math.Inf(1)}
+	return encodeGobTable(tb, g)
+}
+
 // hugeContentsStream is a well-formed one-table stream whose BDI header
 // claims 4 GiB of table contents and carries nothing after it.
 func hugeContentsStream(tb testing.TB) []byte {
@@ -70,6 +79,7 @@ func FuzzDecodeTable(f *testing.F) {
 	f.Add(encodeGobTable(f, oneTable(TableConfig{NumTables: 1, TableBytes: 64}, []int{0, 0})))
 	f.Add(encodeGobTable(f, oneTable(TableConfig{NumTables: 1, TableBytes: 64}, []int{})))
 	f.Add(hugeContentsStream(f))
+	f.Add(unboundedQuantizerStream(f))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeTable(data)

@@ -1,6 +1,10 @@
 package classifier
 
-import "mithra/internal/misr"
+import (
+	"fmt"
+
+	"mithra/internal/misr"
+)
 
 // MaxInputDim bounds the input width of a table classifier. It is the one
 // input-width cap of the repository: serve.MaxInputDim refers to it, and
@@ -52,8 +56,14 @@ type lut struct {
 }
 
 // newLUT builds the lookup table for tables hashing the projections
-// projs[t] of quant's words through hashers[t] (at most 16 tables).
-func newLUT(quant *misr.Quantizer, hashers []*misr.Hasher, projs [][]int) *lut {
+// projs[t] of quant's words through hashers[t] (at most 16 tables). It
+// is where a trained table and a decoded one both get their quantizer
+// checked: a feature range that is not a finite, non-empty interval is
+// refused (misr.Quantizer.Validate).
+func newLUT(quant *misr.Quantizer, hashers []*misr.Hasher, projs [][]int) (*lut, error) {
+	if err := quant.Validate(); err != nil {
+		return nil, fmt.Errorf("classifier: %w", err)
+	}
 	nw, dim := (len(hashers)+3)/4, quant.Dim()
 	l := &lut{quant: quant, chunks: (quant.Bits + lutChunkBits - 1) / lutChunkBits}
 	nbits := l.chunks * lutChunkBits
@@ -90,7 +100,7 @@ func newLUT(quant *misr.Quantizer, hashers []*misr.Hasher, projs [][]int) *lut {
 		}
 		l.rows[j] = rj
 	}
-	return l
+	return l, nil
 }
 
 // sign returns the packed index of in under every table. It quantizes a

@@ -266,7 +266,11 @@ func BenchmarkLUTBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkLUT = newLUT(tab.quant, tab.hashers, tab.proj)
+		l, err := newLUT(tab.quant, tab.hashers, tab.proj)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkLUT = l
 	}
 }
 

@@ -129,7 +129,9 @@ func DecodeTable(data []byte) (*Table, error) {
 		}
 		t.bitsets[i] = bs
 	}
-	t.lut = newLUT(t.quant, t.hashers, t.proj)
+	if t.lut, err = newLUT(t.quant, t.hashers, t.proj); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 

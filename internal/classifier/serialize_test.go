@@ -1,6 +1,7 @@
 package classifier
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -84,6 +85,27 @@ func TestDecodeTableRefusesOversizedContents(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Errorf("DecodeTable allocated %d bytes before refusing a %d-byte stream", got, len(data))
+	}
+}
+
+// A peer can push a table whose quantizer bounds are not a finite range
+// (here [NaN, +Inf]), which would map every input to one word: DecodeTable
+// must refuse every such shape, and still accept the finite stream it is
+// built from.
+func TestDecodeTableRefusesUnboundedQuantizer(t *testing.T) {
+	if _, err := DecodeTable(unboundedQuantizerStream(t)); err == nil {
+		t.Fatal("table with quantizer range [NaN, +Inf] decoded")
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, r := range [][2]float64{{nan, 1}, {0, nan}, {-inf, 1}, {0, inf}, {1, 1}, {2, 1}, {-math.MaxFloat64, math.MaxFloat64}} {
+		g := oneTable(TableConfig{NumTables: 1, TableBytes: 64}, []int{0})
+		g.QuantMin, g.QuantMax = []float64{r[0]}, []float64{r[1]}
+		if _, err := DecodeTable(encodeGobTable(t, g)); err == nil {
+			t.Errorf("table with quantizer range [%g, %g] decoded", r[0], r[1])
+		}
+	}
+	if _, err := DecodeTable(encodeGobTable(t, oneTable(TableConfig{NumTables: 1, TableBytes: 64}, []int{0}))); err != nil {
+		t.Fatalf("finite quantizer range refused: %v", err)
 	}
 }
 

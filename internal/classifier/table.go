@@ -185,7 +185,10 @@ func TrainTable(cfg TableConfig, samples []Sample) (*Table, error) {
 		hashers[i] = misr.NewHasher(pc, width)
 		projs[i] = projection(cfg, i, dim)
 	}
-	poolLUT := newLUT(quant, hashers, projs)
+	poolLUT, err := newLUT(quant, hashers, projs)
+	if err != nil {
+		return nil, err
+	}
 	sampleIdx := make([][]uint32, len(pool))
 	for c := range pool {
 		sampleIdx[c] = make([]uint32, len(samples))
@@ -245,7 +248,9 @@ func TrainTable(cfg TableConfig, samples []Sample) (*Table, error) {
 		t.proj[i] = projs[c]
 		t.bitsets[i] = cfgBits[c]
 	}
-	t.lut = newLUT(quant, t.hashers, t.proj)
+	if t.lut, err = newLUT(quant, t.hashers, t.proj); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 

@@ -66,7 +66,7 @@ func (rc *RoutedClient) Decide(bench string, id uint32, in []float64) (*serve.De
 // pipelines each node's sub-batch on that node's pinned connection, and
 // reassembles the responses in request order. Node sub-batches run
 // sequentially in sorted node-name order — the routed client optimizes
-// hops, not concurrency; loadgen gets concurrency from worker count.
+// hops, not concurrency; loadgen gets concurrency from connections.
 func (rc *RoutedClient) DecideBatch(bench string, baseID uint32, inputs [][]float64) ([]serve.DecideResponse, error) {
 	for _, p := range rc.parts {
 		p.ids = p.ids[:0]

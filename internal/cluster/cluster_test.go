@@ -4,16 +4,21 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/gob"
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"mithra/internal/classifier"
 	"mithra/internal/fault"
 	"mithra/internal/mathx"
+	"mithra/internal/misr"
 	"mithra/internal/obs"
 	"mithra/internal/serve"
 	"mithra/internal/stats"
@@ -35,7 +40,6 @@ type testCluster struct {
 // clusterOpts shapes one test deployment.
 type clusterOpts struct {
 	nodes      int
-	workers    int
 	sampleRate float64
 	freeze     bool
 	splits     string // extra spec lines, e.g. "split hot 8\n"
@@ -74,9 +78,6 @@ func testTable(t testing.TB) *classifier.Table {
 // startCluster boots opts.nodes mithrad-equivalents serving benches.
 func startCluster(t *testing.T, opts clusterOpts, benches ...string) *testCluster {
 	t.Helper()
-	if opts.workers == 0 {
-		opts.workers = 1
-	}
 	lns := make([]net.Listener, opts.nodes)
 	specText := "seed 7\nsample-rate " + fmt.Sprintf("%g", opts.sampleRate) + "\nsample-seed 11\n"
 	for i := range lns {
@@ -161,7 +162,6 @@ func startCluster(t *testing.T, opts clusterOpts, benches ...string) *testCluste
 			t.Fatal(err)
 		}
 		srv, err := serve.NewServer(reg, serve.Config{
-			Workers: opts.workers, MaxBatch: 32,
 			SampleRate: spec.SampleRate, SampleSeed: spec.SampleSeed,
 			Freeze: opts.freeze, Obs: o, Faults: faults, Watch: opts.watch,
 			Cluster: node, OnFoldIn: node.OnFoldIn,
@@ -240,24 +240,81 @@ func driveRouted(t *testing.T, spec *Spec, bench string, inputs [][]float64) []s
 	return out
 }
 
+// clientShape is one way clients drive the cluster: conns routed
+// clients, each pipelining windows of pipeline requests. The determinism
+// tests run both shapes the CI cluster job uses.
+type clientShape struct{ conns, pipeline int }
+
+func (c clientShape) String() string { return fmt.Sprintf("%dx%d", c.conns, c.pipeline) }
+
+var clientShapes = []clientShape{{1, 1}, {4, 32}}
+
+// dialShape builds one routed client per connection of shape.
+func dialShape(t *testing.T, spec *Spec, shape clientShape, resilient bool, seed uint64) []*RoutedClient {
+	t.Helper()
+	rcs := make([]*RoutedClient, shape.conns)
+	for c := range rcs {
+		rc, err := NewRoutedClient(spec, resilient, serve.RetryConfig{Seed: seed + uint64(c), Attempts: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { rc.Close() })
+		rcs[c] = rc
+	}
+	return rcs
+}
+
+// decideRounds decides inputs (IDs 0, 1, ...) through rcs, window w (the
+// pipeline inputs from w×pipeline on) on client w mod len(rcs) — the
+// layout of `mithra loadgen` — and returns the responses in input order.
+// Windows go out in rounds, each client sending one and the next round
+// starting once all are answered, so the IDs in flight never span more
+// than len(rcs)×pipeline.
+func decideRounds(t *testing.T, rcs []*RoutedClient, pipeline int, bench string, inputs [][]float64) []serve.DecideResponse {
+	t.Helper()
+	out := make([]serve.DecideResponse, len(inputs))
+	errs := make([]error, len(rcs))
+	for round := 0; round < len(inputs); round += len(rcs) * pipeline {
+		var wg sync.WaitGroup
+		for c, rc := range rcs {
+			lo := min(round+c*pipeline, len(inputs))
+			hi := min(lo+pipeline, len(inputs))
+			if lo == hi {
+				break
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resps, err := rc.DecideBatch(bench, uint32(lo), inputs[lo:hi])
+				copy(out[lo:hi], resps)
+				errs[c] = err
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // TestClusterDigestMatchesSingleNode is the tentpole acceptance gate in
 // miniature: the merged decision digest of a 3-node cluster must be
-// byte-identical to a single-node replay of the same trace, at worker
-// counts 1 and 4, for both a split and an unsplit benchmark.
+// byte-identical to a single-node replay of the same trace, at both
+// client shapes, for both a split and an unsplit benchmark.
 func TestClusterDigestMatchesSingleNode(t *testing.T) {
 	inputs := testInputs(400)
 	digests := map[string]map[string]string{} // config -> bench -> digest
 	for _, nodes := range []int{1, 3} {
-		for _, workers := range []int{1, 4} {
+		for _, shape := range clientShapes {
 			tc := startCluster(t, clusterOpts{
-				nodes: nodes, workers: workers,
-				sampleRate: 0.2, freeze: true,
+				nodes: nodes, sampleRate: 0.2, freeze: true,
 				splits: "split hot 8\n",
 			}, "hot", "cold")
-			key := fmt.Sprintf("n%d_w%d", nodes, workers)
+			key := fmt.Sprintf("n%d_%v", nodes, shape)
 			digests[key] = map[string]string{}
 			for _, bench := range []string{"hot", "cold"} {
-				resps := driveRouted(t, tc.spec, bench, inputs)
+				resps := decideRounds(t, dialShape(t, tc.spec, shape, false, 0), shape.pipeline, bench, inputs)
 				// Reference digest straight from the responses the client saw.
 				ref := serve.NewDecisionSet(bench)
 				for _, r := range resps {
@@ -275,7 +332,7 @@ func TestClusterDigestMatchesSingleNode(t *testing.T) {
 			}
 		}
 	}
-	base := digests["n1_w1"]
+	base := digests[fmt.Sprintf("n1_%v", clientShapes[0])]
 	for key, d := range digests {
 		for bench, dig := range d {
 			if dig != base[bench] {
@@ -292,12 +349,12 @@ func TestClusterDigestMatchesSingleNode(t *testing.T) {
 func TestForwardingServesMisroutedClients(t *testing.T) {
 	inputs := testInputs(200)
 	tc := startCluster(t, clusterOpts{
-		nodes: 3, workers: 2, sampleRate: 0.2, freeze: true,
+		nodes: 3, sampleRate: 0.2, freeze: true,
 		splits: "split hot 8\n",
 	}, "hot")
 	// Reference: a routed run against a fresh, identical cluster.
 	ref := startCluster(t, clusterOpts{
-		nodes: 3, workers: 2, sampleRate: 0.2, freeze: true,
+		nodes: 3, sampleRate: 0.2, freeze: true,
 		splits: "split hot 8\n",
 	}, "hot")
 	refResps := driveRouted(t, ref.spec, "hot", inputs)
@@ -350,9 +407,9 @@ func TestRoutedClientRetriesThroughFaults(t *testing.T) {
 	inputs := testInputs(400)
 	view := testTable(t).ConcurrentView()
 	plan := "seed=42,peer.drop=1@3,conn.partition=1@2"
-	for _, workers := range []int{1, 4} {
+	for _, shape := range clientShapes {
 		tc := startCluster(t, clusterOpts{
-			nodes: 3, workers: workers, freeze: true,
+			nodes: 3, freeze: true,
 			splits: "split synth 8\n",
 			faults: map[string]string{"n0": plan, "n1": plan, "n2": plan},
 		}, "synth")
@@ -360,30 +417,23 @@ func TestRoutedClientRetriesThroughFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := NewRoutedClient(stale, true, serve.RetryConfig{Seed: 3, Attempts: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for base := 0; base < len(inputs); base += 32 {
-			end := min(base+32, len(inputs))
-			resps, err := rc.DecideBatch("synth", uint32(base), inputs[base:end])
-			if err != nil {
-				t.Fatalf("workers %d: %v", workers, err)
+		rcs := dialShape(t, stale, shape, true, 3)
+		for i, r := range decideRounds(t, rcs, shape.pipeline, "synth", inputs) {
+			if r.ID != uint32(i) || r.Fallback {
+				t.Fatalf("shape %v: slot %d holds %+v", shape, i, r)
 			}
-			for i, r := range resps {
-				if r.ID != uint32(base+i) || r.Fallback {
-					t.Fatalf("workers %d: slot %d holds %+v", workers, base+i, r)
-				}
-				if want := view.Classify(inputs[base+i]); r.Precise != want {
-					t.Fatalf("workers %d: decision %d: served %v, classifier %v", workers, base+i, r.Precise, want)
-				}
+			if want := view.Classify(inputs[i]); r.Precise != want {
+				t.Fatalf("shape %v: decision %d: served %v, classifier %v", shape, i, r.Precise, want)
 			}
 		}
-		retries, reconnects, _ := rc.Stats()
-		rc.Close()
-		t.Logf("workers %d: %d retries, %d reconnects", workers, retries, reconnects)
+		retries, reconnects := 0, 0
+		for _, rc := range rcs {
+			r, c, _ := rc.Stats()
+			retries, reconnects = retries+r, reconnects+c
+		}
+		t.Logf("shape %v: %d retries, %d reconnects", shape, retries, reconnects)
 		if retries == 0 {
-			t.Fatalf("workers %d: no retries — the faulted forwards never reached the client", workers)
+			t.Fatalf("shape %v: no retries — the faulted forwards never reached the client", shape)
 		}
 	}
 }
@@ -448,7 +498,7 @@ func replicaOf(tc *testCluster, home string) string {
 // the push path.
 func TestFoldInReplication(t *testing.T) {
 	tc := startCluster(t, clusterOpts{
-		nodes: 3, workers: 2, sampleRate: 1, probeErr: 1.0,
+		nodes: 3, sampleRate: 1, probeErr: 1.0,
 		watch: foldWatch,
 	}, "synth")
 	home := tc.nodes["n0"].Router().Home("synth")
@@ -480,7 +530,7 @@ func TestFoldInReplication(t *testing.T) {
 // catch-up fetches the home node's current table in one message.
 func TestCatchUpRepairsPartition(t *testing.T) {
 	tc := startCluster(t, clusterOpts{
-		nodes: 3, workers: 1, sampleRate: 1, probeErr: 1.0,
+		nodes: 3, sampleRate: 1, probeErr: 1.0,
 		watch: foldWatch,
 		faults: map[string]string{
 			"n0": "seed=3,peer.drop=1",
@@ -523,7 +573,7 @@ func TestCatchUpRepairsPartition(t *testing.T) {
 // that one catch-up brings it to the home node's version and table.
 func TestReplicaRestartCatchesUp(t *testing.T) {
 	tc := startCluster(t, clusterOpts{
-		nodes: 2, workers: 1, sampleRate: 1, probeErr: 1.0,
+		nodes: 2, sampleRate: 1, probeErr: 1.0,
 		watch: foldWatch,
 	}, "synth")
 	home := tc.nodes["n0"].Router().Home("synth")
@@ -543,7 +593,7 @@ func TestReplicaRestartCatchesUp(t *testing.T) {
 // to the home node's version and table.
 func TestReplicaRestartsFromWAL(t *testing.T) {
 	tc := startCluster(t, clusterOpts{
-		nodes: 2, workers: 1, sampleRate: 1, probeErr: 1.0,
+		nodes: 2, sampleRate: 1, probeErr: 1.0,
 		watch: foldWatch,
 	}, "synth")
 	home := tc.nodes["n0"].Router().Home("synth")
@@ -698,6 +748,71 @@ func TestReplicaRefusesMismatchedTable(t *testing.T) {
 	for _, r := range resps {
 		if r.Version != 1 || r.Fallback {
 			t.Fatalf("replica answered %+v after refusing the pushes, want version 1", r)
+		}
+	}
+}
+
+// TestReplicaRefusesUnboundedQuantizer: a pushed table whose quantizer
+// range is [NaN, +Inf] in every feature would route every input through
+// one entry. The replica must refuse it (FoldFailed) and keep serving
+// its current version.
+func TestReplicaRefusesUnboundedQuantizer(t *testing.T) {
+	tc := startCluster(t, clusterOpts{nodes: 2, freeze: true}, "synth")
+	home := tc.nodes["n0"].Router().Home("synth")
+	name := replicaOf(tc, home)
+	good, err := tc.regs[home].Get("synth").Table.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the quantizer bounds of the home node's own (valid) table.
+	// The mirror decodes Table.Encode's gob stream by field name.
+	var g struct {
+		Cfg                classifier.TableConfig
+		QuantMin, QuantMax []float64
+		QuantBits          int
+		MISRConfig         []misr.Config
+		Proj               [][]int
+		Compressed         []byte
+	}
+	if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&g); err != nil {
+		t.Fatal(err)
+	}
+	for i := range g.QuantMin {
+		g.QuantMin[i], g.QuantMax[i] = math.NaN(), math.Inf(1)
+	}
+	var bad bytes.Buffer
+	if err := gob.NewEncoder(&bad).Encode(g); err != nil {
+		t.Fatal(err)
+	}
+	nc, err := net.Dial("tcp", tc.spec.Addr(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := serve.WriteMessage(nc, &serve.FoldIn{Bench: "synth", Version: 5, Table: bad.Bytes()}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := serve.ReadMessage(bufio.NewReader(nc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack, ok := msg.(*serve.FoldInAck); !ok || ack.Status != serve.FoldFailed {
+		t.Fatalf("push answered %#v, want a FoldFailed ack", msg)
+	}
+	cl, err := serve.Dial("tcp", tc.spec.Addr(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	inputs := testInputs(64)
+	resps, err := cl.DecideBatch("synth", 0, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := testTable(t).ConcurrentView()
+	for i, r := range resps {
+		if r.Version != 1 || r.Fallback || r.Precise != view.Classify(inputs[i]) {
+			t.Fatalf("replica answered %+v for input %d after refusing the push, want version 1's decision", r, i)
 		}
 	}
 }

@@ -7,7 +7,7 @@ package cluster
 // and the monitor's table view coherent — while the monitor-driven
 // fold-ins replicate to the other nodes through the push path. The
 // home node's recovery note streams must be byte-identical across
-// cluster sizes (1 vs 3 nodes) and worker counts (1 vs 4), so a
+// cluster sizes (1 vs 3 nodes) and client shapes (1x1 vs 4x32), so a
 // multi-address `mithra watch` tells one recovery story no matter how
 // the deployment is shaped.
 
@@ -22,7 +22,6 @@ import (
 	"mithra/internal/dataset"
 	"mithra/internal/mathx"
 	"mithra/internal/obs"
-	"mithra/internal/serve"
 	"mithra/internal/watch"
 )
 
@@ -44,12 +43,13 @@ func clusterDriftInputs(n int) [][]float64 {
 	return out
 }
 
-// clusterDriftRun drives the sudden-drift scenario through a routed
-// client against an n-node cluster with recheck-armed monitors, waits
+// clusterDriftRun drives the sudden-drift scenario through routed
+// clients of one shape against an n-node cluster with recheck-armed
+// monitors, waits
 // for the repaired tables to replicate, and returns the home node's
 // rendered note streams plus the number of fold-ins the home registry
 // installed.
-func clusterDriftRun(t *testing.T, nodes, workers int) (string, int64) {
+func clusterDriftRun(t *testing.T, nodes int, shape clientShape) (string, int64) {
 	t.Helper()
 	d, err := dataset.ParseDrift("kind=sudden,at=300,shift=0.35,seed=3")
 	if err != nil {
@@ -57,36 +57,30 @@ func clusterDriftRun(t *testing.T, nodes, workers int) (string, int64) {
 	}
 	journals := map[string]*bytes.Buffer{}
 	tc := startCluster(t, clusterOpts{
-		nodes: nodes, workers: workers, sampleRate: 1,
+		nodes: nodes, sampleRate: 1,
 		oodProbe: true, journals: journals,
+		// Lag 128 covers the widest shape's in-flight skew (4 clients of
+		// 32-request windows).
 		watch: watch.Config{
-			Window: 16, RecoverAfter: 8, Exemplars: 4, Lag: 64,
+			Window: 16, RecoverAfter: 8, Exemplars: 4, Lag: 128,
 			Recheck: watch.Recheck{MaxFoldIns: 8, RepairEvery: 40},
 		},
 	}, "synth")
 	home := tc.nodes["n0"].Router().Home("synth")
 
-	// One routed client in ID order — the loadgen shape. The bench is
-	// unsplit, so every batch lands on the home node's single pipelined
-	// connection.
+	// The bench is unsplit, so every window lands on the home node, over
+	// one connection per routed client.
 	base := clusterDriftInputs(120)
 	const repeats = 10
-	rc, err := NewRoutedClient(tc.spec, false, serve.RetryConfig{})
-	if err != nil {
-		t.Fatal(err)
+	ins := make([][]float64, len(base)*repeats)
+	for i := range ins {
+		ins[i] = d.Apply(nil, base[i%len(base)], uint64(i))
 	}
-	const batch = 24
-	ins := make([][]float64, batch)
-	for start := 0; start < len(base)*repeats; start += batch {
-		for i := 0; i < batch; i++ {
-			idx := start + i
-			ins[i] = d.Apply(nil, base[idx%len(base)], uint64(idx))
-		}
-		if _, err := rc.DecideBatch("synth", uint32(start), ins); err != nil {
-			t.Fatal(err)
-		}
+	rcs := dialShape(t, tc.spec, shape, false, 0)
+	decideRounds(t, rcs, shape.pipeline, "synth", ins)
+	for _, rc := range rcs {
+		rc.Close()
 	}
-	rc.Close()
 
 	// Drain the home server first: its updater finishes the queued
 	// observations, the monitor flushes and journals its final state,
@@ -228,7 +222,7 @@ func driftNoteAttr(line, key string) string {
 
 // TestClusterDriftRecovery is the cluster acceptance gate: the home
 // node's recovery journal is byte-identical across cluster sizes and
-// worker counts, the guarantee cycle completes within the fold-in
+// client shapes, the guarantee cycle completes within the fold-in
 // bound, and every replica converges to the repaired table with a
 // deterministic replication journal.
 func TestClusterDriftRecovery(t *testing.T) {
@@ -238,10 +232,10 @@ func TestClusterDriftRecovery(t *testing.T) {
 	}
 	runs := map[string]run{}
 	for _, nodes := range []int{1, 3} {
-		for _, workers := range []int{1, 4} {
-			key := fmt.Sprintf("n%d_w%d", nodes, workers)
+		for _, shape := range clientShapes {
+			key := fmt.Sprintf("n%d_%v", nodes, shape)
 			t.Run(key, func(t *testing.T) {
-				notes, folds := clusterDriftRun(t, nodes, workers)
+				notes, folds := clusterDriftRun(t, nodes, shape)
 				checkClusterDriftCycle(t, notes)
 				if folds > 8 {
 					t.Fatalf("home installed %d fold-ins, bound 8", folds)
@@ -250,14 +244,15 @@ func TestClusterDriftRecovery(t *testing.T) {
 			})
 		}
 	}
-	baseRun, ok := runs["n1_w1"]
+	baseKey := fmt.Sprintf("n1_%v", clientShapes[0])
+	baseRun, ok := runs[baseKey]
 	if !ok {
 		t.Fatal("baseline run missing")
 	}
 	for key, r := range runs {
 		if r.notes != baseRun.notes {
-			t.Fatalf("recovery journal diverged at %s:\n--- n1_w1 ---\n%s\n--- %s ---\n%s",
-				key, baseRun.notes, key, r.notes)
+			t.Fatalf("recovery journal diverged at %s:\n--- %s ---\n%s\n--- %s ---\n%s",
+				key, baseKey, baseRun.notes, key, r.notes)
 		}
 		if r.folds != baseRun.folds {
 			t.Fatalf("fold-in count diverged at %s: %d != %d", key, r.folds, baseRun.folds)

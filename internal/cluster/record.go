@@ -32,7 +32,7 @@ type recordEntry struct {
 }
 
 // Recorder buffers decision records and flushes them as checksummed
-// blocks. Safe for concurrent use by all shard workers.
+// blocks. Safe for concurrent use by all connection readers.
 type Recorder struct {
 	mu      sync.Mutex
 	f       *os.File

@@ -34,13 +34,12 @@ const (
 	// SiteFramePartial writes only half of a buffer and closes the
 	// socket, tearing a frame mid-write.
 	SiteFramePartial = "frame.partial"
-	// SiteWorkerPanic panics inside a shard decision worker.
+	// SiteWorkerPanic panics inside a decision, in the connection
+	// reader's per-request panic barrier (the name predates the reader
+	// deciding requests itself; plans keep using it).
 	SiteWorkerPanic = "worker.panic"
 	// SiteSnapshotInstall fails the durable snapshot-install (WAL) step.
 	SiteSnapshotInstall = "snapshot.install"
-	// SiteQueueSaturate makes a shard queue behave as if full, forcing
-	// the overload-shedding path.
-	SiteQueueSaturate = "queue.saturate"
 	// SiteProbeDrift inflates the measured accelerator error of a sampled
 	// observation above the snapshot threshold — injected input drift.
 	// Checked through HitAt (keyed by request ID, not draw order), so the

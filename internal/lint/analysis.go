@@ -33,7 +33,7 @@
 //
 // Four more freeze the serving stack's runtime invariants (DESIGN.md §13):
 //
-//   - poolownership: every getBuf/getReq acquisition in internal/serve is
+//   - poolownership: every getBuf acquisition in internal/serve is
 //     released, returned, or transferred on every control-flow path; no
 //     alias is used after its release; nothing foreign is put.
 //   - hotpathalloc: functions annotated //mithra:hotpath contain no

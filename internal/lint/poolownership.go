@@ -9,9 +9,9 @@ import (
 )
 
 // PoolOwnershipAnalyzer statically encodes the serve pool protocol
-// (internal/serve/pool.go, DESIGN.md §12–§13): a frame buffer or decode
-// request obtained from the pool is owned by exactly one goroutine until
-// it is released (putBuf/putReq), transferred (returned, sent on a
+// (internal/serve/pool.go, DESIGN.md §12–§13): a frame buffer obtained
+// from the pool is owned by exactly one goroutine until it is released
+// (putBuf), transferred (returned, sent on a
 // channel, handed to a goroutine, or passed to an //mithra:owns callee),
 // or parked in a defer. The analyzer walks every control-flow path of a
 // function in internal/serve and reports
@@ -24,17 +24,17 @@ import (
 //     buffer poisons the size-class and debug-canary tracking).
 //
 // Aliases are tracked through assignments, composite literals holding the
-// object (task{req: req}), and same-typed results of calls the object was
+// object (frameTask{buf: buf}), and same-typed results of calls the object was
 // passed to (frame, err := AppendFrame(buf, msg) makes frame an alias of
 // buf). Channel receives are the protocol's entry point on the consumer
-// side and are deliberately untracked: the worker's putReq(t.req) is a
+// side and are deliberately untracked: a consumer's putBuf(t.buf) is a
 // release of a field selector, which is always an allowed origin.
 var PoolOwnershipAnalyzer = &Analyzer{
 	Name: "poolownership",
 	Doc: `enforce the pooled-object ownership protocol in internal/serve
 
-Every getBuf/getReq acquisition (and every parameter declared in an
-//mithra:owns doc line) must be released with putBuf/putReq, returned,
+Every getBuf acquisition (and every parameter declared in an
+//mithra:owns doc line) must be released with putBuf, returned,
 sent on a channel, handed to go/defer, or passed to an //mithra:owns
 callee on every control-flow path; no alias may be used after the
 release; nothing may be put that is not pool-originated.`,
@@ -50,12 +50,10 @@ var poolScope = map[string]bool{
 // poolRelease maps release functions to the same vocabulary.
 var poolAcquire = map[string]string{
 	"getBuf": "buffer from getBuf",
-	"getReq": "request from getReq",
 }
 
 var poolRelease = map[string]bool{
 	"putBuf": true,
-	"putReq": true,
 }
 
 func runPoolOwnership(pass *Pass) error {
@@ -611,7 +609,7 @@ func (a *ownAnalysis) bareAcquireCheck(call *ast.CallExpr) {
 	}
 }
 
-// isReleaseExpr recognizes putBuf(x)/putReq(x) calls.
+// isReleaseExpr recognizes putBuf(x) calls.
 func isReleaseExpr(call *ast.CallExpr) bool {
 	id, ok := call.Fun.(*ast.Ident)
 	return ok && poolRelease[id.Name] && len(call.Args) == 1
@@ -751,7 +749,7 @@ func allMentionsExcepted(info *types.Info, n ast.Node, g *ownGroup, except map[t
 }
 
 // valueSpec handles var declarations with initializers (aliasing only;
-// acquisitions via var x = getReq() included).
+// acquisitions via var x = getBuf(n) included).
 func (a *ownAnalysis) valueSpec(vs *ast.ValueSpec, st *ownState) {
 	for i, name := range vs.Names {
 		if i < len(vs.Values) {
@@ -814,7 +812,7 @@ func (a *ownAnalysis) bind(lhs ast.Expr, rhs ast.Expr, st *ownState, paired bool
 		}
 	}
 
-	// Acquisition: x := getBuf(n) / getReq(). On a put-then-reacquire
+	// Acquisition: x := getBuf(n). On a put-then-reacquire
 	// rebind (putBuf(buf); buf = getBuf(n)) the name is NOT detached from
 	// its old group: a sibling control-flow path may still hold the old
 	// object under this name, and the return that transfers both must
@@ -863,9 +861,8 @@ func (a *ownAnalysis) bind(lhs ast.Expr, rhs ast.Expr, st *ownState, paired bool
 
 // bindFromCall adds a call-result lhs to a group the call's arguments
 // mention, but only when the static types agree — AppendFrame(buf, ...)
-// returns an alias of buf ([]byte -> []byte), while
-// ParseDecideRequestInto(payload, req) returns a bench []byte and error
-// that alias neither pooled object.
+// returns an alias of buf ([]byte -> []byte), while a call returning
+// only an error aliases nothing.
 func (a *ownAnalysis) bindFromCall(lhs ast.Expr, call *ast.CallExpr, rhs ast.Expr, st *ownState) {
 	info := a.pass.TypesInfo
 	id, ok := lhs.(*ast.Ident)

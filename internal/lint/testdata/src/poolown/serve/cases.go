@@ -3,7 +3,7 @@ package serve
 // --- positives --------------------------------------------------------
 
 // A path that neither releases nor transfers: the acceptance case for a
-// deleted Put (remove putReq from a worker and this is what remains).
+// deleted Put (remove putBuf from conn.send and this is what remains).
 func leakAlways() {
 	buf := getBuf(64) // want "buffer from getBuf is not released"
 	_ = buf
@@ -11,22 +11,22 @@ func leakAlways() {
 
 // Released on the happy path only; the error return leaks.
 func leakOnError(fail bool) error {
-	req := getReq() // want "request from getReq is not released"
+	buf := getBuf(8) // want "buffer from getBuf is not released"
 	if fail {
 		return errFail
 	}
-	putReq(req)
+	putBuf(buf)
 	return nil
 }
 
 // A loop iteration that can reach continue with the object still owned.
 func leakOnContinue(n int) {
 	for i := 0; i < n; i++ {
-		req := getReq() // want "request from getReq is not released"
+		buf := getBuf(8) // want "buffer from getBuf is not released"
 		if i%2 == 0 {
 			continue
 		}
-		putReq(req)
+		putBuf(buf)
 	}
 }
 
@@ -52,15 +52,15 @@ func useAfterPutAlias() (byte, error) {
 
 // Releasing twice on one path.
 func doublePut() {
-	req := getReq()
-	putReq(req)
-	putReq(req) // want "returned to the pool twice"
+	buf := getBuf(8)
+	putBuf(buf)
+	putBuf(buf) // want "returned to the pool twice"
 }
 
 // Objects that never came from the pool.
 func foreignPut() {
-	req := &DecideRequest{}
-	putReq(req) // want "never came from the pool"
+	buf := []byte{1, 2}
+	putBuf(buf) // want "never came from the pool"
 }
 
 func foreignPutMake() {
@@ -69,47 +69,45 @@ func foreignPutMake() {
 
 // An acquisition whose result is dropped leaks immediately.
 func discarded() {
-	getReq() // want "result of getReq is discarded"
+	getBuf(8) // want "result of getBuf is discarded"
 }
 
 // An owned parameter must leave the function on every path too.
 //
-//mithra:owns req
-func consumeLeaky(req *DecideRequest, fail bool) { // want "owned parameter req is not released"
+//mithra:owns buf
+func consumeLeaky(buf []byte, fail bool) { // want "owned parameter buf is not released"
 	if fail {
 		return
 	}
-	putReq(req)
+	putBuf(buf)
 }
 
 // --- negatives --------------------------------------------------------
 
 // Released on every path, including the error return.
 func allPaths(fail bool) error {
-	req := getReq()
+	buf := getBuf(8)
 	if fail {
-		putReq(req)
+		putBuf(buf)
 		return errFail
 	}
-	putReq(req)
+	putBuf(buf)
 	return nil
 }
 
 // Returning the object transfers ownership to the caller.
-func transferReturn() *DecideRequest {
-	req := getReq()
-	req.ID = 1
-	return req
+func transferReturn() []byte {
+	buf := getBuf(8)
+	return append(buf, 1)
 }
 
-// Sending on a channel transfers ownership to the receiver (the
-// reader -> shard queue -> worker protocol).
-func transferSend(q chan *DecideRequest) {
-	req := getReq()
+// Sending on a channel transfers ownership to the receiver.
+func transferSend(q chan []byte) {
+	buf := getBuf(8)
 	select {
-	case q <- req:
+	case q <- buf:
 	default:
-		putReq(req)
+		putBuf(buf)
 	}
 }
 
@@ -122,34 +120,34 @@ func deferRelease() {
 
 // Passing to an //mithra:owns callee transfers ownership.
 //
-//mithra:owns req
-func consume(req *DecideRequest) {
-	req.ID = 0
-	putReq(req)
+//mithra:owns buf
+func consume(buf []byte) {
+	_ = len(buf)
+	putBuf(buf)
 }
 
 func transferOwns() {
-	req := getReq()
-	consume(req)
+	buf := getBuf(8)
+	consume(buf)
 }
 
-// Release through a composite-literal alias: the task wrapper carries the
-// request, so putting the wrapper's field is putting the request.
-type task struct {
-	req *DecideRequest
+// Transfer through a composite-literal alias: the wrapper carries the
+// buffer, so sending the wrapper sends the buffer.
+type frameTask struct {
+	buf []byte
 }
 
-func wrapAndSend(q chan task) {
-	req := getReq()
-	t := task{req: req}
+func wrapAndSend(q chan frameTask) {
+	buf := getBuf(8)
+	t := frameTask{buf: buf}
 	q <- t
 }
 
 // Puts of non-tracked storage (fields, channel receives) are the consumer
 // half of the protocol and always allowed.
-func workerDrain(q chan task) {
+func drain(q chan frameTask) {
 	for t := range q {
-		putReq(t.req)
+		putBuf(t.buf)
 	}
 }
 

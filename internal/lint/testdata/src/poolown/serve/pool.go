@@ -6,16 +6,9 @@ package serve
 
 import "errors"
 
-type DecideRequest struct {
-	ID uint32
-	In []float64
-}
-
 var errFail = errors.New("fail")
 
 func getBuf(n int) []byte              { return make([]byte, 0, n) }
 func putBuf(b []byte)                  {}
-func getReq() *DecideRequest           { return new(DecideRequest) }
-func putReq(r *DecideRequest)          {}
 func mayPanic()                        {}
 func frame(dst []byte) ([]byte, error) { return dst, nil }

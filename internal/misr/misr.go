@@ -15,6 +15,7 @@ package misr
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"mithra/internal/mathx"
@@ -287,6 +288,25 @@ func (q *Quantizer) QuantizeAt(lo int, in []float64, dst []uint16) {
 		}
 		dst[i] = uint16(mathx.Clamp(r, 0, 1) * levels)
 	}
+}
+
+// Validate reports the first feature whose range cannot quantize: every
+// feature needs finite Min and Max with Min < Max, and a finite width
+// Max − Min. A NaN bound, or an infinite bound or width, sends every
+// input of that feature to one word (NaN ratios map to 0, and an
+// infinite width turns every finite input into 0 or NaN), so the
+// feature stops separating inputs.
+func (q *Quantizer) Validate() error {
+	if len(q.Max) != len(q.Min) {
+		return fmt.Errorf("misr: quantizer has %d minima and %d maxima", len(q.Min), len(q.Max))
+	}
+	for i, lo := range q.Min {
+		hi := q.Max[i]
+		if !(lo < hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) || math.IsInf(hi-lo, 0) {
+			return fmt.Errorf("misr: quantizer feature %d range [%g, %g] is not a finite, non-empty interval", i, lo, hi)
+		}
+	}
+	return nil
 }
 
 // Dim returns the quantizer's feature dimension.

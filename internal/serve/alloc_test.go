@@ -3,7 +3,6 @@ package serve
 import (
 	"testing"
 
-	"mithra/internal/classifier"
 	"mithra/internal/parallel"
 	"mithra/internal/watch"
 )
@@ -16,54 +15,22 @@ import (
 // its own behalf.
 
 // decideFixture is a hermetic server fixture the allocation tests and
-// micro-benchmarks drive without a network: a live server (workers
-// idle), its one shard, and a pre-encoded decide-request frame payload.
+// micro-benchmarks drive without a network: a live server's steady
+// decide driver and the decide-request frame payload it replays.
 type decideFixture struct {
-	s       *Server
-	sh      *shard
-	snap    *Snapshot
-	view    classifier.Classifier
-	probe   ErrorProbe
+	drv     *SteadyDriver
 	payload []byte // frame payload (header stripped) of one decide request
 }
 
 func newDecideFixture(t testing.TB) *decideFixture {
 	t.Helper()
 	snap := syntheticSnapshot(t, "bench", nil)
-	s, _ := startServer(t, Config{Workers: 1, Freeze: true}, snap)
-	frame, err := AppendFrame(nil, &DecideRequest{ID: 7, Bench: "bench", In: []float64{0.2, 0.5, 0.8}})
+	s, _ := startServer(t, Config{Freeze: true}, snap)
+	drv, err := s.SteadyDriver("bench", []float64{0.2, 0.5, 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := s.shards["bench"]
-	return &decideFixture{
-		s:       s,
-		sh:      sh,
-		snap:    s.reg.Get("bench"),
-		view:    snap.view(),
-		probe:   snap.NewProbe(),
-		payload: frame[4:],
-	}
-}
-
-// decideOnce runs the full hermetic decide path the way the reader and a
-// shard worker compose it: pooled request, zero-copy parse, intern via
-// the shard map, decide, encode into a reused frame buffer, recycle.
-func (f *decideFixture) decideOnce(buf []byte, dresp *DecideResponse, eresp *ErrorResponse) []byte {
-	req := getReq()
-	bench, err := ParseDecideRequestInto(f.payload, req)
-	if err != nil {
-		panic(err)
-	}
-	sh := f.s.shards[string(bench)]
-	req.Bench = sh.bench
-	resp, _, _ := f.s.decideSafe(sh, f.snap, f.view, f.probe, req, dresp, eresp)
-	out, err := AppendFrame(buf[:0], resp)
-	if err != nil {
-		panic(err)
-	}
-	putReq(req)
-	return out
+	return &decideFixture{drv: drv, payload: drv.frame}
 }
 
 func skipUnderRace(t *testing.T) {
@@ -75,14 +42,13 @@ func skipUnderRace(t *testing.T) {
 func TestDecidePathZeroAlloc(t *testing.T) {
 	skipUnderRace(t)
 	f := newDecideFixture(t)
-	var (
-		buf   = make([]byte, 0, 64)
-		dresp DecideResponse
-		eresp ErrorResponse
-	)
-	f.decideOnce(buf, &dresp, &eresp) // warm the request pool
+	if err := f.drv.Step(); err != nil { // size the reader's buffers
+		t.Fatal(err)
+	}
 	if avg := testing.AllocsPerRun(200, func() {
-		buf = f.decideOnce(buf, &dresp, &eresp)
+		if err := f.drv.Step(); err != nil {
+			t.Fatal(err)
+		}
 	}); avg != 0 {
 		t.Fatalf("steady-state decide path allocates %v per run, want 0", avg)
 	}
@@ -192,7 +158,6 @@ func TestWatchedRoundTripZeroAlloc(t *testing.T) {
 		t.Fatalf("request ID %d is sampled at seed %d; the test needs an unsampled ID", id, seed)
 	}
 	srv, addr := startServer(t, Config{
-		Workers:    1,
 		SampleRate: rate,
 		SampleSeed: seed,
 		Freeze:     true,
@@ -223,14 +188,14 @@ func TestWatchedRoundTripZeroAlloc(t *testing.T) {
 }
 
 // TestClientRoundTripAllocs pins one DecideBatchInto round trip — client
-// encode, loopback TCP, the server's whole reader/worker path, client
+// encode, loopback TCP, the server's whole reader path, client
 // parse — to the documented budget. Allocation counting is process-wide,
 // so this covers the server goroutines too: a leak on either side of the
 // wire fails here.
 func TestClientRoundTripAllocs(t *testing.T) {
 	skipUnderRace(t)
 	snap := syntheticSnapshot(t, "bench", nil)
-	_, addr := startServer(t, Config{Workers: 1, Freeze: true}, snap)
+	_, addr := startServer(t, Config{Freeze: true}, snap)
 	c, err := Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

@@ -59,28 +59,25 @@ func BenchmarkTableClassify(b *testing.B) {
 	}
 }
 
-// BenchmarkDecideSteady is the hermetic full decide path — pooled
-// request, zero-copy parse, shard-map intern, classify, encode — exactly
-// as the reader and a worker compose it, minus the socket.
+// BenchmarkDecideSteady is the hermetic full decide path — zero-copy
+// parse, shard-map intern, classify, encode — exactly as the connection
+// reader runs it, minus the socket.
 func BenchmarkDecideSteady(b *testing.B) {
 	f := newDecideFixture(b)
-	var (
-		buf   = make([]byte, 0, 64)
-		dresp DecideResponse
-		eresp ErrorResponse
-	)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = f.decideOnce(buf, &dresp, &eresp)
+		if err := f.drv.Step(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkClientRoundTrip measures one pipelined decision over loopback
-// TCP: client encode, the server's reader → shard queue → worker →
-// writev path, client parse.
+// TCP: client encode, the server's read → decide → write path, client
+// parse.
 func BenchmarkClientRoundTrip(b *testing.B) {
-	_, addr := startServer(b, Config{Workers: 1, Freeze: true}, syntheticSnapshotB(b, "bench"))
+	_, addr := startServer(b, Config{Freeze: true}, syntheticSnapshotB(b, "bench"))
 	c, err := Dial("tcp", addr)
 	if err != nil {
 		b.Fatal(err)
@@ -97,10 +94,10 @@ func BenchmarkClientRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkClientBatch32 pushes a 32-request pipeline through the shard
-// batch loop (batched classify, per-connection writev coalescing).
+// BenchmarkClientBatch32 pushes a 32-request pipeline through the
+// connection reader, which answers it with one write.
 func BenchmarkClientBatch32(b *testing.B) {
-	_, addr := startServer(b, Config{Workers: 1, Freeze: true, MaxBatch: 32}, syntheticSnapshotB(b, "bench"))
+	_, addr := startServer(b, Config{Freeze: true}, syntheticSnapshotB(b, "bench"))
 	c, err := Dial("tcp", addr)
 	if err != nil {
 		b.Fatal(err)

@@ -21,9 +21,8 @@ import (
 //
 //	closed    — requests flow; a sliding window of the last Window
 //	            outcomes is tallied, and when failures exceed
-//	            ErrBudget*Window the breaker opens. Failures are worker
-//	            panics and queue-saturation rejections (the clock-free
-//	            latency budget: a shed request is a latency violation).
+//	            ErrBudget*Window the breaker opens. Failures are
+//	            panics recovered inside a decision.
 //	open      — requests get the precise fallback immediately. Every
 //	            ProbeAfter-th fallback schedules a probe: the breaker
 //	            moves to half-open and admits real work again.
@@ -110,8 +109,8 @@ func newBreaker(bench string, cfg BreakerConfig, o *obs.Obs) *breaker {
 	return &breaker{bench: bench, cfg: cfg.withDefaults(), o: o}
 }
 
-// admit reports whether a request may enter the shard queue. A false
-// first return means the caller must serve the precise fallback.
+// admit reports whether a request may be classified. A false return
+// means the caller must serve the precise fallback.
 func (b *breaker) admit() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -143,8 +142,8 @@ func (b *breaker) onSuccess() {
 	}
 }
 
-// onFailure records one failed request: a recovered worker panic or a
-// queue-saturation rejection.
+// onFailure records one failed request: a panic recovered inside its
+// decision.
 func (b *breaker) onFailure(reason string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

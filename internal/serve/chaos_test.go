@@ -97,7 +97,7 @@ func TestChaosFaultsDegradeSafelyAndRecover(t *testing.T) {
 	offline := snap.Table.ConcurrentView()
 
 	_, addr := startServer(t, Config{
-		Workers: 2, Obs: o, Faults: faults,
+		Obs: o, Faults: faults,
 		Breaker: BreakerConfig{Window: 8, ErrBudget: 0.25, ProbeAfter: 4, Probes: 2},
 	}, snap)
 
@@ -198,7 +198,7 @@ func TestWALCrashRecoveryRestoresRepairedSnapshot(t *testing.T) {
 	}
 
 	srv, addr := startServerWithRegistry(t, reg, Config{
-		Workers: 2, SampleRate: 1, SampleSeed: 3, Obs: o,
+		SampleRate: 1, SampleSeed: 3, Obs: o,
 		Watch: watch.Config{Window: 16, Lag: 8},
 	})
 	cl, err := Dial("tcp", addr)
@@ -278,7 +278,7 @@ func TestWALCrashRecoveryRestoresRepairedSnapshot(t *testing.T) {
 	if _, err := reg2.Install(rsnap); err != nil {
 		t.Fatal(err)
 	}
-	_, addr2 := startServerWithRegistry(t, reg2, Config{Workers: 1})
+	_, addr2 := startServerWithRegistry(t, reg2, Config{})
 	cl2, err := Dial("tcp", addr2)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +390,7 @@ func TestInstallFaultForcesBreakerOpen(t *testing.T) {
 	AttachWAL(reg, wal, faults, o)
 
 	_, addr := startServerWithRegistry(t, reg, Config{
-		Workers: 2, SampleRate: 1, SampleSeed: 3, Obs: o,
+		SampleRate: 1, SampleSeed: 3, Obs: o,
 		Watch:   watch.Config{Window: 16, Lag: 8},
 		Breaker: BreakerConfig{Window: 8, ErrBudget: 0.5, ProbeAfter: 1 << 30, Probes: 8},
 	})

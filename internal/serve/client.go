@@ -54,7 +54,7 @@ type Client struct {
 	Retries    int
 	Reconnects int
 	// Fallbacks counts responses served by the fail-safe degradation
-	// path (breaker open or worker fault).
+	// path (breaker open or a fault mid-decision).
 	Fallbacks int
 }
 
@@ -106,7 +106,7 @@ type redial struct {
 
 // RoundTripAllocs is the steady-state allocation budget of one
 // single-request DecideBatchInto round trip, counted process-wide —
-// client encode and parse, the server's reader/worker decide path, and
+// client encode and parse, the server's reader decide path, and
 // both TCP stacks. The allocation-regression test pins it; raising it is
 // a perf regression and needs a DESIGN.md §12 note.
 const RoundTripAllocs = 0
@@ -246,7 +246,7 @@ func (c *Client) Decide(bench string, id uint32, in []float64) (*DecideResponse,
 
 // DecideBatch pipelines one request per input (IDs baseID, baseID+1, ...)
 // and reassembles the responses into input order, whatever order the
-// server's shard workers answered in. All frames of an attempt are
+// server answered in. All frames of an attempt are
 // encoded up front and written in one call. A per-request server error
 // (unknown benchmark, bad input width, draining, shed load) aborts the
 // attempt and returns as a typed wire error — after retries, when armed

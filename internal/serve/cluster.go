@@ -6,8 +6,8 @@ package serve
 // behind a nil check, so a server without hooks is byte-for-byte the
 // single-node engine, including its zero-allocation decide path.
 //
-// All hooks may be called concurrently from connection readers and shard
-// workers; implementations synchronize internally.
+// All hooks may be called concurrently from connection readers;
+// implementations synchronize internally.
 type ClusterHooks interface {
 	// Route names the node that must decide request (bench, id, in), or
 	// "" when this node owns it. Called on the connection-reader fast
@@ -17,8 +17,8 @@ type ClusterHooks interface {
 	// Forward ships req to peer and arranges for the eventual response
 	// (a *DecideResponse or *ErrorResponse keyed by req.ID) to be passed
 	// to respond, possibly after Forward returns. Forward borrows req
-	// only for the duration of the call — the caller returns it to the
-	// request pool immediately after — so implementations must encode or
+	// only for the duration of the call — the caller decodes the next
+	// request into it right after — so implementations must encode or
 	// copy, never retain. A non-nil error means the peer was unreachable
 	// and nothing was sent; the caller answers CodePeerDown in-band.
 	Forward(peer string, req *DecideRequest, respond func(Message)) error
@@ -36,8 +36,9 @@ type ClusterHooks interface {
 	// re-asks) always agree; the cluster digest merge deduplicates them.
 	Record(bench string, id uint32, precise bool)
 
-	// FlushRecords makes every buffered decision record durable. Workers
-	// call it after deciding a batch and before writing the batch's
-	// responses, so an acknowledged decision is never lost to a crash.
+	// FlushRecords makes every buffered decision record durable.
+	// Connection readers call it after deciding a batch and before
+	// writing the batch's responses, so an acknowledged decision is never
+	// lost to a crash.
 	FlushRecords() error
 }

@@ -4,7 +4,7 @@ package serve
 // sudden, seasonal, heavy-tail) the recheck-mode monitor must walk the
 // full holding → violated → … → recovering → holding cycle, restore the
 // guarantee within the configured fold-in bound, and journal a recovery
-// record — byte-identically at one worker and at four. The drifted
+// record — byte-identically at both client shapes. The drifted
 // stream is produced client-side by dataset.Drift (exactly what
 // `mithra loadgen -drift` does), so these tests pin the whole
 // dataset → serve → watch loop.
@@ -22,7 +22,7 @@ import (
 	"mithra/internal/watch"
 )
 
-// driftNoteNames are the deterministic note streams the cross-worker
+// driftNoteNames are the deterministic note streams the cross-shape
 // gate diffs. (The full journal also carries the final metrics snapshot,
 // whose served-decision counters legitimately depend on snapshot-swap
 // timing, so the gate compares these notes, not raw journal bytes.)
@@ -62,8 +62,9 @@ func driftProbeFactory() ErrorProbe {
 // driftScenario drives one drift spec against a recheck-armed server and
 // returns the rendered deterministic note streams plus the recovery
 // summaries. The stream is base inputs replayed `repeats` times with the
-// drift transform applied by global request index — the loadgen shape.
-func driftScenario(t *testing.T, workers int, spec string, sampleRate float64, repeats int) string {
+// drift transform applied by global request index — what loadgen sends —
+// decided at one client shape.
+func driftScenario(t *testing.T, shape clientShape, spec string, sampleRate float64, repeats int) string {
 	t.Helper()
 	d, err := dataset.ParseDrift(spec)
 	if err != nil {
@@ -85,37 +86,28 @@ func driftScenario(t *testing.T, workers int, spec string, sampleRate float64, r
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Lag 128 covers the widest shape's in-flight skew (4 connections of
+	// 32-request windows): the monitor releases in ID order at both.
 	cfg := Config{
-		Workers:    workers,
 		SampleRate: sampleRate,
 		SampleSeed: 11,
 		Obs:        o,
 		Watch: watch.Config{
-			Window: 16, RecoverAfter: 8, Exemplars: 4, Lag: 64,
+			Window: 16, RecoverAfter: 8, Exemplars: 4, Lag: 128,
 			Recheck: watch.Recheck{MaxFoldIns: 8, RepairEvery: 40},
 		},
 	}
 	s, addr := startServer(t, cfg, snap)
-	cl, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
 
-	// One pipelined connection in ID order: observations still race to
-	// the updater under several workers; the reorder buffer plus the
-	// monitor's deterministic table view restore determinism.
-	const batch = 24
-	out := make([]DecideResponse, batch)
-	ins := make([][]float64, batch)
-	for base2 := 0; base2 < len(base)*repeats; base2 += batch {
-		for i := 0; i < batch; i++ {
-			idx := base2 + i
-			ins[i] = d.Apply(nil, base[idx%len(base)], uint64(idx))
-		}
-		if _, err := cl.DecideBatchInto("synth", uint32(base2), ins, out); err != nil {
-			t.Fatal(err)
-		}
+	// Observations from several connections race to the updater; the
+	// reorder buffer plus the monitor's deterministic table view restore
+	// determinism.
+	ins := make([][]float64, len(base)*repeats)
+	for i := range ins {
+		ins[i] = d.Apply(nil, base[i%len(base)], uint64(i))
+	}
+	if err := dialShape(t, addr, shape).decide("synth", 0, ins, make([]DecideResponse, len(ins))); err != nil {
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -223,70 +215,63 @@ func noteAttrInt(t *testing.T, line, key string) int {
 }
 
 // runDriftScenario is the shared acceptance body: full cycle, bounded
-// fold-ins, and byte-identical note streams at workers 1 and 4.
-func runDriftScenario(t *testing.T, spec string, sampleRate float64) {
-	n1 := driftScenario(t, 1, spec, sampleRate, 10)
-	checkDriftCycle(t, n1, 8)
-	n4 := driftScenario(t, 4, spec, sampleRate, 10)
-	if n1 != n4 {
-		t.Fatalf("drift note stream differs across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", n1, n4)
+// fold-ins, and byte-identical note streams at both client shapes.
+func runDriftScenario(t *testing.T, spec string, sampleRate float64, repeats int) string {
+	t.Helper()
+	want := driftScenario(t, clientShapes[0], spec, sampleRate, repeats)
+	checkDriftCycle(t, want, 8)
+	for _, shape := range clientShapes[1:] {
+		if got := driftScenario(t, shape, spec, sampleRate, repeats); got != want {
+			t.Fatalf("drift note stream differs across client shapes:\n--- %v ---\n%s\n--- %v ---\n%s",
+				clientShapes[0], want, shape, got)
+		}
 	}
+	return want
 }
 
 func TestDriftSuddenRecovery(t *testing.T) {
-	runDriftScenario(t, "kind=sudden,at=300,shift=0.35,seed=3", 1)
+	runDriftScenario(t, "kind=sudden,at=300,shift=0.35,seed=3", 1, 10)
 }
 
 func TestDriftGradualRecovery(t *testing.T) {
-	runDriftScenario(t, "kind=gradual,start=200,ramp=160,shift=0.35,seed=3", 1)
+	runDriftScenario(t, "kind=gradual,start=200,ramp=160,shift=0.35,seed=3", 1, 10)
 }
 
 func TestDriftSeasonalRecovery(t *testing.T) {
 	// period == len(base inputs): every pass drifts each input at the
 	// same intensity, so season 1's fold-ins cover every later season.
-	runDriftScenario(t, "kind=seasonal,period=120,mix=1,shift=0.4,seed=3", 1)
+	runDriftScenario(t, "kind=seasonal,period=120,mix=1,shift=0.4,seed=3", 1, 10)
 }
 
 func TestDriftHeavyTailRecovery(t *testing.T) {
 	// Contaminated vectors saturate past the quantizer's domain in every
 	// component, collapsing onto the table's corner cells — a finite cell
 	// set that one or two fold-ins cover.
-	runDriftScenario(t, "kind=heavytail,start=200,rate=0.3,tail=3,seed=5", 1)
+	runDriftScenario(t, "kind=heavytail,start=200,rate=0.3,tail=3,seed=5", 1, 10)
 }
 
 // TestDriftBoostedSampling runs the sudden scenario at half sampling:
 // the violation must arm the forced-sampling boost window, and the note
-// streams must stay byte-identical across worker counts even though
+// streams must stay byte-identical across client shapes even though
 // boost membership is decided on the racy decide path (the BoostDelay
 // contract).
 func TestDriftBoostedSampling(t *testing.T) {
-	n1 := driftScenario(t, 1, "kind=sudden,at=300,shift=0.35,seed=3", 0.5, 10)
-	checkDriftCycle(t, n1, 8)
-	if !strings.Contains(n1, "note boost ") {
+	notes := runDriftScenario(t, "kind=sudden,at=300,shift=0.35,seed=3", 0.5, 10)
+	if !strings.Contains(notes, "note boost ") {
 		t.Fatal("no boost note journaled at sample-rate 0.5")
-	}
-	n4 := driftScenario(t, 4, "kind=sudden,at=300,shift=0.35,seed=3", 0.5, 10)
-	if n1 != n4 {
-		t.Fatalf("boosted note stream differs across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", n1, n4)
 	}
 }
 
 // TestDriftSparseSamplingBoost runs the sudden scenario at a tenth
 // sampling. There the release frontier trails the decided requests by
-// at least Lag/SampleRate = 640 request IDs, and by more while the
-// updater's channel backs up: past the monitor's own 8×Lag = 512 boost
+// at least Lag/SampleRate = 1280 request IDs, and by more while the
+// updater's channel backs up: past the monitor's own 8×Lag = 1024 boost
 // delay. The server scales the delay to the sample rate (boostDelay), so
 // the boost window still opens past every decided ID and the note
-// streams stay byte-identical across worker counts.
+// streams stay byte-identical across client shapes.
 func TestDriftSparseSamplingBoost(t *testing.T) {
-	const spec = "kind=sudden,at=300,shift=0.35,seed=3"
-	n1 := driftScenario(t, 1, spec, 0.1, 60)
-	checkDriftCycle(t, n1, 8)
-	if !strings.Contains(n1, "note boost ") {
+	notes := runDriftScenario(t, "kind=sudden,at=300,shift=0.35,seed=3", 0.1, 60)
+	if !strings.Contains(notes, "note boost ") {
 		t.Fatal("no boost note journaled at sample-rate 0.1")
-	}
-	n4 := driftScenario(t, 4, spec, 0.1, 60)
-	if n1 != n4 {
-		t.Fatalf("boosted note stream differs across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", n1, n4)
 	}
 }

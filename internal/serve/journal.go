@@ -57,8 +57,8 @@ func (d *DecisionSet) Digest() string {
 // journal whose config is exactly the decision fingerprint (benchmark,
 // invocation count, digest). Two runs that decided identically produce
 // journals that `mithra journal diff` reports clean, regardless of which
-// side was served and which was replayed offline, and at any worker
-// count.
+// side was served and which was replayed offline, and at any client
+// shape.
 func (d *DecisionSet) WriteJournal(path string, seed uint64) error {
 	o, err := obs.New(obs.Options{JournalPath: path})
 	if err != nil {

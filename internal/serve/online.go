@@ -7,7 +7,7 @@ import (
 )
 
 // observation is one sampled invocation's ground truth, produced by the
-// decision workers and consumed by the shard's updater goroutine.
+// connection readers and consumed by the shard's updater goroutine.
 type observation struct {
 	in      []float64
 	id      uint32 // request ID (keys the watch monitor's reorder buffer)
@@ -25,10 +25,10 @@ type observation struct {
 // monotone — bad inputs set bits, entries are never cleared) and
 // installs the refreshed snapshot atomically.
 //
-// A single goroutine owns the monitor, so it needs no locks; workers
-// hand observations over a channel. Installs happen between batches by
-// construction: workers load the registry pointer once per batch, so an
-// in-flight batch keeps deciding against the snapshot it started with.
+// A single goroutine owns the monitor, so it needs no locks; readers
+// hand observations over a channel. A reader loads the registry pointer
+// once per request, so an install never changes the snapshot a request
+// is being decided against.
 type updater struct {
 	s  *Server
 	sh *shard
@@ -36,11 +36,12 @@ type updater struct {
 }
 
 func newUpdater(s *Server, sh *shard) *updater {
-	return &updater{s: s, sh: sh, ch: make(chan observation, s.cfg.QueueDepth)}
+	return &updater{s: s, sh: sh, ch: make(chan observation, updaterQueue)}
 }
 
-// observe hands one sampled result to the update loop. Called by decision
-// workers; blocks only if the updater is behind by a full channel.
+// observe hands one sampled result to the update loop. Called by
+// connection readers; blocks only if the updater is behind by a full
+// channel.
 func (u *updater) observe(ob observation) { u.ch <- ob }
 
 // run consumes observations until the channel closes (server drain). The

@@ -6,12 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// Pooled frame buffers (DESIGN.md §12). The serve hot path frames one
-// small message per decision; allocating each frame would put the
-// garbage collector on the decide path. Instead, buffers come from
-// size-classed sync.Pools and return after the connection write
-// completes (writes are synchronous under the conn lock, so a returned
-// buffer is never still referenced by the network stack).
+// Pooled frame buffers (DESIGN.md §12). Connection readers and clients
+// read every frame payload into one buffer that ReadFrameInto grows
+// through size-classed sync.Pools, and conn.send frames forwarded
+// responses in them. A reader's buffer goes back when its connection
+// ends, so connection churn (client reconnects after a reset, peer links
+// redialing) reuses payload buffers instead of allocating new ones; a
+// send buffer goes back once its write completes (writes are synchronous
+// under the conn lock, so a returned buffer is never still referenced by
+// the network stack).
 //
 // Ownership rule: a buffer obtained from getBuf is owned by exactly one
 // goroutine until putBuf; putBuf transfers ownership back to the pool.
@@ -76,37 +79,10 @@ func putBuf(b []byte) {
 	bufPools[ci].Put(b[:0]) //nolint:staticcheck // slices are pointer-shaped; this does not allocate per op
 }
 
-// reqPool recycles decode targets for the reader fast path. A request
-// flows reader → shard queue → worker; the worker (or the reader, on
-// inline-response paths) returns it once the response is encoded.
-var reqPool = sync.Pool{New: func() any { return new(DecideRequest) }}
-
-//mithra:hotpath
-func getReq() *DecideRequest {
-	r := reqPool.Get().(*DecideRequest)
-	poolDebugGetReq(r)
-	return r
-}
-
-//mithra:hotpath
-func putReq(r *DecideRequest) {
-	if r == nil {
-		return
-	}
-	poolDebugPutReq(r)
-	r.ID = 0
-	r.Bench = ""
-	r.In = r.In[:0]
-	r.TraceID = 0
-	r.Orig = 0
-	r.Forwarded = false
-	reqPool.Put(r)
-}
-
 // --- debug canary -----------------------------------------------------
 //
 // The chaos tests flip pool-debug mode on to make pool misuse loud:
-// every checked-out buffer/request is tracked, returning one that is not
+// every checked-out buffer is tracked, returning one that is not
 // checked out (a double put, or a foreign buffer) panics with the
 // capacity, and returned buffers are poisoned with 0xDB — a stale alias
 // read after return yields bytes that can never parse as a valid frame
@@ -117,9 +93,8 @@ var (
 	poolDebug   atomic.Bool
 	poolDebugMu sync.Mutex
 	// liveBufs keys each checked-out buffer by the address of its first
-	// backing byte; liveReqs tracks checked-out request structs.
+	// backing byte.
 	liveBufs map[*byte]bool
-	liveReqs map[*DecideRequest]bool
 )
 
 // SetPoolDebug toggles pool misuse tracking (tests only: it serializes
@@ -128,7 +103,6 @@ func SetPoolDebug(on bool) {
 	poolDebugMu.Lock()
 	defer poolDebugMu.Unlock()
 	liveBufs = map[*byte]bool{}
-	liveReqs = map[*DecideRequest]bool{}
 	poolDebug.Store(on)
 }
 
@@ -161,31 +135,10 @@ func poolDebugPut(b []byte) {
 	}
 }
 
-func poolDebugGetReq(r *DecideRequest) {
-	if !poolDebug.Load() {
-		return
-	}
+// PoolOutstanding reports how many buffers are checked out while debug
+// tracking is on (tests assert it drains to zero).
+func PoolOutstanding() int {
 	poolDebugMu.Lock()
 	defer poolDebugMu.Unlock()
-	liveReqs[r] = true
-}
-
-func poolDebugPutReq(r *DecideRequest) {
-	if !poolDebug.Load() {
-		return
-	}
-	poolDebugMu.Lock()
-	defer poolDebugMu.Unlock()
-	if !liveReqs[r] {
-		panic("serve: request returned to pool twice (or never checked out)")
-	}
-	delete(liveReqs, r)
-}
-
-// PoolOutstanding reports how many buffers and requests are checked out
-// while debug tracking is on (tests assert it drains to zero).
-func PoolOutstanding() (bufs, reqs int) {
-	poolDebugMu.Lock()
-	defer poolDebugMu.Unlock()
-	return len(liveBufs), len(liveReqs)
+	return len(liveBufs)
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"sync"
@@ -75,6 +76,71 @@ func startServer(t testing.TB, cfg Config, snaps ...*Snapshot) (*Server, string)
 	return s, ln.Addr().String()
 }
 
+// clientShape is one way clients drive a server: conns connections, each
+// pipelining windows of pipeline requests. The determinism tests run
+// every shape in clientShapes; decisions, sampled sets and journaled
+// notes must not depend on which.
+type clientShape struct{ conns, pipeline int }
+
+func (c clientShape) String() string { return fmt.Sprintf("%dx%d", c.conns, c.pipeline) }
+
+// clientShapes are the two shapes the CI serving jobs use: one request
+// at a time on one connection, and four connections of 32-request
+// windows.
+var clientShapes = []clientShape{{1, 1}, {4, 32}}
+
+// shapedClients is one client shape dialed to a server.
+type shapedClients struct {
+	shape clientShape
+	cls   []*Client
+}
+
+func dialShape(t testing.TB, addr string, shape clientShape) *shapedClients {
+	t.Helper()
+	sc := &shapedClients{shape: shape}
+	for i := 0; i < shape.conns; i++ {
+		cl, err := Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		sc.cls = append(sc.cls, cl)
+	}
+	return sc
+}
+
+// decide decides inputs under IDs base, base+1, ... into out (input
+// order). Window w, the pipeline inputs from w×pipeline on, goes to
+// connection w mod conns, the layout of `mithra loadgen`. Windows go out
+// in rounds: every connection sends one window, and the next round
+// starts once all of them are answered, so the IDs in flight never span
+// more than conns×pipeline — the skew a monitor's reorder buffer
+// (watch.Config.Lag) must cover.
+func (sc *shapedClients) decide(bench string, base uint32, inputs [][]float64, out []DecideResponse) error {
+	p, conns := sc.shape.pipeline, sc.shape.conns
+	errs := make([]error, conns)
+	for round := 0; round < len(inputs); round += conns * p {
+		var wg sync.WaitGroup
+		for c := 0; c < conns; c++ {
+			lo := min(round+c*p, len(inputs))
+			hi := min(lo+p, len(inputs))
+			if lo == hi {
+				break
+			}
+			wg.Add(1)
+			go func(c, lo, hi int) {
+				defer wg.Done()
+				_, errs[c] = sc.cls[c].DecideBatchInto(bench, base+uint32(lo), inputs[lo:hi], out[lo:hi])
+			}(c, lo, hi)
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func TestRegistryVersioningAndCOW(t *testing.T) {
 	a := syntheticSnapshot(t, "alpha", nil)
 	b := syntheticSnapshot(t, "beta", nil)
@@ -118,7 +184,7 @@ func TestRegistryVersioningAndCOW(t *testing.T) {
 
 func TestServerDecidesLikeClassifier(t *testing.T) {
 	snap := syntheticSnapshot(t, "synth", nil)
-	_, addr := startServer(t, Config{Workers: 4}, snap)
+	_, addr := startServer(t, Config{}, snap)
 	cl, err := Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +225,7 @@ func TestServerDecidesLikeClassifier(t *testing.T) {
 // bits and are served exactly as the offline classifier decides them.
 func TestServerDecidesNonFiniteInputsLikeClassifier(t *testing.T) {
 	snap := syntheticSnapshot(t, "synth", nil)
-	_, addr := startServer(t, Config{Workers: 2}, snap)
+	_, addr := startServer(t, Config{}, snap)
 	cl, err := Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +257,7 @@ func TestServerDecidesNonFiniteInputsLikeClassifier(t *testing.T) {
 func TestServerShardsAreIsolated(t *testing.T) {
 	a := syntheticSnapshot(t, "alpha", nil)
 	b := syntheticSnapshot(t, "beta", nil)
-	_, addr := startServer(t, Config{Workers: 2}, a, b)
+	_, addr := startServer(t, Config{}, a, b)
 	cl, err := Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -328,9 +394,9 @@ func TestClientResponseIDs(t *testing.T) {
 }
 
 // TestPipelinedMixedWidthBatch: one wrong-width request inside a
-// pipelined window must fail alone. The 32 frames go out in one write,
-// so a worker drains them as one batch; ID 16 gets CodeBadDim and every
-// other decision equals the offline classifier's.
+// pipelined window must fail alone. At every client shape each
+// connection sends the same 32 requests, a window per write; ID 16 gets
+// CodeBadDim and every other decision equals the offline classifier's.
 func TestPipelinedMixedWidthBatch(t *testing.T) {
 	const n, bad = 32, 16
 	rng := mathx.NewRNG(11)
@@ -339,72 +405,85 @@ func TestPipelinedMixedWidthBatch(t *testing.T) {
 		inputs[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 	}
 	inputs[bad] = []float64{0.5}
-	for _, workers := range []int{1, 4} {
+	for _, shape := range clientShapes {
 		snap := syntheticSnapshot(t, "synth", nil)
-		_, addr := startServer(t, Config{Workers: workers}, snap)
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
+		_, addr := startServer(t, Config{}, snap)
+		errs := make(chan error, shape.conns)
+		for c := 0; c < shape.conns; c++ {
+			go func() { errs <- mixedWidthConn(addr, snap, inputs, shape.pipeline, bad) }()
 		}
+		for c := 0; c < shape.conns; c++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("shape %v: %v", shape, err)
+			}
+		}
+	}
+}
+
+// mixedWidthConn drives TestPipelinedMixedWidthBatch's requests over one
+// connection, pipeline frames per write.
+func mixedWidthConn(addr string, snap *Snapshot, inputs [][]float64, pipeline int, bad uint32) error {
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	view := snap.Table.ConcurrentView()
+	seen := make([]bool, len(inputs))
+	for lo := 0; lo < len(inputs); lo += pipeline {
+		hi := min(lo+pipeline, len(inputs))
 		var frames []byte
-		for i, in := range inputs {
-			if frames, err = AppendFrame(frames, &DecideRequest{ID: uint32(i), Bench: "synth", In: in}); err != nil {
-				t.Fatal(err)
+		for i := lo; i < hi; i++ {
+			if frames, err = AppendFrame(frames, &DecideRequest{ID: uint32(i), Bench: "synth", In: inputs[i]}); err != nil {
+				return err
 			}
 		}
 		if _, err := nc.Write(frames); err != nil {
-			t.Fatal(err)
+			return err
 		}
-		br := bufio.NewReader(nc)
-		view := snap.Table.ConcurrentView()
-		seen := make([]bool, n)
-		for range inputs {
+		for i := lo; i < hi; i++ {
 			msg, err := ReadMessage(br)
 			if err != nil {
-				t.Fatalf("workers %d: %v", workers, err)
+				return err
 			}
 			switch m := msg.(type) {
 			case *ErrorResponse:
 				if m.Code != CodeBadDim || m.ID != bad {
-					t.Fatalf("workers %d: want CodeBadDim for id %d, got %#v", workers, bad, m)
+					return fmt.Errorf("want CodeBadDim for id %d, got %#v", bad, m)
 				}
 				seen[m.ID] = true
 			case *DecideResponse:
-				if m.ID == bad || m.ID >= n || seen[m.ID] {
-					t.Fatalf("workers %d: unexpected decision %#v", workers, m)
+				if m.ID == bad || int(m.ID) < lo || int(m.ID) >= hi || seen[m.ID] {
+					return fmt.Errorf("unexpected decision %#v", m)
 				}
 				if want := view.Classify(inputs[m.ID]); m.Precise != want {
-					t.Fatalf("workers %d: decision %d: served %v, classifier %v", workers, m.ID, m.Precise, want)
+					return fmt.Errorf("decision %d: served %v, classifier %v", m.ID, m.Precise, want)
 				}
 				seen[m.ID] = true
 			default:
-				t.Fatalf("workers %d: unexpected response %#v", workers, msg)
+				return fmt.Errorf("unexpected response %#v", msg)
 			}
 		}
-		nc.Close()
 	}
+	return nil
 }
 
 func TestSamplingIsDeterministic(t *testing.T) {
 	// The sampled set must be a pure function of (seed, bench, id) — the
-	// same at any worker count and in any scheduling.
-	sampledSet := func(workers int) []bool {
+	// same at any client shape and in any scheduling.
+	sampledSet := func(shape clientShape) []bool {
 		snap := syntheticSnapshot(t, "synth", func() ErrorProbe {
 			return func([]float64) float64 { return 0 }
 		})
-		_, addr := startServer(t, Config{Workers: workers, SampleRate: 0.3, SampleSeed: 11}, snap)
-		cl, err := Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
+		_, addr := startServer(t, Config{SampleRate: 0.3, SampleSeed: 11}, snap)
 		rng := mathx.NewRNG(5)
 		inputs := make([][]float64, 400)
 		for i := range inputs {
 			inputs[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		}
-		resps, err := cl.DecideBatch("synth", 0, inputs)
-		if err != nil {
+		resps := make([]DecideResponse, len(inputs))
+		if err := dialShape(t, addr, shape).decide("synth", 0, inputs, resps); err != nil {
 			t.Fatal(err)
 		}
 		out := make([]bool, len(resps))
@@ -420,11 +499,13 @@ func TestSamplingIsDeterministic(t *testing.T) {
 		}
 		return out
 	}
-	serial := sampledSet(1)
-	parallel := sampledSet(4)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("sampled set diverged at invocation %d between worker counts", i)
+	want := sampledSet(clientShapes[0])
+	for _, shape := range clientShapes[1:] {
+		got := sampledSet(shape)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("sampled set diverged at invocation %d between shapes %v and %v", i, clientShapes[0], shape)
+			}
 		}
 	}
 }
@@ -448,7 +529,7 @@ func TestOnlineUpdateRestoresGuarantee(t *testing.T) {
 		folded []*Snapshot
 	)
 	srv, addr := startServer(t, Config{
-		Workers: 2, SampleRate: 1, SampleSeed: 3, Obs: o,
+		SampleRate: 1, SampleSeed: 3, Obs: o,
 		OnFoldIn: func(snap *Snapshot) {
 			foldMu.Lock()
 			defer foldMu.Unlock()
@@ -620,7 +701,7 @@ func TestFreezeNeverSwaps(t *testing.T) {
 func TestShutdownDrains(t *testing.T) {
 	snap := syntheticSnapshot(t, "synth", nil)
 	reg := NewRegistry(snap)
-	s, err := NewServer(reg, Config{Workers: 2})
+	s, err := NewServer(reg, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -667,7 +748,7 @@ func TestShutdownUnderLoad(t *testing.T) {
 	// a decision or a clean connection error — never a hang.
 	snap := syntheticSnapshot(t, "synth", nil)
 	reg := NewRegistry(snap)
-	s, err := NewServer(reg, Config{Workers: 2, QueueDepth: 4, MaxBatch: 2})
+	s, err := NewServer(reg, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -709,7 +790,7 @@ func TestShutdownUnderLoad(t *testing.T) {
 
 // TestServedDecisionsMatchOfflineReplay is the end-to-end determinism
 // acceptance check: a real compiled deployment, exported and re-loaded
-// through the snapshot path, served over TCP at several worker counts
+// through the snapshot path, served over TCP at both client shapes
 // with sporadic sampling on (frozen), must produce decisions
 // byte-identical to the offline trace replay.
 func TestServedDecisionsMatchOfflineReplay(t *testing.T) {
@@ -742,36 +823,28 @@ func TestServedDecisionsMatchOfflineReplay(t *testing.T) {
 	ref.AppendBools(offline)
 	inputs := ds.Tr.CollectInputs()
 
-	for _, workers := range []int{1, 4} {
+	for _, shape := range clientShapes {
 		snap, err := LoadSnapshot(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, addr := startServer(t, Config{
-			Workers: workers, SampleRate: 0.2, SampleSeed: 17, Freeze: true,
+			SampleRate: 0.2, SampleSeed: 17, Freeze: true,
 		}, snap)
-		cl, err := Dial("tcp", addr)
-		if err != nil {
+		resps := make([]DecideResponse, len(inputs))
+		if err := dialShape(t, addr, shape).decide("fft", 0, inputs, resps); err != nil {
 			t.Fatal(err)
 		}
 		served := NewDecisionSet("fft")
-		for base := 0; base < len(inputs); base += 256 {
-			hi := min(base+256, len(inputs))
-			resps, err := cl.DecideBatch("fft", uint32(base), inputs[base:hi])
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range resps {
-				served.Append(r.Precise)
-			}
+		for _, r := range resps {
+			served.Append(r.Precise)
 		}
-		cl.Close()
 		if !bytes.Equal(served.Bytes(), ref.Bytes()) {
-			t.Fatalf("workers=%d: served decisions differ from offline replay (%d invocations)",
-				workers, len(inputs))
+			t.Fatalf("shape %v: served decisions differ from offline replay (%d invocations)",
+				shape, len(inputs))
 		}
 		if served.Digest() != ref.Digest() {
-			t.Fatalf("workers=%d: digest mismatch: %s != %s", workers, served.Digest(), ref.Digest())
+			t.Fatalf("shape %v: digest mismatch: %s != %s", shape, served.Digest(), ref.Digest())
 		}
 	}
 }

@@ -1,15 +1,15 @@
 // Package serve is mithrad's engine: a long-running decision service
 // that answers per-invocation accept/reject queries against immutable
-// model snapshots (pre-trained classifier + tuned threshold), batched
-// through bounded per-benchmark queues, with the paper's online update
-// path — sporadic error sampling feeding table-classifier updates and a
-// Clopper-Pearson guarantee re-check that swaps refreshed snapshots in
-// atomically.
+// model snapshots (pre-trained classifier + tuned threshold), decided by
+// each connection's reader and answered one write per pipelined batch,
+// with the paper's online update path — sporadic error sampling feeding
+// table-classifier updates and a Clopper-Pearson guarantee re-check that
+// swaps refreshed snapshots in atomically.
 //
 // The package honors the repository determinism contract: a served
 // decision is a pure function of (snapshot, input), so replaying a
 // captured trace through a frozen-snapshot server yields decisions
-// byte-identical to an offline trace.Replay at any worker count, and the
+// byte-identical to an offline trace.Replay at any client shape, and the
 // sporadic sampler derives its choices from the sampling seed and the
 // request's invocation ID, never from the wall clock or scheduling
 // order. No code in this package reads the wall clock (it is inside the
@@ -19,6 +19,7 @@ package serve
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -38,17 +39,6 @@ import (
 
 // Config sizes the decision server.
 type Config struct {
-	// Workers is the per-benchmark decision worker count (<= 0:
-	// GOMAXPROCS, 1: serial). Decisions are identical at every setting.
-	Workers int
-	// QueueDepth bounds each benchmark shard's request queue; a full
-	// queue exerts backpressure on the connection readers (and through
-	// TCP, on clients).
-	QueueDepth int
-	// MaxBatch bounds how many queued requests one worker drains per
-	// wakeup. Batching amortizes snapshot lookups and per-connection
-	// write flushes.
-	MaxBatch int
 	// SampleRate is the sporadic error-sampling rate (paper §IV-C1):
 	// this fraction of served invocations is routed through the precise
 	// path to measure the true accelerator error. 0 disables the online
@@ -63,19 +53,15 @@ type Config struct {
 	// runs use this to keep decisions byte-identical to the offline path.
 	Freeze bool
 	// Obs receives serving telemetry (counters and histograms only — all
-	// commutative, so the hot path may update them from any worker).
+	// commutative, so the hot path may update them from any reader).
 	Obs *obs.Obs
 	// Breaker configures the per-benchmark circuit breaker (zero value:
 	// defaults).
 	Breaker BreakerConfig
 	// Faults is the active fault-injection plan (nil: no injection).
 	// Injected faults exercise the degradation paths: connection faults,
-	// worker panics, queue saturation, snapshot-install failures.
+	// decide panics, snapshot-install failures.
 	Faults *fault.Set
-	// RejectWhenFull sheds load instead of exerting backpressure: a full
-	// shard queue answers CodeQueueFull in-band (a retryable error) and
-	// counts as a breaker failure — the clock-free latency budget.
-	RejectWhenFull bool
 	// Watch sizes the per-shard guarantee monitor (internal/watch), the
 	// one guarantee loop: a sliding-window Clopper-Pearson re-check with
 	// journaled state transitions, divergence gauges, and recheck-mode
@@ -100,60 +86,55 @@ type Config struct {
 
 // withDefaults fills unset knobs.
 func (c Config) withDefaults() Config {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
 	// Sampling is what feeds the guarantee monitor, so it alone decides
 	// whether shards run one; the Enabled fields a caller sets are
 	// ignored.
 	c.Watch.Enabled = c.SampleRate > 0
 	c.Watch.Recheck.Enabled = c.Watch.Enabled
 	if c.Watch.Enabled && c.Watch.Recheck.BoostDelay <= 0 {
-		c.Watch.Recheck.BoostDelay = boostDelay(c.Watch.Lag, c.QueueDepth, c.SampleRate)
+		c.Watch.Recheck.BoostDelay = boostDelay(c.Watch.Lag, c.SampleRate)
 	}
 	return c
 }
+
+// updaterQueue is the capacity of each shard's observation channel
+// (readers → updater): room for the updater to fall behind a burst of
+// sampled decisions without blocking the readers that feed it.
+// boostDelay counts every slot.
+const updaterQueue = 256
 
 // boostDelay is the default distance, in request IDs, between the
 // release that arms a forced-sampling boost and the boost window's first
 // ID. The window must open past every ID already decided when the
 // monitor arms it, or whether a request is boosted would depend on
 // decide timing. The sampled observations decided past the release
-// frontier are the Lag still in the reorder buffer, at most queue in the
-// updater's channel, and at most one per worker blocked handing its
-// observation over (the Lag contract keeps the worker count under Lag):
-// fewer than 2×Lag+queue sampled observations, spanning about
-// (2×Lag+queue)/rate request IDs. The delay
-// never drops below the monitor's own 8×Lag default, which full sampling
-// keeps. It is derived from Lag rather than the worker count so the boost
-// windows, and with them the journaled notes, are the same at any worker
-// count.
-func boostDelay(lag, queue int, rate float64) int {
+// frontier are the Lag still in the reorder buffer, at most updaterQueue
+// in the updater's channel, and at most one per connection whose reader
+// is blocked handing its observation over. The argument needs fewer
+// connections on a shard than Lag (the Lag contract already asks that of
+// the in-flight skew), so fewer than 2×Lag+updaterQueue sampled
+// observations are past the frontier, spanning about
+// (2×Lag+updaterQueue)/rate request IDs.
+// The delay never drops below the monitor's own 8×Lag default, which
+// full sampling keeps. It is derived from Lag rather than the client
+// shape, so the boost windows, and with them the journaled notes, are
+// the same however clients connect.
+func boostDelay(lag int, rate float64) int {
 	if lag <= 0 {
 		lag = watch.DefaultLag
 	}
-	d := int(math.Ceil(float64(2*lag+queue) / rate))
+	d := int(math.Ceil(float64(2*lag+updaterQueue) / rate))
 	if d < 8*lag {
 		d = 8 * lag
 	}
 	return d
 }
 
-// task is one queued decision.
-type task struct {
-	req *DecideRequest
-	c   *conn
-}
-
-// shard owns one benchmark's bounded queue, workers, online updater, and
-// circuit breaker.
+// shard owns one benchmark's online updater and circuit breaker.
 type shard struct {
 	bench      string
+	idx        int // position in Server.shardOrder; keys connReader.views
 	inDim      int
-	q          chan task
 	sampleSeed uint64 // parallel.Seed(cfg.SampleSeed, bench)
 	up         *updater
 	brk        *breaker
@@ -170,11 +151,10 @@ type shard struct {
 	// Per-shard fault injectors, resolved once at construction:
 	// fault.Set.Scoped builds a composite key string per call, which the
 	// decide path must not pay per request. Nil when the site is unplanned.
-	fQueueSat *fault.Injector
-	fPanic    *fault.Injector
-	fDrift    *fault.Injector
+	fPanic *fault.Injector
+	fDrift *fault.Injector
 	// Per-benchmark decision counters for the watch status surface,
-	// resolved once (commutative: safe from any worker).
+	// resolved once (commutative: safe from any reader).
 	cDecisions *obs.Counter
 	cFallbacks *obs.Counter
 }
@@ -189,10 +169,8 @@ type serverMetrics struct {
 	errFrame         *obs.Counter
 	errMalformed     *obs.Counter
 	errUnknownBench  *obs.Counter
-	errQueueFull     *obs.Counter
 	errBadDim        *obs.Counter
 	errEncode        *obs.Counter
-	backpressure     *obs.Counter
 	decFallback      *obs.Counter
 	decPrecise       *obs.Counter
 	decApprox        *obs.Counter
@@ -213,10 +191,8 @@ func newServerMetrics(o *obs.Obs) serverMetrics {
 		errFrame:         o.Counter("serve.errors.frame"),
 		errMalformed:     o.Counter("serve.errors.malformed"),
 		errUnknownBench:  o.Counter("serve.errors.unknown_bench"),
-		errQueueFull:     o.Counter("serve.errors.queue_full"),
 		errBadDim:        o.Counter("serve.errors.bad_dim"),
 		errEncode:        o.Counter("serve.errors.encode"),
-		backpressure:     o.Counter("serve.backpressure"),
 		decFallback:      o.Counter("serve.decisions.fallback"),
 		decPrecise:       o.Counter("serve.decisions.precise"),
 		decApprox:        o.Counter("serve.decisions.approx"),
@@ -255,12 +231,11 @@ type Server struct {
 	connSeq uint64 // guarded by connMu; keys per-connection fault scopes
 
 	readerWG  sync.WaitGroup
-	workerWG  sync.WaitGroup
 	updaterWG sync.WaitGroup
 }
 
 // NewServer builds a server over the registry's current benchmarks. Each
-// registered benchmark gets its own shard (queue + workers + updater);
+// registered benchmark gets its own shard (updater + breaker);
 // snapshots installed later for *new* benchmarks are not served.
 func NewServer(reg *Registry, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
@@ -279,16 +254,14 @@ func NewServer(reg *Registry, cfg Config) (*Server, error) {
 		drainDone:  make(chan struct{}),
 		conns:      make(map[*conn]struct{}),
 	}
-	workers := parallel.Workers(cfg.Workers)
-	for _, b := range benches {
+	for i, b := range benches {
 		snap := reg.Get(b)
 		sh := &shard{
 			bench:      b,
+			idx:        i,
 			inDim:      snap.Table.InputDim(),
-			q:          make(chan task, cfg.QueueDepth),
 			sampleSeed: parallel.Seed(cfg.SampleSeed, b),
 			brk:        newBreaker(b, cfg.Breaker, cfg.Obs),
-			fQueueSat:  cfg.Faults.Scoped(fault.SiteQueueSaturate, b),
 			fPanic:     cfg.Faults.Scoped(fault.SiteWorkerPanic, b),
 			fDrift:     cfg.Faults.Scoped(fault.SiteProbeDrift, b),
 			cDecisions: cfg.Obs.Counter("serve.bench.decisions." + b),
@@ -316,10 +289,6 @@ func NewServer(reg *Registry, cfg Config) (*Server, error) {
 		s.shards[b] = sh
 		s.updaterWG.Add(1)
 		go sh.up.run(&s.updaterWG)
-		for w := 0; w < workers; w++ {
-			s.workerWG.Add(1)
-			go s.worker(sh)
-		}
 	}
 	return s, nil
 }
@@ -376,110 +345,204 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// reader parses one connection's request stream and enqueues decisions.
-// The steady-state path is allocation-free: one pooled payload buffer is
-// reused for every frame on the connection, and decide requests decode
-// straight into pooled request structs with the benchmark name interned
-// through the shard map (a map lookup keyed by []byte→string conversion
-// does not allocate).
+// batchCap bounds the responses a connection reader owes before it
+// writes them: a pipelined window longer than this is answered in
+// several writes.
+const batchCap = 32
+
+// readBufSize sizes each connection's read buffer so that one read holds
+// a whole pipelined batch (32 frames of 64-element inputs are about
+// 17 KiB). With bufio's 4 KiB default only about 7 such frames are
+// buffered at a time, and the reader, which writes whenever no complete
+// frame is buffered, would answer a 32-request batch in five writes.
+const readBufSize = 64 << 10
+
+// reader serves one connection: it parses each request, decides it in
+// place, and answers a pipelined batch with one write. Responses are
+// owed until no complete frame is buffered (the next read could block)
+// or batchCap are pending; then the reader makes the batch's decision
+// records durable and writes every owed frame at once. Parallelism comes
+// from connections, and backpressure from not reading: a reader blocked
+// writing to a slow client reads none of its further requests.
 func (s *Server) reader(c *conn) {
 	defer s.readerWG.Done()
-	br := bufio.NewReader(c.c)
-	var payload []byte // pooled; ReadFrameInto grows it through the pool
-	defer func() { putBuf(payload) }()
-	for {
+	r := s.newConnReader(c)
+	for r.next() {
+	}
+	r.flush()
+	putBuf(r.payload)
+	s.dropConn(c)
+}
+
+// connReader is one connection's decide loop state. Everything the
+// steady-state loop touches lives here, so it allocates nothing: the
+// payload buffer is reused for every frame, decide requests decode into
+// one request struct (the benchmark name is interned through the shard
+// map, and a map lookup keyed by a []byte→string conversion does not
+// allocate), and responses are framed into one buffer.
+type connReader struct {
+	s       *Server
+	c       *conn
+	br      *bufio.Reader
+	payload []byte // pooled; ReadFrameInto grows it through the pool
+	req     DecideRequest
+	// views holds a private classifier view and error probe per shard
+	// (indexed by shard.idx), rebuilt when the shard's snapshot version
+	// changes.
+	views []shardView
+	out   []byte // framed responses owed to the client
+	owed  int    // frames in out
+	dresp DecideResponse
+	eresp ErrorResponse
+	// send is c.send, bound once so that forwarding a request allocates
+	// no closure; the peer link calls it from its own goroutine when the
+	// response arrives.
+	send func(Message)
+}
+
+// shardView is a connection's decide state for one shard's snapshot.
+type shardView struct {
+	view    classifier.Classifier
+	probe   ErrorProbe
+	version uint32
+}
+
+func (s *Server) newConnReader(c *conn) *connReader {
+	return &connReader{
+		s:     s,
+		c:     c,
+		br:    bufio.NewReaderSize(c.c, readBufSize),
+		views: make([]shardView, len(s.shardOrder)),
+		send:  c.send,
+	}
+}
+
+// next reads and answers one frame, then flushes if the batch is due. It
+// reports false once the connection is done (or the server drains).
+//
+//mithra:hotpath
+func (r *connReader) next() bool {
+	s := r.s
+	select {
+	case <-s.quit:
+		return false
+	default:
+	}
+	var err error
+	r.payload, err = ReadFrameInto(r.br, r.payload)
+	if err != nil {
+		return r.readFailed(err)
+	}
+	r.handle()
+	r.flushIfDue()
+	return true
+}
+
+// readFailed handles a failed frame read and reports whether the
+// connection survives it. An oversized frame leaves its payload unread:
+// the reader discards exactly the advertised bytes, answers in-band and
+// keeps the connection. Anything else ends it.
+func (r *connReader) readFailed(err error) bool {
+	s := r.s
+	var ftl *FrameTooLargeError
+	if errors.As(err, &ftl) {
+		s.m.errFrameTooLarge.Inc()
+		if _, derr := io.CopyN(io.Discard, r.br, int64(ftl.N)); derr == nil {
+			r.reply(&ErrorResponse{Code: CodeFrameTooLarge, Msg: ftl.Error()})
+			r.flushIfDue()
+			return true
+		}
+	}
+	if !errors.Is(err, io.EOF) {
 		select {
-		case <-s.quit:
-			return
+		case <-s.quit: // drain deadline fired; not a client fault
 		default:
+			s.m.errFrame.Inc()
 		}
-		var err error
-		payload, err = ReadFrameInto(br, payload)
+	}
+	return false
+}
+
+// handle answers the frame in r.payload, appending any response to the
+// batch. Decide requests and forwarded ones (a single hop from a peer
+// that did not own them) take the fast path; everything else goes
+// through the generic decoder.
+//
+//mithra:hotpath
+func (r *connReader) handle() {
+	s, payload := r.s, r.payload
+	if len(payload) >= 3 && (payload[2] == msgDecideReq || payload[2] == msgForward) {
+		req := &r.req
+		bench, err := parseRequestInto(payload, req)
 		if err != nil {
-			// An oversized frame leaves its payload unread: discard exactly
-			// the advertised bytes, answer in-band, keep the connection.
-			var ftl *FrameTooLargeError
-			if errors.As(err, &ftl) {
-				s.m.errFrameTooLarge.Inc()
-				if _, derr := io.CopyN(io.Discard, br, int64(ftl.N)); derr == nil {
-					c.send(&ErrorResponse{Code: CodeFrameTooLarge, Msg: ftl.Error()})
-					continue
-				}
-			}
-			if !errors.Is(err, io.EOF) {
-				select {
-				case <-s.quit: // drain deadline fired; not a client fault
-				default:
-					s.m.errFrame.Inc()
-				}
-			}
-			s.dropConn(c)
+			r.malformed(err)
 			return
 		}
-		// Fast path: a decide request or a forwarded one (a single hop from
-		// a peer that did not own it) parses into a pooled request without
-		// touching the generic decoder. Ownership of the request transfers
-		// to enqueue (and onward to a shard worker); every non-queued
-		// outcome returns it to the pool here.
-		if len(payload) >= 3 && (payload[2] == msgDecideReq || payload[2] == msgForward) {
-			req := getReq()
-			bench, perr := parseRequestInto(payload, req)
-			if perr != nil {
-				putReq(req)
-				s.m.errMalformed.Inc()
-				c.send(&ErrorResponse{Code: CodeMalformed, Msg: perr.Error()})
-				continue
-			}
-			sh := s.shards[string(bench)]
-			if sh == nil {
-				s.m.errUnknownBench.Inc()
-				c.send(&ErrorResponse{ID: req.ID, Code: CodeUnknownBench,
-					Msg: fmt.Sprintf("no snapshot for benchmark %q", string(bench))})
-				putReq(req)
-				continue
-			}
-			req.Bench = sh.bench // interned: the shard's canonical name
-			// A forwarded request is always served locally — never re-routed —
-			// so a ring disagreement cannot loop a frame between nodes.
-			if s.cfg.Cluster != nil && !req.Forwarded {
-				if peer := s.cfg.Cluster.Route(sh.bench, req.ID, req.In); peer != "" {
-					s.forward(c, peer, req)
-					continue
-				}
-			}
-			s.enqueue(c, sh, req)
-			continue
+		sh := s.shards[string(bench)]
+		if sh == nil {
+			r.unknownBench(req.ID, bench)
+			return
 		}
-		msg, err := ParseMessage(payload)
-		if err != nil {
-			// The framing survived, only the payload was malformed: report
-			// and keep the connection.
-			s.m.errMalformed.Inc()
-			c.send(&ErrorResponse{Code: CodeMalformed, Msg: err.Error()})
-			continue
-		}
-		switch m := msg.(type) {
-		case Ping:
-			c.send(Pong{})
-		case *FoldIn:
-			if s.cfg.Cluster == nil {
-				c.send(&ErrorResponse{Code: CodeMalformed, Msg: "fold-in on a non-cluster node"})
-				continue
+		req.Bench = sh.bench // interned: the shard's canonical name
+		// A forwarded request is always served locally — never re-routed —
+		// so a ring disagreement cannot loop a frame between nodes.
+		if s.cfg.Cluster != nil && !req.Forwarded {
+			if peer := s.cfg.Cluster.Route(sh.bench, req.ID, req.In); peer != "" {
+				r.forward(peer, req)
+				return
 			}
-			status := s.cfg.Cluster.ApplyFoldIn(m.Bench, m.Version, m.Table)
-			c.send(&FoldInAck{Bench: m.Bench, Version: m.Version, Status: status})
-		case *CatchUpReq:
-			if s.cfg.Cluster == nil {
-				c.send(&ErrorResponse{Code: CodeMalformed, Msg: "catch-up on a non-cluster node"})
-				continue
-			}
-			c.send(s.catchUp(m))
-		default:
-			// Decide requests never reach here (the fast path above matches
-			// every frame ParseMessage would decode as one).
-			s.m.errMalformed.Inc()
-			c.send(&ErrorResponse{Code: CodeMalformed, Msg: fmt.Sprintf("unexpected message %T", msg)})
 		}
+		r.decide(sh, req)
+		return
+	}
+	r.handleControl()
+}
+
+// malformed answers a frame whose payload did not parse. The framing
+// survived, so the connection stays.
+func (r *connReader) malformed(err error) {
+	r.s.m.errMalformed.Inc()
+	r.reply(&ErrorResponse{Code: CodeMalformed, Msg: err.Error()})
+}
+
+// unknownBench answers a request for a benchmark this server has no
+// snapshot of.
+func (r *connReader) unknownBench(id uint32, bench []byte) {
+	r.s.m.errUnknownBench.Inc()
+	r.reply(&ErrorResponse{ID: id, Code: CodeUnknownBench,
+		Msg: fmt.Sprintf("no snapshot for benchmark %q", bench)})
+}
+
+// handleControl answers a non-decide frame: pings and the cluster's
+// replication messages.
+func (r *connReader) handleControl() {
+	s := r.s
+	msg, err := ParseMessage(r.payload)
+	if err != nil {
+		r.malformed(err)
+		return
+	}
+	switch m := msg.(type) {
+	case Ping:
+		r.reply(Pong{})
+	case *FoldIn:
+		if s.cfg.Cluster == nil {
+			r.reply(&ErrorResponse{Code: CodeMalformed, Msg: "fold-in on a non-cluster node"})
+			return
+		}
+		status := s.cfg.Cluster.ApplyFoldIn(m.Bench, m.Version, m.Table)
+		r.reply(&FoldInAck{Bench: m.Bench, Version: m.Version, Status: status})
+	case *CatchUpReq:
+		if s.cfg.Cluster == nil {
+			r.reply(&ErrorResponse{Code: CodeMalformed, Msg: "catch-up on a non-cluster node"})
+			return
+		}
+		r.reply(s.catchUp(m))
+	default:
+		// Decide requests never reach here (the fast path in handle
+		// matches every frame ParseMessage would decode as one).
+		s.m.errMalformed.Inc()
+		r.reply(&ErrorResponse{Code: CodeMalformed, Msg: fmt.Sprintf("unexpected message %T", msg)})
 	}
 }
 
@@ -504,221 +567,132 @@ func (s *Server) catchUp(m *CatchUpReq) Message {
 // forward ships a mis-routed request to the owning node through the
 // cluster hooks. The hook borrows req only for the duration of the call;
 // the eventual peer response (already re-keyed to the client's request
-// ID) is written back on this connection. A dead peer answers in-band
-// with CodePeerDown — retryable, because the request was decided nowhere.
-//
-//mithra:owns req
-func (s *Server) forward(c *conn, peer string, req *DecideRequest) {
-	err := s.cfg.Cluster.Forward(peer, req, func(m Message) { c.send(m) })
-	if err != nil {
+// ID) is written on this connection by the peer link. A dead peer is
+// answered in-band with CodePeerDown — retryable, because the request
+// was decided nowhere.
+func (r *connReader) forward(peer string, req *DecideRequest) {
+	s := r.s
+	if err := s.cfg.Cluster.Forward(peer, req, r.send); err != nil {
 		s.m.errPeerDown.Inc()
-		c.send(&ErrorResponse{ID: req.ID, Code: CodePeerDown,
+		r.reply(&ErrorResponse{ID: req.ID, Code: CodePeerDown,
 			Msg: fmt.Sprintf("forward to %s: %v", peer, err)})
-		putReq(req)
 		return
 	}
 	s.m.forwards.Inc()
-	putReq(req)
 }
 
-// enqueue routes a request to its benchmark shard. With the breaker open
-// the request gets the precise fallback immediately; a full queue blocks
-// (backpressure through the reader and TCP) unless RejectWhenFull sheds
-// it in-band; a draining server rejects. enqueue owns req: queueing
-// transfers it to a worker, every other outcome returns it to the pool.
+// decide answers one request of shard sh. With the breaker open the
+// request gets the precise fallback; otherwise it is classified against
+// the shard's current snapshot inside decideSafe's panic barrier, and a
+// sampled observation goes to the shard's updater right away.
 //
-//mithra:owns req
-func (s *Server) enqueue(c *conn, sh *shard, req *DecideRequest) {
+//mithra:hotpath
+func (r *connReader) decide(sh *shard, req *DecideRequest) {
+	s := r.s
 	if !sh.brk.admit() {
-		// Fail-safe degradation: the precise function is always
-		// quality-safe, so an open breaker answers DecisionPrecise rather
-		// than queueing into an unhealthy shard.
-		s.m.decFallback.Inc()
-		sh.cDecisions.Inc()
-		sh.cFallbacks.Inc()
-		c.send(&DecideResponse{ID: req.ID, Precise: true, Fallback: true, TraceID: req.TraceID})
-		putReq(req)
+		r.fallback(sh, req)
 		return
 	}
-	saturated := sh.fQueueSat.Hit()
-	t := task{req: req, c: c}
-	if !saturated {
-		select {
-		case sh.q <- t:
-			return
-		default:
+	snap := s.reg.Get(sh.bench)
+	v := &r.views[sh.idx]
+	if v.view == nil || v.version != snap.Version {
+		//mithra:coldpath once per connection and snapshot version: a new snapshot gets a new private view
+		v.view, v.probe, v.version = snap.view(), snap.NewProbe(), snap.Version
+	}
+	resp, ob, haveOb := s.decideSafe(sh, snap, v.view, v.probe, req, &r.dresp, &r.eresp)
+	if s.cfg.Cluster != nil {
+		// Durable decision record, keyed by the client's original request
+		// ID (fallbacks are excluded: the client re-asks them and the
+		// re-ask records the classifier's answer).
+		if dr, isDecision := resp.(*DecideResponse); isDecision && !dr.Fallback {
+			rid := req.ID
+			if req.Forwarded {
+				rid = req.Orig
+			}
+			s.cfg.Cluster.Record(sh.bench, rid, dr.Precise)
 		}
 	}
-	if s.cfg.RejectWhenFull || saturated {
-		// Load shedding doubles as the clock-free latency budget: a shed
-		// request is a latency violation, so it feeds the breaker.
-		s.m.errQueueFull.Inc()
-		sh.brk.onFailure("queue saturated")
-		c.send(&ErrorResponse{ID: req.ID, Code: CodeQueueFull, Msg: "shard queue saturated"})
-		putReq(req)
-		return
-	}
-	s.m.backpressure.Inc()
-	select {
-	case sh.q <- t:
-	case <-s.quit:
-		c.send(&ErrorResponse{ID: req.ID, Code: CodeDraining, Msg: "server draining"})
-		putReq(req)
+	r.reply(resp)
+	if haveOb {
+		sh.up.observe(ob)
 	}
 }
 
-// connGroup collects one batch's response frames for a single
-// connection, in decision order; the group goes out in one locked writev
-// (net.Buffers), so each connection sees whole frames however its
-// requests interleaved across the batch.
-type connGroup struct {
-	c    *conn
-	bufs net.Buffers
+// fallback answers a request while its shard's breaker is open.
+// Fail-safe degradation: the precise function is always quality-safe, so
+// an open breaker answers DecisionPrecise rather than classifying in an
+// unhealthy shard.
+func (r *connReader) fallback(sh *shard, req *DecideRequest) {
+	r.s.m.decFallback.Inc()
+	sh.cDecisions.Inc()
+	sh.cFallbacks.Inc()
+	r.dresp = DecideResponse{ID: req.ID, Precise: true, Fallback: true, TraceID: req.TraceID}
+	r.reply(&r.dresp)
 }
 
-// worker drains one shard's queue in bounded batches. The snapshot is
-// loaded once per batch (never mid-request); the worker keeps a private
-// classifier view and error probe per snapshot version, and classifies
-// each request through the view inside decideSafe's per-request panic
-// barrier.
+// reply frames msg onto the batch the reader owes.
 //
-// The batch loop is allocation-free at steady state: response structs,
-// the batch slice, and the per-response frame buffers all live on the
-// worker. Frame buffers recycle through a worker-local freelist rather
-// than a sync.Pool — writes complete before the batch ends, so the
-// worker never loses ownership, and a freelist (unlike a pool) cannot be
-// drained by the GC mid-run, which the allocs/op regression gate relies
-// on.
-func (s *Server) worker(sh *shard) {
-	defer s.workerWG.Done()
-	var (
-		view        classifier.Classifier
-		probe       ErrorProbe
-		viewVersion uint32
-		batch       = make([]task, 0, s.cfg.MaxBatch)
-		out         = make([]connGroup, 0, 4)
-		free        [][]byte // worker-local response-frame freelist
-		scratch     net.Buffers
-		dresp       DecideResponse
-		eresp       ErrorResponse
-	)
-	for {
-		t, ok := <-sh.q
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], t)
-	fill:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case t2, ok2 := <-sh.q:
-				if !ok2 {
-					break fill // finish this batch; next receive exits
-				}
-				batch = append(batch, t2)
-			default:
-				break fill
-			}
-		}
-
-		snap := s.reg.Get(sh.bench)
-		if view == nil || viewVersion != snap.Version {
-			view = snap.view()
-			probe = snap.NewProbe()
-			viewVersion = snap.Version
-		}
-
-		for i := range out {
-			out[i].c = nil
-			out[i].bufs = out[i].bufs[:0]
-		}
-		out = out[:0]
-		for _, t := range batch {
-			resp, ob, haveOb := s.decideSafe(sh, snap, view, probe, t.req, &dresp, &eresp)
-			if s.cfg.Cluster != nil {
-				// Durable decision record, keyed by the client's original
-				// request ID (fallbacks are excluded: the client re-asks them
-				// and the re-ask records the classifier's answer).
-				if dr, isDecision := resp.(*DecideResponse); isDecision && !dr.Fallback {
-					rid := t.req.ID
-					if t.req.Forwarded {
-						rid = t.req.Orig
-					}
-					s.cfg.Cluster.Record(sh.bench, rid, dr.Precise)
-				}
-			}
-			frame, err := AppendFrame(popBuf(&free), resp)
-			if err != nil { // unreachable for our own responses; keep the codec honest
-				s.m.errEncode.Inc()
-			} else {
-				appendConnFrame(&out, t.c, frame)
-			}
-			if haveOb {
-				sh.up.observe(ob)
-			}
-			putReq(t.req)
-		}
-		if s.cfg.Cluster != nil {
-			// Records reach the OS before any response frame does, so a
-			// SIGKILL after a client saw an ack can never lose the matching
-			// record; a flush failure is surfaced as a counter (the decisions
-			// are still correct, only the durability margin degraded).
-			if err := s.cfg.Cluster.FlushRecords(); err != nil {
-				s.m.errRecordFlush.Inc()
-			}
-		}
-		for i := range out {
-			out[i].c.sendBuffers(out[i].bufs, &scratch)
-			for _, b := range out[i].bufs {
-				pushBuf(&free, b)
-			}
-		}
-		s.m.batches.Inc()
-		s.m.batchSize.Observe(float64(len(batch)))
-	}
-}
-
-// popBuf takes a response-frame buffer off the worker's freelist.
-func popBuf(free *[][]byte) []byte {
-	if n := len(*free); n > 0 {
-		b := (*free)[n-1]
-		(*free)[n-1] = nil
-		*free = (*free)[:n-1]
-		return b[:0]
-	}
-	// Sized for a decide-response frame (16 bytes) with room for typical
-	// per-request error frames; odd growth just re-enters the freelist.
-	return make([]byte, 0, 64)
-}
-
-// pushBuf returns a frame buffer to the worker's freelist.
-func pushBuf(free *[][]byte, b []byte) { *free = append(*free, b) }
-
-// appendConnFrame files frame under c's group for this batch, reusing
-// group slots — and their frame-slice capacity — across batches.
-func appendConnFrame(out *[]connGroup, c *conn, frame []byte) {
-	for i := range *out {
-		if (*out)[i].c == c {
-			(*out)[i].bufs = append((*out)[i].bufs, frame)
-			return
-		}
-	}
-	if len(*out) < cap(*out) {
-		*out = (*out)[:len(*out)+1]
-		g := &(*out)[len(*out)-1]
-		g.c = c
-		g.bufs = append(g.bufs[:0], frame)
+//mithra:hotpath
+func (r *connReader) reply(msg Message) {
+	out, err := AppendFrame(r.out, msg)
+	if err != nil { // unreachable for our own responses; keep the codec honest
+		r.s.m.errEncode.Inc()
 		return
 	}
-	*out = append(*out, connGroup{c: c, bufs: net.Buffers{frame}})
+	r.out = out
+	r.owed++
+}
+
+// flushIfDue writes the owed batch before a read that could block (no
+// complete frame buffered) or once batchCap responses are owed.
+//
+//mithra:hotpath
+func (r *connReader) flushIfDue() {
+	if r.owed > 0 && (r.owed >= batchCap || !frameBuffered(r.br)) {
+		r.flush()
+	}
+}
+
+// frameBuffered reports whether br holds a whole frame, so that reading
+// it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return uint64(n-4) >= uint64(binary.BigEndian.Uint32(hdr))
+}
+
+// flush answers the owed batch: the batch's decision records reach the
+// OS first, so a SIGKILL after a client saw an answer can never lose the
+// matching record (a flush failure is surfaced as a counter: the
+// decisions are still correct, only the durability margin degraded);
+// then every owed frame goes out in one locked write.
+//
+//mithra:hotpath
+func (r *connReader) flush() {
+	if r.owed == 0 {
+		return
+	}
+	s := r.s
+	if s.cfg.Cluster != nil {
+		if err := s.cfg.Cluster.FlushRecords(); err != nil {
+			s.m.errRecordFlush.Inc()
+		}
+	}
+	r.c.sendRaw(r.out)
+	s.m.batches.Inc()
+	s.m.batchSize.Observe(float64(r.owed))
+	r.out, r.owed = r.out[:0], 0
 }
 
 // decideSafe is decide behind a panic barrier — fail-safe degradation at
 // the single-request granularity. A panicking decision (a poisoned
 // snapshot, a bug, or an injected fault.SiteWorkerPanic) never kills the
-// worker goroutine: the request gets the precise fallback (always
+// connection reader: the request gets the precise fallback (always
 // quality-safe), the panic counts against the shard's breaker, and the
-// batch loop resumes with the next request.
+// reader moves on to the next request.
 func (s *Server) decideSafe(sh *shard, snap *Snapshot, view classifier.Classifier,
 	probe ErrorProbe, req *DecideRequest,
 	dresp *DecideResponse, eresp *ErrorResponse) (resp Message, ob observation, haveOb bool) {
@@ -743,10 +717,10 @@ func (s *Server) decideSafe(sh *shard, snap *Snapshot, view classifier.Classifie
 	return resp, ob, haveOb
 }
 
-// decide serves one request against the batch's snapshot and, when the
+// decide serves one request against the shard's snapshot and, when the
 // sporadic sampler hits, measures the true accelerator error through the
 // precise path. The measurement never alters the served decision — it
-// feeds the online updater. The response is written into the worker's
+// feeds the online updater. The response is written into the reader's
 // reusable dresp/eresp structs (the hot path allocates nothing).
 func (s *Server) decide(sh *shard, snap *Snapshot, view classifier.Classifier,
 	probe ErrorProbe, req *DecideRequest,
@@ -784,7 +758,7 @@ func (s *Server) decide(sh *shard, snap *Snapshot, view classifier.Classifier,
 		// Injected input drift: the measured accelerator error is forced
 		// above the threshold, as if the input distribution had shifted
 		// under the classifier. Keyed by request ID (not draw order), so
-		// the set of drifted observations is identical at any worker count.
+		// the set of drifted observations is identical at any client shape.
 		err = snap.Threshold + 1
 	}
 	bad := err > snap.Threshold
@@ -801,7 +775,7 @@ func (s *Server) decide(sh *shard, snap *Snapshot, view classifier.Classifier,
 
 // armBoost publishes a forced-sampling request-ID window [from, until).
 // Called from the monitor's escalation (the updater goroutine); the
-// single packed store means workers can never observe a half-armed
+// single packed store means readers can never observe a half-armed
 // window. The monitor only re-arms after the previous window's IDs have
 // all been released (watch.recovery), so window membership stays a pure
 // function of the request ID.
@@ -829,7 +803,7 @@ func SampleHit(shardSeed uint64, id uint32, rate float64) bool {
 
 // sampleHit reports whether invocation id is error-sampled: a pure
 // function of (shard sampling seed, id, rate), so a replayed trace
-// samples the same invocations at any worker count.
+// samples the same invocations at any client shape.
 func sampleHit(shardSeed uint64, id uint32, rate float64) bool {
 	if rate <= 0 {
 		return false
@@ -840,9 +814,9 @@ func sampleHit(shardSeed uint64, id uint32, rate float64) bool {
 	return mathx.NewRNG(shardSeed).Split(uint64(id)).Float64() < rate
 }
 
-// Shutdown drains the server: listeners close, connection readers stop,
-// queued requests are decided and their responses written, updaters
-// drain, and connections close — in that order. If ctx expires first,
+// Shutdown drains the server: listeners close, connection readers stop
+// (each writes the responses it owes), updaters drain, and connections
+// close — in that order. If ctx expires first,
 // remaining connections are force-closed and ctx's error is returned.
 // The obs debug endpoint (mithrad's HTTP fallback) shares this
 // context-bounded drain discipline via obs.DebugServer.Shutdown.
@@ -867,10 +841,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		go func() {
 			defer close(s.drainDone)
 			s.readerWG.Wait()
-			for _, b := range s.shardOrder {
-				close(s.shards[b].q)
-			}
-			s.workerWG.Wait()
 			for _, b := range s.shardOrder {
 				close(s.shards[b].up.ch)
 			}
@@ -906,9 +876,9 @@ func (s *Server) dropConn(c *conn) {
 	c.close()
 }
 
-// conn wraps one client connection with a write lock, so responses from
-// several shard workers (and error replies from the reader) interleave
-// whole frames, never bytes.
+// conn wraps one client connection with a write lock, so the reader's
+// batches and forwarded responses (written by peer-link goroutines)
+// interleave whole frames, never bytes.
 type conn struct {
 	c      net.Conn
 	mu     sync.Mutex
@@ -947,31 +917,6 @@ func (c *conn) sendRaw(buf []byte) {
 		return
 	}
 	c.c.Write(buf) //nolint:errcheck // client-side failure; reader cleans up
-}
-
-// sendBuffers writes a group of pre-framed responses in one locked
-// vectored write. net.Buffers.WriteTo consumes the slice it walks
-// (advancing and zeroing entries), and the caller's frame buffers must
-// survive to re-enter its freelist — so the group is first copied into
-// the caller's scratch slice, and only the copy is consumed. On a TCP
-// connection the copy goes out as a single writev; wrapped connections
-// (fault injection, pipes) degrade to sequential whole-frame writes
-// under the same lock.
-func (c *conn) sendBuffers(bufs net.Buffers, scratch *net.Buffers) {
-	if len(bufs) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
-	full := append((*scratch)[:0], bufs...)
-	*scratch = full
-	scratch.WriteTo(c.c) //nolint:errcheck // client-side failure; reader cleans up
-	// WriteTo advanced *scratch into its backing array; restore the
-	// original header so the capacity is reusable next batch.
-	*scratch = full[:0]
 }
 
 func (c *conn) close() {

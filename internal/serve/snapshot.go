@@ -18,8 +18,8 @@ import (
 
 // ErrorProbe measures the true accelerator error for one input — the
 // precise path the sporadic sampler routes invocations through. A probe
-// instance owns its scratch buffers and is used by exactly one worker;
-// NewProbe on the snapshot mints per-worker instances.
+// instance owns its scratch buffers and is used by exactly one
+// connection reader; NewProbe on the snapshot mints one per reader.
 type ErrorProbe func(in []float64) float64
 
 // Snapshot is one benchmark's immutable serving state: the pre-trained
@@ -48,7 +48,7 @@ type Snapshot struct {
 	// compares live traffic against (nil or invalid: divergence gauges
 	// disabled). Compiled into the program blob alongside the classifier.
 	Ref *watch.Reference
-	// probe mints per-worker error probes (nil: sampling measures
+	// probe mints per-reader error probes (nil: sampling measures
 	// nothing and the online path is disabled).
 	probe func() ErrorProbe
 	// blob is the serialized compiled program this snapshot was loaded
@@ -170,7 +170,7 @@ func (s *Snapshot) SetProbe(probeFactory func() ErrorProbe) {
 	s.probe = probeFactory
 }
 
-// NewProbe mints a per-worker error probe, or nil when sampling is
+// NewProbe mints a per-reader error probe, or nil when sampling is
 // disabled for this snapshot.
 func (s *Snapshot) NewProbe() ErrorProbe {
 	if s.probe == nil {
@@ -180,7 +180,7 @@ func (s *Snapshot) NewProbe() ErrorProbe {
 }
 
 // view returns a private-scratch classifier equivalent to the snapshot's
-// serving classifier, for one worker's exclusive use.
+// serving classifier, for one connection reader's exclusive use.
 func (s *Snapshot) view() classifier.Classifier {
 	return s.Table.ConcurrentView()
 }

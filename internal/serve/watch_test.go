@@ -27,11 +27,11 @@ func watchInputs(n int) [][]float64 {
 
 // driftJournal boots a watch-armed server with an injected input-drift
 // fault (IDs 0..119 measure bad), pushes one deterministic request
-// stream through a single pipelined connection, and returns the
-// notes-only journal bytes. The journal must be a pure function of the
-// stream — not of the worker count — which is what the cross-worker
-// CI gate diffs.
-func driftJournal(t *testing.T, workers int) []byte {
+// stream through it at one client shape, and returns the notes-only
+// journal bytes. The journal must be a pure function of the stream —
+// not of the client shape — which is what the cross-shape CI gate
+// diffs.
+func driftJournal(t *testing.T, shape clientShape) []byte {
 	t.Helper()
 	plan, err := fault.ParsePlan("seed=7,probe.drift=1@120")
 	if err != nil {
@@ -58,7 +58,6 @@ func driftJournal(t *testing.T, workers int) []byte {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Workers:    workers,
 		SampleRate: 1,
 		SampleSeed: 11,
 		Freeze:     true,
@@ -67,21 +66,11 @@ func driftJournal(t *testing.T, workers int) []byte {
 		Watch:      watch.Config{Window: 16, RecoverAfter: 4, Exemplars: 4, Lag: 512},
 	}
 	s, addr := startServer(t, cfg, snap)
-	cl, err := Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
 
-	// One connection, batches pipelined in ID order: with several workers
-	// the per-request observations still race to the updater, and only the
-	// monitor's reorder buffer restores determinism.
-	const batch = 25
-	out := make([]DecideResponse, batch)
-	for base := 0; base < len(ins); base += batch {
-		if _, err := cl.DecideBatchInto("synth", uint32(base), ins[base:base+batch], out); err != nil {
-			t.Fatal(err)
-		}
+	// Observations from several connections race to the updater, and only
+	// the monitor's reorder buffer restores determinism.
+	if err := dialShape(t, addr, shape).decide("synth", 0, ins, make([]DecideResponse, len(ins))); err != nil {
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -113,14 +102,14 @@ func guaranteeTransitions(t *testing.T, journal []byte) [][2]string {
 	return out
 }
 
-// TestWatchDriftAcceptance is the PR's acceptance gate: under injected
-// input drift the journal must record the state machine leaving and
-// re-entering holding (holding → violated → … → holding, passing
-// through recovering), and the journal bytes must be identical at one
-// worker and at four.
+// TestWatchDriftAcceptance is the monitor's acceptance gate: under
+// injected input drift the journal must record the state machine leaving
+// and re-entering holding (holding → violated → … → holding, passing
+// through recovering), and the journal bytes must be identical at both
+// client shapes.
 func TestWatchDriftAcceptance(t *testing.T) {
-	j1 := driftJournal(t, 1)
-	j4 := driftJournal(t, 4)
+	j1 := driftJournal(t, clientShapes[0])
+	j4 := driftJournal(t, clientShapes[1])
 
 	trs := guaranteeTransitions(t, j1)
 	if len(trs) < 3 {
@@ -148,7 +137,7 @@ func TestWatchDriftAcceptance(t *testing.T) {
 	}
 
 	if !bytes.Equal(j1, j4) {
-		t.Fatalf("journal differs across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", j1, j4)
+		t.Fatalf("journal differs across client shapes:\n--- %v ---\n%s\n--- %v ---\n%s", clientShapes[0], j1, clientShapes[1], j4)
 	}
 }
 
@@ -157,7 +146,7 @@ func TestWatchDriftAcceptance(t *testing.T) {
 // response, on the decision path and on the breaker fallback path alike.
 func TestTracePropagation(t *testing.T) {
 	snap := syntheticSnapshot(t, "synth", nil)
-	_, addr := startServer(t, Config{Workers: 2}, snap)
+	_, addr := startServer(t, Config{}, snap)
 	cl, err := Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

@@ -71,9 +71,13 @@ const (
 	// CodeBadDim: the input width does not match the snapshot's kernel.
 	CodeBadDim = 3
 	// CodeDraining: the server is shutting down and not accepting work.
+	// The server no longer sends it (a draining reader stops reading);
+	// the code stays reserved, and clients still treat it as retryable.
 	CodeDraining = 4
-	// CodeQueueFull: the shard queue is saturated and shedding load; the
-	// request was not decided and is safe to retry.
+	// CodeQueueFull: the server shed the request under load; it was not
+	// decided and is safe to retry. The server no longer sends it (it
+	// has no queue: backpressure comes from not reading); the code stays
+	// reserved, and clients still treat it as retryable.
 	CodeQueueFull = 5
 	// CodeFrameTooLarge: the request frame exceeded MaxFrame; it was
 	// discarded in-band and the connection survives.
@@ -101,7 +105,7 @@ type DecideRequest struct {
 	// In is the accelerator input vector.
 	In []float64
 	// TraceID, when nonzero, propagates a client-assigned trace identity
-	// to the worker and back (wire version 2). Zero means untraced: the
+	// to the server and back (wire version 2). Zero means untraced: the
 	// encoded frame is bit-identical to wire version 1.
 	TraceID uint64
 	// Orig and Forwarded carry the cluster forwarding envelope
@@ -126,7 +130,7 @@ type DecideResponse struct {
 	// sporadic error-sampling path (the decision itself is unaffected).
 	Sampled bool
 	// Fallback is true when the decision is the fail-safe degradation
-	// path (circuit breaker open, or a worker fault mid-decision), not
+	// path (circuit breaker open, or a fault mid-decision), not
 	// the classifier's answer. A fallback decision is always Precise —
 	// running the precise function is the quality-safe direction — so a
 	// client that wants the classifier's answer may retry later.

@@ -3,7 +3,7 @@ package watch
 // Recheck mode (DESIGN.md §16): the continuous-monitoring escalation
 // layer on top of the sliding-window state machine. When armed, the
 // monitor does four more things, all measured in released-observation
-// counts so the journal is byte-identical at any worker count:
+// counts so the journal is byte-identical at any client shape:
 //
 //   - marks a per-window Clopper-Pearson lower bound every Window
 //     releases (`cp_window` notes + the watch.cp.window_lower gauge), the
@@ -50,8 +50,9 @@ type Recheck struct {
 	// determinism contract: the boost must be armed on the decide path
 	// before the first ID in the window arrives, so BoostDelay has to
 	// exceed the in-flight ID skew past the release frontier —
-	// roughly Lag/SampleRate plus queue depth plus workers×batch. The
-	// serve layer fills it in from the sample rate when unset.
+	// roughly Lag/SampleRate plus the updater channel plus the clients'
+	// connections × pipeline depth. The serve layer fills it in from the
+	// sample rate when unset.
 	BoostDelay int
 	// BoostLen is the forced-sampling window length in request IDs
 	// (default 4096).

@@ -22,9 +22,9 @@
 // the zero-alloc steady decide path is untouched. Observations are
 // released to the state machine in request-ID order through a bounded
 // reorder buffer (Config.Lag): as long as the server's in-flight skew —
-// queue depth plus workers×batch — stays under Lag, the released
-// sequence, and therefore every transition note and final gauge value,
-// is byte-identical at any worker count.
+// the clients' connections × pipeline depth — stays under Lag, the
+// released sequence, and therefore every transition note and final gauge
+// value, is byte-identical at any client shape.
 package watch
 
 import (
@@ -88,9 +88,9 @@ type Config struct {
 	Exemplars int
 	// Lag is the reorder-buffer depth: observations are released to the
 	// state machine in request-ID order once more than Lag are pending
-	// (default DefaultLag). It must exceed the server's maximum
-	// in-flight skew (queue depth + workers×max batch) for cross-worker
-	// determinism.
+	// (default DefaultLag). It must exceed the maximum in-flight ID skew
+	// (the clients' connections × pipeline depth) for the notes to be
+	// the same at any client shape.
 	Lag int
 	// Recheck arms the continuous-monitoring escalation mode
 	// (recovery.go): per-window CP trajectories, violation → sampling
@@ -223,7 +223,7 @@ func NewMonitor(bench string, g stats.Guarantee, ref *Reference, cfg Config, o *
 
 // State returns the published guarantee state. Unlike the rest of the
 // monitor it is safe from any goroutine (breaker notes read it from
-// decision workers).
+// connection readers).
 func (m *Monitor) State() State {
 	if m == nil {
 		return Holding
@@ -297,7 +297,7 @@ func (m *Monitor) ingest(ob Obs) {
 		// moment relative to in-flight decisions; fold-ins are monotone
 		// (a routing the old table called precise stays precise), so the
 		// deterministic view dominates the served routing and the window
-		// accounting is byte-identical at any worker count.
+		// accounting is byte-identical at any client shape.
 		routed = m.rec.reclassify(ob.In)
 	}
 	success := routed || !ob.Bad
