@@ -254,7 +254,7 @@ func dialShape(t *testing.T, spec *Spec, shape clientShape, resilient bool, seed
 	t.Helper()
 	rcs := make([]*RoutedClient, shape.conns)
 	for c := range rcs {
-		rc, err := NewRoutedClient(spec, resilient, serve.RetryConfig{Seed: seed + uint64(c), Attempts: 10})
+		rc, err := NewRoutedClient(spec, resilient, serve.RetryConfig{Seed: seed + uint64(c)})
 		if err != nil {
 			t.Fatal(err)
 		}

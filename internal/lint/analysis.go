@@ -15,7 +15,7 @@
 // suite standalone (`go run ./cmd/mithralint ./...`) or as a vet tool
 // (`go vet -vettool=bin/mithralint ./...`).
 //
-// Eight analyzers ship today. Four freeze the measurement pipeline's
+// Seven analyzers ship today. Four freeze the measurement pipeline's
 // determinism:
 //
 //   - nondeterminism: no process-global entropy (math/rand top-level
@@ -31,11 +31,8 @@
 //     shared or per-worker state inside those closures, where the sum
 //     would depend on goroutine scheduling.
 //
-// Four more freeze the serving stack's runtime invariants (DESIGN.md §13):
+// Three more freeze the serving stack's runtime invariants (DESIGN.md §13):
 //
-//   - poolownership: every getBuf acquisition in internal/serve is
-//     released, returned, or transferred on every control-flow path; no
-//     alias is used after its release; nothing foreign is put.
 //   - hotpathalloc: functions annotated //mithra:hotpath contain no
 //     allocating constructs the AST can see; the companion escape gate
 //     (mithralint -escapes) holds the same regions against the compiler's
@@ -121,7 +118,6 @@ func Analyzers() []*Analyzer {
 		MapOrderAnalyzer,
 		ParallelCaptureAnalyzer,
 		FloatReduceAnalyzer,
-		PoolOwnershipAnalyzer,
 		HotpathAllocAnalyzer,
 		DurableWriteAnalyzer,
 		AtomicSwapAnalyzer,
@@ -130,7 +126,7 @@ func Analyzers() []*Analyzer {
 
 // knownNames renders the suite's analyzer names for error messages.
 func knownNames() string {
-	names := make([]string, 0, 8)
+	names := make([]string, 0, 7)
 	for _, a := range Analyzers() {
 		names = append(names, a.Name)
 	}

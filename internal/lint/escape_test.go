@@ -9,10 +9,10 @@ import (
 // Canned `go build -gcflags=-m` output: package headers, inlining notes,
 // non-escaping parameters, and the two heap-move diagnostic shapes.
 const cannedEscapeOutput = `# mithra/internal/serve
-internal/serve/pool.go:30:6: can inline getBuf
+internal/serve/codec.go:30:6: can inline appendU32
 internal/serve/wire.go:88:22: b does not escape
 internal/serve/wire.go:102:14: &FrameTooLargeError{...} escapes to heap
-internal/serve/pool.go:75:24: b[:0] escapes to heap
+internal/serve/codec.go:75:24: b[:0] escapes to heap
 internal/serve/server.go:40:2: moved to heap: req
 # mithra/internal/misr
 internal/misr/misr.go:10:6: can inline Hash
@@ -23,7 +23,7 @@ internal/serve/broken.go:xx:3: z escapes to heap
 func TestParseEscapes(t *testing.T) {
 	escapes := ParseEscapes(cannedEscapeOutput)
 	want := []Escape{
-		{File: "internal/serve/pool.go", Line: 75, Col: 24, Message: "b[:0] escapes to heap"},
+		{File: "internal/serve/codec.go", Line: 75, Col: 24, Message: "b[:0] escapes to heap"},
 		{File: "internal/serve/server.go", Line: 40, Col: 2, Message: "moved to heap: req"},
 		{File: "internal/serve/wire.go", Line: 102, Col: 14, Message: "&FrameTooLargeError{...} escapes to heap"},
 	}
@@ -40,7 +40,7 @@ func TestParseEscapes(t *testing.T) {
 func TestParseEscapesIgnoresNoise(t *testing.T) {
 	for _, line := range []string{
 		"# mithra/internal/serve",
-		"internal/serve/pool.go:30:6: can inline getBuf",
+		"internal/serve/codec.go:30:6: can inline appendU32",
 		"internal/serve/wire.go:88:22: b does not escape",
 		"internal/serve/broken.go:xx:3: z escapes to heap",
 		"no file prefix: escapes to heap",

@@ -27,12 +27,6 @@ import (
 //		allocation is deliberate. The reason is mandatory, so every
 //		exemption from the zero-alloc contract stays auditable.
 //
-//	//mithra:owns <param>
-//		on a function's doc comment: calling this function transfers
-//		ownership of the pooled object passed as <param> (the
-//		poolownership analyzer then requires the function to release it
-//		on every path, and stops requiring the caller to).
-//
 // A malformed annotation — an unknown verb, a misplaced hotpath, a
 // coldpath with no reason or outside any hotpath function — is itself a
 // diagnostic: a broken annotation silently un-guards the exact invariant
@@ -41,7 +35,6 @@ const (
 	mithraPrefix      = "//mithra:"
 	hotpathDirective  = "//mithra:hotpath"
 	coldpathDirective = "//mithra:coldpath"
-	ownsDirective     = "//mithra:owns"
 )
 
 // HotpathFunc is one function annotated //mithra:hotpath.
@@ -182,14 +175,8 @@ func collectHotpaths(fset *token.FileSet, f *ast.File, ix *HotpathIndex, report 
 					cr.start, cr.end = r[0], r[1]
 				}
 				ix.cold = append(ix.cold, cr)
-			case "owns":
-				// Validated by the poolownership analyzer, which knows the
-				// parameter lists; here only the empty form is malformed.
-				if strings.TrimSpace(rest) == "" {
-					report(c.Pos(), "malformed //mithra:owns: want //mithra:owns <param>")
-				}
 			default:
-				report(c.Pos(), "unknown //mithra:%s directive (known: hotpath, coldpath, owns)", verb)
+				report(c.Pos(), "unknown //mithra:%s directive (known: hotpath, coldpath)", verb)
 			}
 		}
 	}

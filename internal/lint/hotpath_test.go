@@ -65,12 +65,12 @@ func f() {
 			want: "misplaced //mithra:hotpath",
 		},
 		{
-			name: "owns without a parameter",
+			name: "unknown verb",
 			src: `package p
-//mithra:owns
-func f(b []byte) { _ = b }
+//mithra:hotpth
+func f() {}
 `,
-			want: "malformed //mithra:owns",
+			want: "unknown //mithra:hotpth directive",
 		},
 		{
 			name: "well-formed hotpath is silent",

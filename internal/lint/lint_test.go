@@ -34,10 +34,6 @@ func TestIgnoreDirectives(t *testing.T) {
 	runFixture(t, "ignore", MapOrderAnalyzer)
 }
 
-func TestPoolOwnershipFixtures(t *testing.T) {
-	runFixture(t, filepath.Join("poolown", "serve"), PoolOwnershipAnalyzer)
-}
-
 func TestHotpathAllocFixtures(t *testing.T) {
 	runFixture(t, "hotpath", HotpathAllocAnalyzer)
 }

@@ -101,7 +101,7 @@ func TestChaosFaultsDegradeSafelyAndRecover(t *testing.T) {
 		Breaker: BreakerConfig{Window: 8, ErrBudget: 0.25, ProbeAfter: 4, Probes: 2},
 	}, snap)
 
-	rcl, err := DialResilient("tcp", addr, RetryConfig{Seed: 11, Attempts: 8})
+	rcl, err := DialResilient("tcp", addr, RetryConfig{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +156,70 @@ func TestChaosFaultsDegradeSafelyAndRecover(t *testing.T) {
 		if !strings.Contains(journal, want) {
 			t.Errorf("journal missing breaker transition %s", want)
 		}
+	}
+}
+
+// TestChaosDecisionParity tears connections, tears frames and injects
+// decide panics while several resilient clients hammer the server.
+// Every answered decision must still match the offline classifier (a
+// read buffer serving another request's bytes would break parity), and
+// every fallback must be precise.
+func TestChaosDecisionParity(t *testing.T) {
+	plan, err := fault.ParsePlan("seed=19,conn.reset=0.005,frame.partial=0.01,worker.panic=1@10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := syntheticSnapshot(t, "alpha", nil)
+	srv, addr := startServer(t, Config{
+		Faults:  fault.NewSet(plan),
+		Breaker: BreakerConfig{Window: 16, ErrBudget: 0.5, ProbeAfter: 2, Probes: 2},
+	}, snap)
+
+	const clients = 4
+	var wg sync.WaitGroup
+	for cl := 0; cl < clients; cl++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			rcl, err := DialResilient("tcp", addr, RetryConfig{Seed: seed})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer rcl.Close()
+			offline := snap.Table.ConcurrentView() // private scratch per goroutine
+			rng := mathx.NewRNG(seed)
+			for base := 0; base < 200; base += 20 {
+				inputs := make([][]float64, 20)
+				for i := range inputs {
+					inputs[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+				}
+				resps, err := rcl.DecideBatch("alpha", uint32(base), inputs)
+				if err != nil {
+					// A torn connection can exhaust retries; that is the
+					// fault plan working, not a parity failure.
+					continue
+				}
+				for i, r := range resps {
+					if r.Fallback {
+						if !r.Precise {
+							t.Errorf("fallback decision not precise at %d", base+i)
+						}
+						continue
+					}
+					if want := offline.Classify(inputs[i]); r.Precise != want {
+						t.Errorf("request %d: served %v, offline %v", base+i, r.Precise, want)
+					}
+				}
+			}
+		}(uint64(cl) + 31)
+	}
+	wg.Wait()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }
 

@@ -33,8 +33,8 @@ type Client struct {
 	br *bufio.Reader
 	// wbuf, rbuf and filled are the reusable encode buffer, frame-read
 	// buffer and answered-slot marks behind the zero-allocation
-	// DecideBatchInto path. rbuf is drawn from the serve buffer pool by
-	// ReadFrameInto and returned on Close.
+	// DecideBatchInto path. ReadFrameInto grows rbuf to the largest
+	// response frame seen and reuses it after that.
 	wbuf   []byte
 	rbuf   []byte
 	filled []bool
@@ -61,7 +61,8 @@ type Client struct {
 // RetryConfig shapes a DialResilient client's recovery behavior.
 type RetryConfig struct {
 	// Attempts bounds how many times one request may be (re)tried
-	// (default 5).
+	// (default 10: a chaos plan can put five faults in a row on one link,
+	// e.g. peer.drop=1@3 then conn.partition=1@2).
 	Attempts int
 	// Timeout is the per-attempt deadline covering the write and every
 	// read of that attempt (default 5s; <0 disables deadlines — tests).
@@ -78,7 +79,7 @@ type RetryConfig struct {
 
 func (c RetryConfig) withDefaults() RetryConfig {
 	if c.Attempts <= 0 {
-		c.Attempts = 5
+		c.Attempts = 10
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 5 * time.Second
@@ -147,10 +148,8 @@ func (c *Client) Conn() net.Conn { return c.c }
 // the matching response.
 func (c *Client) SetTrace(id uint64) { c.trace = id }
 
-// Close tears the connection down and releases the pooled read buffer.
+// Close tears the connection down.
 func (c *Client) Close() error {
-	putBuf(c.rbuf)
-	c.rbuf = nil
 	return c.c.Close()
 }
 
@@ -258,7 +257,7 @@ func (c *Client) DecideBatch(bench string, baseID uint32, inputs [][]float64) ([
 // DecideBatchInto is DecideBatch writing into caller-provided storage
 // (out must hold len(inputs) entries; the filled prefix is returned).
 // Steady state it allocates nothing: requests encode into the client's
-// reusable write buffer, response frames land in its pooled read buffer,
+// reusable write buffer, response frames land in its reused read buffer,
 // and decisions parse in place — this is the loadgen and bench-harness
 // hot path, and the allocation-regression tests pin it at zero allocs
 // per call.

@@ -370,7 +370,6 @@ func (s *Server) reader(c *conn) {
 	for r.next() {
 	}
 	r.flush()
-	putBuf(r.payload)
 	s.dropConn(c)
 }
 
@@ -384,7 +383,7 @@ type connReader struct {
 	s       *Server
 	c       *conn
 	br      *bufio.Reader
-	payload []byte // pooled; ReadFrameInto grows it through the pool
+	payload []byte // grow-only; ReadFrameInto reuses its capacity
 	req     DecideRequest
 	// views holds a private classifier view and error probe per shard
 	// (indexed by shard.idx), rebuilt when the shard's snapshot version
@@ -765,10 +764,10 @@ func (s *Server) decide(sh *shard, snap *Snapshot, view classifier.Classifier,
 	if bad != precise {
 		s.m.sampleMiss.Inc()
 	}
-	// The request returns to the pool as soon as its response is encoded,
-	// but the updater consumes observations asynchronously (and the monitor
-	// may retain the input until a fold-in): it must be copied out, never
-	// aliased.
+	// The reader parses the connection's next frame into this same
+	// req.In, while the updater consumes observations asynchronously (and
+	// the monitor may retain the input until a fold-in): it must be copied
+	// out, never aliased.
 	in := append([]float64(nil), req.In...)
 	return dresp, observation{in: in, id: rid, trace: req.TraceID, bad: bad, precise: precise}, true
 }
@@ -883,27 +882,24 @@ type conn struct {
 	c      net.Conn
 	mu     sync.Mutex
 	closed bool
+	wbuf   []byte // send's frame buffer, reused under mu
 }
 
-// send frames and writes one message through a pooled buffer. Write
-// errors are swallowed: the client is gone, and the reader will observe
-// the failure on its side.
+// send frames and writes one message (a forwarded response) through the
+// connection's reused frame buffer. Write errors are swallowed: the
+// client is gone, and the reader will observe the failure on its side.
 func (c *conn) send(msg Message) {
-	// Size the buffer up front so AppendFrame never reallocates it out of
-	// the pool's tracking: response frames are 14 bytes plus the error
-	// message, comfortably inside the class for the requested size.
-	n := 64
-	if e, ok := msg.(*ErrorResponse); ok {
-		n += len(e.Msg)
-	}
-	buf := getBuf(n)
-	frame, err := AppendFrame(buf, msg)
-	if err != nil {
-		putBuf(buf)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
 		return
 	}
-	c.sendRaw(frame)
-	putBuf(frame)
+	frame, err := AppendFrame(c.wbuf[:0], msg)
+	if err != nil {
+		return
+	}
+	c.wbuf = frame
+	c.c.Write(frame) //nolint:errcheck // client-side failure; reader cleans up
 }
 
 // sendRaw writes pre-framed bytes in one locked write.

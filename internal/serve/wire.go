@@ -340,15 +340,13 @@ func ReadFrame(r *bufio.Reader) ([]byte, error) {
 }
 
 // ReadFrameInto reads one frame's payload into buf's capacity, growing
-// through the package's size-classed frame-buffer pool when the frame
-// exceeds cap(buf) (the outgrown buffer returns to its pool class); the
-// possibly-grown buffer is returned so the caller keeps the capacity
-// across frames. Pass nil to start: the first frame draws a pooled
-// buffer. The error contract matches ReadFrame; on error the returned
-// slice is buf[:0] (capacity preserved).
+// it when the frame exceeds cap(buf); the possibly-grown buffer is
+// returned so the caller keeps the capacity across frames. Pass nil to
+// start. The error contract matches ReadFrame; on error the returned
+// slice is empty and keeps the capacity (a truncated frame larger than
+// cap(buf) has already grown it).
 //
 //mithra:hotpath
-//mithra:owns buf
 func ReadFrameInto(r *bufio.Reader, buf []byte) ([]byte, error) {
 	// Peek/Discard instead of ReadFull into a local array: the local
 	// would escape through io.Reader's interface boundary and cost one
@@ -366,8 +364,7 @@ func ReadFrameInto(r *bufio.Reader, buf []byte) ([]byte, error) {
 		return buf[:0], &FrameTooLargeError{N: n} //mithra:coldpath error construction on an oversized frame
 	}
 	if uint64(cap(buf)) < uint64(n) {
-		putBuf(buf)
-		buf = getBuf(int(n))
+		buf = make([]byte, n) //mithra:coldpath grow-only: a larger frame than any before on this buffer
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -440,7 +437,7 @@ func parseRequestInto(payload []byte, req *DecideRequest) (bench []byte, err err
 	}
 	in := req.In[:0]
 	if cap(in) < dim {
-		in = make([]float64, 0, dim) //mithra:coldpath one-time input-vector growth; capacity is kept by the pooled request
+		in = make([]float64, 0, dim) //mithra:coldpath one-time input-vector growth; capacity is kept by the reused request
 	}
 	for i := 0; i < dim; i++ {
 		in = append(in, math.Float64frombits(binary.BigEndian.Uint64(body[8*i:8*i+8])))
