@@ -362,12 +362,11 @@ func cmdLoadgen(args []string, stdout, stderr io.Writer) int {
 					}
 					rtts[c] = append(rtts[c], time.Since(t0))
 					for i, r := range resps {
-						// A fallback answer is quality-safe but not the
-						// classifier's decision; in chaos mode re-ask (same ID —
-						// decisions are idempotent) until the classifier answers,
-						// so the final vector stays offline-comparable. Each
-						// re-ask also drives the open breaker toward its
-						// half-open probe.
+						// A fallback answer (a decide panic caught by the
+						// server's per-request barrier) is quality-safe but not
+						// the classifier's decision; in chaos mode re-ask (same
+						// ID — decisions are idempotent) until the classifier
+						// answers, so the final vector stays offline-comparable.
 						for attempt := 0; *chaos && r.Fallback && attempt < 512; attempt++ {
 							fallbacksSeen[c]++
 							nr, err := cl.Decide(benchName, r.ID, batch[i])

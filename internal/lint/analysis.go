@@ -40,8 +40,7 @@
 //   - durablewrite: file writes in internal/{serve,fault} follow the
 //     temp -> fsync -> rename -> dir-sync discipline or use O_APPEND logs.
 //   - atomicswap: atomic.Pointer publication stays inside the owning
-//     type's methods, and breaker-style state machines transition only
-//     through transitionLocked, never on wall-clock time.
+//     type's methods.
 //
 // A finding can be waived with an explained suppression comment on the
 // flagged line or the line above:

@@ -6,27 +6,18 @@ import (
 )
 
 // AtomicSwapAnalyzer freezes the copy-on-write publication discipline of
-// the serving stack (DESIGN.md §10, §13). Two invariants:
-//
-//   - Registry-style atomic.Pointer fields are the single publication
-//     point readers load without locks; a Store from anywhere but the
-//     owning type's blessed install/swap methods (or its constructor)
-//     can publish a snapshot that skipped versioning, persistence, or
-//     the writer mutex.
-//   - Breaker state is a counter-driven machine: every transition goes
-//     through the type's transitionLocked method so counters reset and
-//     the journal records the edge, and no transition may consult the
-//     wall clock (the breaker must replay deterministically).
+// the serving stack (DESIGN.md §10, §13): registry-style atomic.Pointer
+// fields are the single publication point readers load without locks; a
+// Store from anywhere but the owning type's blessed install/swap methods
+// (or its constructor) can publish a snapshot that skipped versioning,
+// persistence, or the writer mutex.
 var AtomicSwapAnalyzer = &Analyzer{
 	Name: "atomicswap",
-	Doc: `restrict atomic.Pointer publication and breaker transitions
+	Doc: `restrict atomic.Pointer publication
 
 In internal/serve, a Store/Swap/CompareAndSwap on an atomic.Pointer field
 is allowed only inside a method of the field's owning type or where the
-owner was just constructed locally; state-machine types (a struct with a
-'state' field and a transitionLocked method) may assign state only inside
-transitionLocked, and their methods may not call time.Now/After/NewTimer-
-style clock functions — transitions must be driven by counters.`,
+owner was just constructed locally.`,
 	Run: runAtomicSwap,
 }
 
@@ -42,73 +33,25 @@ var atomicMutators = map[string]bool{
 	"CompareAndSwap": true,
 }
 
-// breakerClockFuncs are the time-package calls that would make a state
-// machine's behavior depend on when it ran rather than what it counted.
-var breakerClockFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "After": true,
-	"AfterFunc": true, "NewTimer": true, "NewTicker": true,
-	"Tick": true, "Sleep": true,
-}
-
 func runAtomicSwap(pass *Pass) error {
 	if pass.Pkg == nil || !atomicScope[pathBase(pass.Pkg.Path())] {
 		return nil
 	}
-	machines := stateMachineTypes(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkAtomicFunc(pass, machines, fd)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					checkPointerMutation(pass, fd, call)
+				}
+				return true
+			})
 		}
 	}
 	return nil
-}
-
-// stateMachineTypes finds the package's counter-driven state machines:
-// named struct types with a 'state' field and a transitionLocked method.
-func stateMachineTypes(pass *Pass) map[string]bool {
-	hasState := map[string]bool{}
-	hasTransition := map[string]bool{}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					for _, field := range st.Fields.List {
-						for _, name := range field.Names {
-							if name.Name == "state" {
-								hasState[ts.Name.Name] = true
-							}
-						}
-					}
-				}
-			case *ast.FuncDecl:
-				if d.Name.Name == "transitionLocked" {
-					if recv := recvTypeName(d); recv != "" {
-						hasTransition[recv] = true
-					}
-				}
-			}
-		}
-	}
-	out := map[string]bool{}
-	for name := range hasState {
-		if hasTransition[name] {
-			out[name] = true
-		}
-	}
-	return out
 }
 
 // recvTypeName returns the base type name of a method receiver ("" for
@@ -128,31 +71,6 @@ func recvTypeName(fd *ast.FuncDecl) string {
 		return id.Name
 	}
 	return ""
-}
-
-// checkAtomicFunc applies both disciplines to one function body.
-func checkAtomicFunc(pass *Pass, machines map[string]bool, fd *ast.FuncDecl) {
-	info := pass.TypesInfo
-	recv := recvTypeName(fd)
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.CallExpr:
-			checkPointerMutation(pass, fd, v)
-			if recv != "" && machines[recv] {
-				if path, name, ok := pkgCall(info, v); ok && path == "time" && breakerClockFuncs[name] {
-					pass.Reportf(v.Pos(), "time.%s in a method of state machine %s; transitions must be counter-driven so the breaker replays deterministically", name, recv)
-				}
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range v.Lhs {
-				checkStateStore(pass, machines, fd, lhs)
-			}
-		case *ast.IncDecStmt:
-			checkStateStore(pass, machines, fd, v.X)
-		}
-		return true
-	})
 }
 
 // checkPointerMutation flags Store/Swap/CompareAndSwap on an
@@ -181,23 +99,6 @@ func checkPointerMutation(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr) {
 	default:
 		pass.Reportf(call.Pos(), "atomic.Pointer %s outside the owning type's methods; publish through its blessed Install/swap method so versioning and persistence cannot be skipped", sel.Sel.Name)
 	}
-}
-
-// checkStateStore flags writes to the 'state' field of a state-machine
-// type outside its transitionLocked method.
-func checkStateStore(pass *Pass, machines map[string]bool, fd *ast.FuncDecl, lhs ast.Expr) {
-	sel, ok := lhs.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "state" {
-		return
-	}
-	named := namedOf(pass.TypesInfo.Types[sel.X].Type)
-	if named == nil || !machines[named.Obj().Name()] {
-		return
-	}
-	if recvTypeName(fd) == named.Obj().Name() && fd.Name.Name == "transitionLocked" {
-		return
-	}
-	pass.Reportf(sel.Pos(), "direct write to %s.state outside transitionLocked; state changes must go through the transition method so counters reset and the edge is journaled", named.Obj().Name())
 }
 
 // isAtomicPointer reports whether t is sync/atomic.Pointer[...].

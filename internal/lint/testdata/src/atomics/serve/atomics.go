@@ -5,7 +5,6 @@ package serve
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 type snapMap map[string]int
@@ -44,47 +43,4 @@ func hijack(r *Registry, m *snapMap) {
 
 func hijackSwap(r *Registry, m *snapMap) *snapMap {
 	return r.cur.Swap(m) // want "atomic.Pointer Swap outside the owning type's methods"
-}
-
-// breaker mirrors the fault breaker: a 'state' field plus a
-// transitionLocked method marks it as a counter-driven state machine.
-type breaker struct {
-	state int
-	fails int
-}
-
-// --- negatives --------------------------------------------------------
-
-// transitionLocked is the single blessed mutation point.
-func (b *breaker) transitionLocked(next int) {
-	b.state = next
-	b.fails = 0
-}
-
-// onFailure counts and routes every edge through transitionLocked.
-func (b *breaker) onFailure() {
-	b.fails++
-	if b.fails >= 3 {
-		b.transitionLocked(1)
-	}
-}
-
-// A plain function may consult the clock; only machine methods are
-// frozen.
-func now() time.Time {
-	return time.Now()
-}
-
-// --- positives --------------------------------------------------------
-
-// reset writes state directly, so the edge is never journaled and the
-// failure counter is left stale.
-func (b *breaker) reset() {
-	b.state = 0 // want "direct write to breaker.state outside transitionLocked"
-}
-
-// expired makes the machine's behavior depend on wall-clock time, which
-// breaks deterministic replay.
-func (b *breaker) expired(since time.Time) bool {
-	return time.Since(since) > time.Second // want "time.Since in a method of state machine breaker"
 }

@@ -90,7 +90,7 @@ func (j *Journal) RunStart(cmd string, seed uint64, config, runtime map[string]a
 }
 
 // Note appends a freeform named event — resilience bookkeeping like
-// circuit-breaker transitions, WAL recoveries, and fault-plan activation
+// refused snapshot installs, WAL recoveries, and fault-plan activation
 // that belongs in the run record but is neither a span nor a metric.
 // Nil-safe and concurrency-safe; events buffer until Close like every
 // other journal line.

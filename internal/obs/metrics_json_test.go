@@ -58,7 +58,7 @@ func TestRenderNotes(t *testing.T) {
 	journal := strings.Join([]string{
 		`{"t":"run_start","cmd":"x"}`,
 		`{"t":"note","name":"guarantee","attrs":{"bench":"fft","from":"holding","to":"violated","margin":"-0.03"}}`,
-		`{"t":"note","name":"breaker","attrs":{"bench":"fft","to":"open"}}`,
+		`{"t":"note","name":"install_failed","attrs":{"bench":"fft","error":"disk full"}}`,
 		`{"t":"note","name":"guarantee","attrs":{"bench":"fft","from":"violated","to":"recovering"}}`,
 	}, "\n")
 	entries, err := ReadJournal(strings.NewReader(journal))

@@ -139,8 +139,8 @@ func (o *Obs) Histogram(name string, bounds []float64) *Histogram {
 	return o.Metrics().Histogram(name, bounds)
 }
 
-// Note records a freeform named journal event (breaker transitions, WAL
-// recovery, fault-plan activation). Nil-safe.
+// Note records a freeform named journal event (refused snapshot
+// installs, WAL recovery, fault-plan activation). Nil-safe.
 func (o *Obs) Note(name string, attrs map[string]any) {
 	o.Journal().Note(name, attrs)
 }

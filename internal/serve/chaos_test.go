@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -79,27 +81,24 @@ func startServerWithRegistry(t testing.TB, reg *Registry, cfg Config) (*Server, 
 // test: under injected connection resets and a burst of worker panics,
 // every decision the resilient client collects is either byte-identical
 // to the offline classifier or an explicitly flagged fallback — and a
-// fallback is always DecisionPrecise, the quality-safe direction. Once
-// the panic burst exhausts its limit, the breaker's probes re-close it
-// (transitions journaled), and decisions flow normally again.
+// fallback is always DecisionPrecise, the quality-safe direction. The
+// panic barrier is the only source of fallbacks: the server answers
+// exactly the panicking decisions with one, and every other decision is
+// the classifier's.
 func TestChaosFaultsDegradeSafelyAndRecover(t *testing.T) {
 	plan, err := fault.ParsePlan("seed=7,conn.reset=0.01,worker.panic=1@30")
 	if err != nil {
 		t.Fatal(err)
 	}
 	faults := fault.NewSet(plan)
-	var jbuf bytes.Buffer
-	o, err := obs.New(obs.Options{Metrics: true, JournalWriter: &jbuf})
+	o, err := obs.New(obs.Options{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := syntheticSnapshot(t, "alpha", nil)
 	offline := snap.Table.ConcurrentView()
 
-	_, addr := startServer(t, Config{
-		Obs: o, Faults: faults,
-		Breaker: BreakerConfig{Window: 8, ErrBudget: 0.25, ProbeAfter: 4, Probes: 2},
-	}, snap)
+	_, addr := startServer(t, Config{Obs: o, Faults: faults}, snap)
 
 	rcl, err := DialResilient("tcp", addr, RetryConfig{Seed: 11})
 	if err != nil {
@@ -112,7 +111,7 @@ func TestChaosFaultsDegradeSafelyAndRecover(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 	}
-	fallbacks, tail := 0, 0
+	fallbacks := 0
 	for base := 0; base < len(inputs); base += 32 {
 		hi := min(base+32, len(inputs))
 		resps, err := rcl.DecideBatch("alpha", uint32(base), inputs[base:hi])
@@ -130,32 +129,19 @@ func TestChaosFaultsDegradeSafelyAndRecover(t *testing.T) {
 			if want := offline.Classify(inputs[base+i]); r.Precise != want {
 				t.Fatalf("request %d: served %v, offline classifier %v", base+i, r.Precise, want)
 			}
-			if base >= 512 {
-				tail++
-			}
 		}
 	}
-	if got := faults.Fired(fault.SiteWorkerPanic); got != 30 {
-		t.Errorf("worker panics fired %d times, want the full limit of 30", got)
+	if fallbacks == 0 || fallbacks > 30 {
+		t.Errorf("client saw %d fallback answers, want 1..30 (one per panic at most)", fallbacks)
 	}
-	if fallbacks == 0 {
-		t.Error("panic burst produced no fallback decisions — breaker never engaged")
+	fired := faults.Fired(fault.SiteWorkerPanic)
+	panics := o.Counter("serve.worker.panics").Value()
+	served := o.Counter("serve.decisions.fallback").Value()
+	if fired != 30 || panics != 30 || served != 30 {
+		t.Errorf("panics fired %d, recovered %d, fallbacks served %d; want 30 each", fired, panics, served)
 	}
-	if tail == 0 {
-		t.Error("no non-fallback decisions after the burst — breaker never recovered")
-	}
-	if o.Counter("serve.worker.panics").Value() == 0 {
-		t.Error("recovered panics not counted")
-	}
-
-	if err := o.Close(nil); err != nil {
-		t.Fatal(err)
-	}
-	journal := jbuf.String()
-	for _, want := range []string{`"name":"breaker"`, `"to":"open"`, `"to":"half-open"`, `"to":"closed"`} {
-		if !strings.Contains(journal, want) {
-			t.Errorf("journal missing breaker transition %s", want)
-		}
+	if got := o.Counter("serve.bench.fallbacks.alpha").Value(); got != 30 {
+		t.Errorf("serve.bench.fallbacks.alpha = %d, want 30", got)
 	}
 }
 
@@ -171,8 +157,7 @@ func TestChaosDecisionParity(t *testing.T) {
 	}
 	snap := syntheticSnapshot(t, "alpha", nil)
 	srv, addr := startServer(t, Config{
-		Faults:  fault.NewSet(plan),
-		Breaker: BreakerConfig{Window: 16, ErrBudget: 0.5, ProbeAfter: 2, Probes: 2},
+		Faults: fault.NewSet(plan),
 	}, snap)
 
 	const clients = 4
@@ -427,12 +412,13 @@ func TestWALPersistsReplicatedTable(t *testing.T) {
 	}
 }
 
-// TestInstallFaultForcesBreakerOpen: when a guarantee violation's repair
-// cannot be persisted (injected snapshot-install failure), the shard
-// force-opens its breaker — the guarantee is restored by serving
-// precise instead.
-func TestInstallFaultForcesBreakerOpen(t *testing.T) {
-	plan, err := fault.ParsePlan("seed=3,snapshot.install=1")
+// TestRefusedRepairIsRetriedByMonitor: when a guarantee violation's
+// repair cannot be persisted (an injected snapshot-install failure), the
+// shard keeps serving its current snapshot through the classifier, the
+// refusal is journaled, and the monitor's next repair — RepairEvery
+// releases later, while the violation persists — installs.
+func TestRefusedRepairIsRetriedByMonitor(t *testing.T) {
+	plan, err := fault.ParsePlan("seed=3,snapshot.install=1@1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,18 +431,23 @@ func TestInstallFaultForcesBreakerOpen(t *testing.T) {
 	snap := syntheticSnapshot(t, "synth", func() ErrorProbe {
 		return func([]float64) float64 { return 1.0 }
 	})
-	reg := NewRegistry(snap) // boot install precedes the faulty persist hook
-	wal, err := OpenWAL(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal.Close()
-	AttachWAL(reg, wal, faults, o)
+	offline := snap.Table.ConcurrentView()
+	// The synthetic snapshot has no compiled blob for a WAL to store, so
+	// the persist hook is only the fault site: the boot install precedes
+	// it, the first repair hits the fault and every later one persists.
+	reg := NewRegistry(snap)
+	reg.SetPersist(func(*Snapshot) error {
+		if faults.Site(fault.SiteSnapshotInstall).Hit() {
+			return fmt.Errorf("%w: snapshot install", fault.ErrInjected)
+		}
+		return nil
+	})
 
+	// Window 16, lag 8: the monitor releases an observation once 8 newer
+	// ones are pending, and RepairEvery defaults to the window.
 	_, addr := startServerWithRegistry(t, reg, Config{
 		SampleRate: 1, SampleSeed: 3, Obs: o,
-		Watch:   watch.Config{Window: 16, Lag: 8},
-		Breaker: BreakerConfig{Window: 8, ErrBudget: 0.5, ProbeAfter: 1 << 30, Probes: 8},
+		Watch: watch.Config{Window: 16, Lag: 8},
 	})
 	cl, err := Dial("tcp", addr)
 	if err != nil {
@@ -465,41 +456,94 @@ func TestInstallFaultForcesBreakerOpen(t *testing.T) {
 	defer cl.Close()
 
 	// Safe-region inputs the stale table accelerates; the drifted probe
-	// marks them bad, so the first full window violates and tries to
-	// install a repair — which the fault plan refuses.
+	// marks them bad, so the first full window violates.
 	rng := mathx.NewRNG(13)
-	inputs := make([][]float64, 64)
+	inputs := make([][]float64, 48)
 	for i := range inputs {
 		inputs[i] = []float64{0.5 * rng.Float64(), rng.Float64(), rng.Float64()}
 	}
-	if _, err := cl.DecideBatch("synth", 0, inputs); err != nil {
-		t.Fatal(err)
+	send := func(lo, hi int) []DecideResponse {
+		t.Helper()
+		resps, err := cl.DecideBatch("synth", uint32(lo), inputs[lo:hi])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resps
 	}
-	for i := 0; i < 500 && o.Counter("serve.snapshot.install_errors").Value() == 0; i++ {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if o.Counter("serve.snapshot.install_errors").Value() == 0 {
-		t.Fatal("injected install fault never fired")
-	}
-	if reg.Swaps() != 0 {
-		t.Fatal("failed install still swapped a snapshot in")
-	}
-
-	// The breaker is now open (ProbeAfter is huge, so it stays open):
-	// every subsequent decision is the precise fallback.
-	resps, err := cl.DecideBatch("synth", 1000, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range resps {
-		if !r.Fallback || !r.Precise {
-			t.Fatalf("request %d after forced-open: fallback=%v precise=%v, want true/true", i, r.Fallback, r.Precise)
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		for i := 0; i < 500 && !done(); i++ {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if !done() {
+			t.Fatalf("timed out waiting for %s", what)
 		}
 	}
+	installErrors := o.Counter("serve.snapshot.install_errors")
+	observed := o.Counter("watch.samples.synth")
+	foldIns := o.Counter("watch.recovery.foldins.synth")
+
+	// IDs 0..23 release 16 observations: a full, violated window, whose
+	// repair the fault plan refuses.
+	send(0, 24)
+	waitFor("the refused install", func() bool { return installErrors.Value() == 1 })
+	if reg.Swaps() != 0 {
+		t.Fatal("refused install still swapped a snapshot in")
+	}
+
+	// IDs 24..31 release up to the 24th observation, short of the next
+	// repair: the shard answers with the classifier on the unrepaired
+	// table, not a fallback.
+	for i, r := range send(24, 32) {
+		if r.Fallback || r.Version != 1 || r.Precise != offline.Classify(inputs[24+i]) {
+			t.Fatalf("request %d after the refused install: fallback=%v version=%d precise=%v, want the v1 classifier's answer",
+				24+i, r.Fallback, r.Version, r.Precise)
+		}
+	}
+	waitFor("the monitor to see IDs 0..31", func() bool { return observed.Value() == 32 })
+	if foldIns.Value() != 1 || reg.Swaps() != 0 {
+		t.Fatalf("%d fold-ins and %d swaps before RepairEvery releases, want 1 and 0", foldIns.Value(), reg.Swaps())
+	}
+
+	// IDs 32..47 release up to the 40th observation: past the next
+	// repair, which installs, and short of the one after it.
+	send(32, 48)
+	waitFor("the retried fold-in", func() bool { return foldIns.Value() == 2 })
+	if reg.Swaps() != 1 {
+		t.Fatalf("%d swaps after the retried repair, want 1", reg.Swaps())
+	}
+	if got := reg.Get("synth").Version; got != 2 {
+		t.Fatalf("repaired snapshot version %d, want 2", got)
+	}
+	if installErrors.Value() != 1 {
+		t.Fatalf("install_errors = %d, want 1", installErrors.Value())
+	}
+
 	if err := o.Close(nil); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(jbuf.String(), "snapshot install failed") {
-		t.Errorf("journal missing the forced-open reason:\n%s", jbuf.String())
+	entries, err := obs.ReadJournal(&jbuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		if e["t"] != "note" {
+			continue
+		}
+		attrs := e["attrs"].(map[string]any)
+		switch e["name"] {
+		case "install_failed":
+			if msg, _ := attrs["error"].(string); !strings.Contains(msg, fault.ErrInjected.Error()) {
+				t.Errorf("install_failed note carries error %q, want the injected fault", msg)
+			}
+			got = append(got, "install_failed")
+		case "foldin":
+			got = append(got, fmt.Sprintf("foldin applied=%v", attrs["applied"]))
+		}
+	}
+	want := []string{"install_failed", "foldin applied=false", "foldin applied=true"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("journal repair notes %q, want %q", got, want)
 	}
 }

@@ -54,7 +54,7 @@ type Client struct {
 	Retries    int
 	Reconnects int
 	// Fallbacks counts responses served by the fail-safe degradation
-	// path (breaker open or a fault mid-decision).
+	// path (a panic recovered mid-decision).
 	Fallbacks int
 }
 

@@ -17,11 +17,6 @@ var (
 	// double-apply anything. Test with errors.Is(err, ErrRetryable).
 	ErrRetryable = errors.New("serve: retryable")
 
-	// ErrQueueFull reports an overloaded shard shedding work (the
-	// breaker's latency budget); the request was not decided.
-	ErrQueueFull = retryable(errors.New("serve: request queue full"))
-	// ErrDraining reports a server refusing new work during shutdown.
-	ErrDraining = retryable(errors.New("serve: server draining"))
 	// ErrPartialWrite reports a request frame torn mid-write on a
 	// closing connection; the server saw at most a prefix, so the whole
 	// batch is safely re-sendable on a fresh connection.
@@ -68,10 +63,6 @@ func sentinelFor(code uint8) error {
 		return ErrSnapshotMissing
 	case CodeBadDim:
 		return ErrBadDim
-	case CodeDraining:
-		return ErrDraining
-	case CodeQueueFull:
-		return ErrQueueFull
 	case CodeFrameTooLarge:
 		return ErrFrameTooLarge
 	case CodePeerDown:

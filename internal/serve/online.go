@@ -64,9 +64,10 @@ func (u *updater) run(wg *sync.WaitGroup) {
 // deterministic routing the monitor scores released observations against
 // from this release position on. Runs on the updater goroutine, so
 // registry access needs no extra synchronization beyond the registry's
-// own. ok=false on install failure: the breaker force-opens (precise
-// serving restores quality while the table cannot be repaired) and the
-// monitor keeps its pending inputs for a retry.
+// own. ok=false on install failure: the refusal is journaled as an
+// `install_failed` note, the shard keeps serving its current snapshot,
+// and the monitor keeps its pending inputs and retries the fold-in
+// RepairEvery releases later while the violation persists.
 func (u *updater) foldIn(inputs [][]float64) (watch.Reclassify, bool) {
 	o := u.s.o
 	o.Counter("serve.guarantee.rechecks").Inc()
@@ -74,7 +75,7 @@ func (u *updater) foldIn(inputs [][]float64) (watch.Reclassify, bool) {
 	ns := snap.WithFoldIn(inputs)
 	if _, err := u.s.reg.Install(ns); err != nil {
 		o.Counter("serve.snapshot.install_errors").Inc()
-		u.sh.brk.forceOpen("snapshot install failed: " + err.Error())
+		o.Note("install_failed", map[string]any{"bench": u.sh.bench, "error": err.Error()})
 		return nil, false
 	}
 	o.Counter("serve.snapshot.swaps").Inc()

@@ -55,9 +55,6 @@ type Config struct {
 	// Obs receives serving telemetry (counters and histograms only — all
 	// commutative, so the hot path may update them from any reader).
 	Obs *obs.Obs
-	// Breaker configures the per-benchmark circuit breaker (zero value:
-	// defaults).
-	Breaker BreakerConfig
 	// Faults is the active fault-injection plan (nil: no injection).
 	// Injected faults exercise the degradation paths: connection faults,
 	// decide panics, snapshot-install failures.
@@ -130,17 +127,15 @@ func boostDelay(lag int, rate float64) int {
 	return d
 }
 
-// shard owns one benchmark's online updater and circuit breaker.
+// shard owns one benchmark's online updater and guarantee monitor.
 type shard struct {
 	bench      string
 	idx        int // position in Server.shardOrder; keys connReader.views
 	inDim      int
 	sampleSeed uint64 // parallel.Seed(cfg.SampleSeed, bench)
 	up         *updater
-	brk        *breaker
 	// mon is the shard's guarantee monitor (nil unless the shard
-	// samples). Only the updater goroutine feeds it; other goroutines
-	// may read its published state.
+	// samples). Only the updater goroutine touches it.
 	mon *watch.Monitor
 	// boostWin is the forced-sampling window armed by the monitor's
 	// recheck escalation, packed (from<<32 | until) so the decide path
@@ -235,7 +230,7 @@ type Server struct {
 }
 
 // NewServer builds a server over the registry's current benchmarks. Each
-// registered benchmark gets its own shard (updater + breaker);
+// registered benchmark gets its own shard (updater + monitor);
 // snapshots installed later for *new* benchmarks are not served.
 func NewServer(reg *Registry, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
@@ -261,7 +256,6 @@ func NewServer(reg *Registry, cfg Config) (*Server, error) {
 			idx:        i,
 			inDim:      snap.Table.InputDim(),
 			sampleSeed: parallel.Seed(cfg.SampleSeed, b),
-			brk:        newBreaker(b, cfg.Breaker, cfg.Obs),
 			fPanic:     cfg.Faults.Scoped(fault.SiteWorkerPanic, b),
 			fDrift:     cfg.Faults.Scoped(fault.SiteProbeDrift, b),
 			cDecisions: cfg.Obs.Counter("serve.bench.decisions." + b),
@@ -269,10 +263,6 @@ func NewServer(reg *Registry, cfg Config) (*Server, error) {
 		}
 		if cfg.Watch.Enabled {
 			sh.mon = watch.NewMonitor(b, snap.G, snap.Ref, cfg.Watch, cfg.Obs)
-			// Breaker transitions carry the guarantee state for context:
-			// an opening breaker reads differently under a violated
-			// guarantee than under a holding one.
-			sh.brk.guarantee = sh.mon.StateName
 		}
 		sh.up = newUpdater(s, sh)
 		if sh.mon != nil {
@@ -580,18 +570,13 @@ func (r *connReader) forward(peer string, req *DecideRequest) {
 	s.m.forwards.Inc()
 }
 
-// decide answers one request of shard sh. With the breaker open the
-// request gets the precise fallback; otherwise it is classified against
-// the shard's current snapshot inside decideSafe's panic barrier, and a
+// decide answers one request of shard sh: it is classified against the
+// shard's current snapshot inside decideSafe's panic barrier, and a
 // sampled observation goes to the shard's updater right away.
 //
 //mithra:hotpath
 func (r *connReader) decide(sh *shard, req *DecideRequest) {
 	s := r.s
-	if !sh.brk.admit() {
-		r.fallback(sh, req)
-		return
-	}
 	snap := s.reg.Get(sh.bench)
 	v := &r.views[sh.idx]
 	if v.view == nil || v.version != snap.Version {
@@ -615,18 +600,6 @@ func (r *connReader) decide(sh *shard, req *DecideRequest) {
 	if haveOb {
 		sh.up.observe(ob)
 	}
-}
-
-// fallback answers a request while its shard's breaker is open.
-// Fail-safe degradation: the precise function is always quality-safe, so
-// an open breaker answers DecisionPrecise rather than classifying in an
-// unhealthy shard.
-func (r *connReader) fallback(sh *shard, req *DecideRequest) {
-	r.s.m.decFallback.Inc()
-	sh.cDecisions.Inc()
-	sh.cFallbacks.Inc()
-	r.dresp = DecideResponse{ID: req.ID, Precise: true, Fallback: true, TraceID: req.TraceID}
-	r.reply(&r.dresp)
 }
 
 // reply frames msg onto the batch the reader owes.
@@ -690,15 +663,15 @@ func (r *connReader) flush() {
 // the single-request granularity. A panicking decision (a poisoned
 // snapshot, a bug, or an injected fault.SiteWorkerPanic) never kills the
 // connection reader: the request gets the precise fallback (always
-// quality-safe), the panic counts against the shard's breaker, and the
-// reader moves on to the next request.
+// quality-safe), the panic is counted, and the reader moves on to the
+// next request. It is the serving stack's one fail-safe: every other
+// request is answered by the classifier.
 func (s *Server) decideSafe(sh *shard, snap *Snapshot, view classifier.Classifier,
 	probe ErrorProbe, req *DecideRequest,
 	dresp *DecideResponse, eresp *ErrorResponse) (resp Message, ob observation, haveOb bool) {
 	defer func() {
-		if r := recover(); r != nil {
+		if recover() != nil {
 			s.m.workerPanics.Inc()
-			sh.brk.onFailure(fmt.Sprintf("worker panic: %v", r))
 			*dresp = DecideResponse{ID: req.ID, Precise: true, Fallback: true, TraceID: req.TraceID}
 			resp, ob, haveOb = dresp, observation{}, false
 			s.m.decFallback.Inc()
@@ -709,11 +682,7 @@ func (s *Server) decideSafe(sh *shard, snap *Snapshot, view classifier.Classifie
 	if sh.fPanic.Hit() {
 		panic(fmt.Sprintf("%v: worker panic for %s", fault.ErrInjected, sh.bench))
 	}
-	resp, ob, haveOb = s.decide(sh, snap, view, probe, req, dresp, eresp)
-	if _, decided := resp.(*DecideResponse); decided {
-		sh.brk.onSuccess()
-	}
-	return resp, ob, haveOb
+	return s.decide(sh, snap, view, probe, req, dresp, eresp)
 }
 
 // decide serves one request against the shard's snapshot and, when the

@@ -287,7 +287,7 @@ func (r *Registry) SetPersist(fn func(*Snapshot) error) {
 // otherwise the installed version is the predecessor's plus one. When a
 // persist hook is set and fails, nothing is published and the previous
 // snapshot keeps serving — the caller decides how to degrade (the
-// online updater force-opens the breaker).
+// online updater journals the refusal and its monitor retries).
 func (r *Registry) Install(s *Snapshot) (*Snapshot, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -143,7 +143,7 @@ func TestWatchDriftAcceptance(t *testing.T) {
 
 // TestTracePropagation: an armed client stamps every decide frame with
 // its trace ID (the v2 wire form) and the server echoes it on each
-// response, on the decision path and on the breaker fallback path alike.
+// response.
 func TestTracePropagation(t *testing.T) {
 	snap := syntheticSnapshot(t, "synth", nil)
 	_, addr := startServer(t, Config{}, snap)

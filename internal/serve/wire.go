@@ -70,15 +70,10 @@ const (
 	CodeUnknownBench = 2
 	// CodeBadDim: the input width does not match the snapshot's kernel.
 	CodeBadDim = 3
-	// CodeDraining: the server is shutting down and not accepting work.
-	// The server no longer sends it (a draining reader stops reading);
-	// the code stays reserved, and clients still treat it as retryable.
-	CodeDraining = 4
-	// CodeQueueFull: the server shed the request under load; it was not
-	// decided and is safe to retry. The server no longer sends it (it
-	// has no queue: backpressure comes from not reading); the code stays
-	// reserved, and clients still treat it as retryable.
-	CodeQueueFull = 5
+	// Codes 4 and 5 (draining, queue full) are retired: a draining
+	// reader stops reading and backpressure comes from not reading, so
+	// the server never sends them. Do not reuse them; an old peer would
+	// read them with their former meaning.
 	// CodeFrameTooLarge: the request frame exceeded MaxFrame; it was
 	// discarded in-band and the connection survives.
 	CodeFrameTooLarge = 6
@@ -130,10 +125,10 @@ type DecideResponse struct {
 	// sporadic error-sampling path (the decision itself is unaffected).
 	Sampled bool
 	// Fallback is true when the decision is the fail-safe degradation
-	// path (circuit breaker open, or a fault mid-decision), not
-	// the classifier's answer. A fallback decision is always Precise —
+	// path (a panic recovered mid-decision), not the classifier's
+	// answer. A fallback decision is always Precise —
 	// running the precise function is the quality-safe direction — so a
-	// client that wants the classifier's answer may retry later.
+	// client that wants the classifier's answer may re-ask (same ID).
 	Fallback bool
 	// Version is the snapshot version that made the decision.
 	Version uint32

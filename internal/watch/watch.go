@@ -29,7 +29,6 @@ package watch
 
 import (
 	"strconv"
-	"sync/atomic"
 
 	"mithra/internal/obs"
 	"mithra/internal/stats"
@@ -137,7 +136,7 @@ type Obs struct {
 
 // Monitor re-checks one benchmark's guarantee over a sliding window of
 // sampled observations. It is not concurrency-safe: exactly one
-// goroutine (the shard's updater) may call Observe/Flush.
+// goroutine (the shard's updater) may call its methods.
 type Monitor struct {
 	bench string
 	g     stats.Guarantee
@@ -163,7 +162,6 @@ type Monitor struct {
 	successes int
 
 	state         State
-	pub           atomic.Uint32 // published state; readable from any goroutine
 	dwell         int
 	seen          int
 	recoverStreak int
@@ -221,22 +219,12 @@ func NewMonitor(bench string, g stats.Guarantee, ref *Reference, cfg Config, o *
 	return m
 }
 
-// State returns the published guarantee state. Unlike the rest of the
-// monitor it is safe from any goroutine (breaker notes read it from
-// connection readers).
+// State returns the guarantee state.
 func (m *Monitor) State() State {
 	if m == nil {
 		return Holding
 	}
-	return State(m.pub.Load())
-}
-
-// StateName returns the published state's name, or "" on a nil monitor.
-func (m *Monitor) StateName() string {
-	if m == nil {
-		return ""
-	}
-	return m.State().String()
+	return m.state
 }
 
 // Observe feeds one sampled observation. ob.In is the sampled kernel
@@ -404,7 +392,6 @@ func (m *Monitor) transition(next State, lb, margin float64) {
 	})
 	prev := m.state
 	m.state = next
-	m.pub.Store(uint32(next))
 	m.dwell = 0
 	m.recoverStreak = 0
 	if m.cfg.Recheck.Enabled {

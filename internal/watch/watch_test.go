@@ -222,7 +222,7 @@ func TestNilMonitor(t *testing.T) {
 	var m *Monitor
 	m.Observe(Obs{ID: 1, In: []float64{1}})
 	m.Flush()
-	if m.Seen() != 0 || m.State() != Holding || m.StateName() != "" {
+	if m.Seen() != 0 || m.State() != Holding {
 		t.Fatal("nil monitor is not inert")
 	}
 }
