@@ -574,3 +574,81 @@ func TestScaleInvocationsMatchTableI(t *testing.T) {
 		}
 	}
 }
+
+// referenceInverseDCT is the loop inverseDCT replaced: dctScale applied
+// inside every term of every sum.
+func referenceInverseDCT(src, dst *[64]float64) {
+	var tmp [64]float64
+	for u := 0; u < 8; u++ {
+		for y := 0; y < 8; y++ {
+			s := 0.0
+			for v := 0; v < 8; v++ {
+				s += dctScale(v) * src[v*8+u] * cosTable[y][v]
+			}
+			tmp[y*8+u] = s
+		}
+	}
+	for y := 0; y < 8; y++ {
+		for x := 0; x < 8; x++ {
+			s := 0.0
+			for u := 0; u < 8; u++ {
+				s += dctScale(u) * tmp[y*8+u] * cosTable[x][u]
+			}
+			dst[y*8+x] = 0.25 * s
+		}
+	}
+}
+
+// TestInverseDCTMatchesReference checks inverseDCT bit for bit against
+// the per-term loop, on random blocks and on dequantized coefficient
+// blocks like decodeBlock's. Quantization rounds small negative
+// coefficients to −0, and an all-zero block must still decode to +0.
+func TestInverseDCTMatchesReference(t *testing.T) {
+	rng := mathx.NewRNG(29)
+	var blocks [][64]float64
+	for b := 0; b < 200; b++ {
+		var raw, freq, deq [64]float64
+		for i := range raw {
+			raw[i] = rng.Range(-1000, 1000)
+		}
+		blocks = append(blocks, raw)
+		// A pixel block through forwardDCT and quantization, the way
+		// Precise and decodeBlock see it; a narrow pixel range leaves
+		// most AC coefficients at ±0.
+		var px [64]float64
+		base, spread := rng.Range(-128, 127), rng.Range(0, 40)
+		for i := range px {
+			px[i] = base + rng.Range(-spread, spread)
+		}
+		forwardDCT(&px, &freq)
+		for i := range deq {
+			deq[i] = math.Round(freq[i]/quantTable[i]) * quantTable[i]
+		}
+		blocks = append(blocks, deq)
+	}
+	var zeros, negZeros [64]float64
+	for i := range negZeros {
+		negZeros[i] = math.Copysign(0, -1)
+	}
+	blocks = append(blocks, zeros, negZeros)
+	sawNegZero := false
+	for _, blk := range blocks {
+		for _, c := range blk {
+			sawNegZero = sawNegZero || (c == 0 && math.Signbit(c))
+		}
+	}
+	if !sawNegZero {
+		t.Fatal("no −0 coefficient among the test blocks")
+	}
+	for b := range blocks {
+		var got, want [64]float64
+		inverseDCT(&blocks[b], &got)
+		referenceInverseDCT(&blocks[b], &want)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("block %d, pixel %d: %v (bits %x), reference %v (bits %x)",
+					b, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+}

@@ -176,27 +176,44 @@ func forwardDCT(src, dst *[64]float64) {
 	}
 }
 
-// inverseDCT computes the 2D DCT-III (inverse of forwardDCT).
+// inverseDCT computes the 2D DCT-III (inverse of forwardDCT). Each
+// output is Σ (dctScale(v)·src[v*8+u])·cosTable[y][v], summed in v order
+// from 0.0; the scaled coefficients are formed once per column (and per
+// row in the second pass) rather than once per output.
 func inverseDCT(src, dst *[64]float64) {
 	var tmp [64]float64
+	var c [8]float64
 	// Columns.
 	for u := 0; u < 8; u++ {
+		for v := range c {
+			c[v] = dctScale(v) * src[v*8+u]
+		}
 		for y := 0; y < 8; y++ {
-			s := 0.0
-			for v := 0; v < 8; v++ {
-				s += dctScale(v) * src[v*8+u] * cosTable[y][v]
-			}
-			tmp[y*8+u] = s
+			tmp[y*8+u] = dot8(&c, &cosTable[y])
 		}
 	}
 	// Rows.
 	for y := 0; y < 8; y++ {
+		for u := range c {
+			c[u] = dctScale(u) * tmp[y*8+u]
+		}
 		for x := 0; x < 8; x++ {
-			s := 0.0
-			for u := 0; u < 8; u++ {
-				s += dctScale(u) * tmp[y*8+u] * cosTable[x][u]
-			}
-			dst[y*8+x] = 0.25 * s
+			dst[y*8+x] = 0.25 * dot8(&c, &cosTable[x])
 		}
 	}
+}
+
+// dot8 is Σ a[i]·b[i], summed in index order from 0.0 (so a sum of −0
+// products is +0, as in a loop).
+func dot8(a, b *[8]float64) float64 {
+	s := 0.0
+	s += a[0] * b[0]
+	s += a[1] * b[1]
+	s += a[2] * b[2]
+	s += a[3] * b[3]
+	s += a[4] * b[4]
+	s += a[5] * b[5]
+	s += a[6] * b[6]
+	s += a[7] * b[7]
+	return s
 }

@@ -13,6 +13,7 @@ import (
 	"mithra/internal/lint"
 	"mithra/internal/mathx"
 	"mithra/internal/misr"
+	"mithra/internal/nn"
 	"mithra/internal/obs"
 	"mithra/internal/serve"
 	"mithra/internal/stats"
@@ -186,9 +187,11 @@ func Run(cfg Config) ([]Row, error) {
 	}
 	hermWarm, hermOps := 2000, 20000
 	rttWarm, rtt1Ops, rtt32Ops := 100, 3000, 500
+	nnWarm, nnOps := 3, 30
 	if cfg.Smoke {
 		hermWarm, hermOps = 200, 2000
 		rttWarm, rtt1Ops, rtt32Ops = 30, 400, 80
+		nnWarm, nnOps = 1, 5
 	}
 
 	tab, err := syntheticTable(cfg.Seed, 3)
@@ -435,6 +438,35 @@ func Run(cfg Config) ([]Row, error) {
 	}); err != nil {
 		return nil, err
 	}
+
+	// nn_train: one epoch of a [64,32,2] neural classifier at batch 16 —
+	// the largest candidate of a jpeg-width classifier sweep, and the
+	// kernel behind most of the offline compile — on 512 seeded samples.
+	// Not hermetic: each call allocates its training buffers.
+	nrng := mathx.NewRNG(cfg.Seed + 3)
+	nnSamples := make([]nn.Sample, 512)
+	for i := range nnSamples {
+		in := seededInput(nrng, 64)
+		out := []float64{1, 0}
+		if in[0] > 0.9 {
+			out = []float64{0, 1}
+		}
+		nnSamples[i] = nn.Sample{In: in, Out: out}
+	}
+	net := nn.New([]int{64, 32, 2}, nn.Classification(2), mathx.NewRNG(cfg.Seed))
+	epoch := nn.TrainConfig{Epochs: 1, LearningRate: 0.3, Momentum: 0.9, BatchSize: 16, Seed: cfg.Seed}
+	m, err := measure(nnWarm, nnOps, func() error {
+		net.Train(nnSamples, epoch)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bench: stage nn_train: %w", err)
+	}
+	rows = append(rows, Row{
+		Label: cfg.Label, Stage: "nn_train",
+		Decisions: m.ops, Seconds: m.seconds, NsPerOp: m.nsPerOp,
+		AllocsPerOp: m.allocs, BytesPerOp: m.bytes,
+	})
 
 	// RTT stages: real loopback round trips through the full server (the
 	// connection reader reads, decides and answers each window with one

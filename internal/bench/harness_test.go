@@ -34,6 +34,9 @@ func TestSmokeRunProducesAllStages(t *testing.T) {
 			t.Errorf("stage %s: %d allocs/op, want 0 — the zero-alloc decide path regressed", stage, r.AllocsPerOp)
 		}
 	}
+	if r, ok := byStage["nn_train"]; !ok || r.NsPerOp <= 0 {
+		t.Errorf("nn_train stage missing or untimed: %+v", r)
+	}
 	for _, stage := range []string{"rtt_p1", "rtt_p32"} {
 		r, ok := byStage[stage]
 		if !ok {

@@ -2,6 +2,7 @@ package classifier
 
 import (
 	"fmt"
+	"sort"
 
 	"mithra/internal/mathx"
 	"mithra/internal/nn"
@@ -137,12 +138,21 @@ func TrainNeural(inputDim int, samples []Sample, opts NeuralOptions) (*Neural, e
 	}
 	// The sweep's candidates are independent: each trains its own network
 	// from a seed keyed by its hidden size on the shared (read-only)
-	// training set. They run on the worker pool and land in hidden-size
-	// order, so the selection below sees the same sequence the serial
-	// sweep produced.
-	cands, err := parallel.Map(opts.Parallelism, len(opts.HiddenSizes),
-		func(i int) (candidate, error) {
-			h := opts.HiddenSizes[i]
+	// training set. They are dispatched largest first, since training
+	// cost grows with the hidden size and the largest candidate started
+	// last would be the sweep's critical path. Each then lands in its
+	// hidden-size slot, so the selection below sees the same sequence the
+	// serial sweep produced.
+	order := make([]int, len(opts.HiddenSizes))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return opts.HiddenSizes[order[a]] > opts.HiddenSizes[order[b]]
+	})
+	trained, err := parallel.Map(opts.Parallelism, len(order),
+		func(k int) (candidate, error) {
+			h := opts.HiddenSizes[order[k]]
 			net := nn.New([]int{inputDim, h, 2}, nn.Classification(2),
 				mathx.NewRNG(opts.Seed).Split(uint64(h)))
 			net.Train(trainSet, opts.Train)
@@ -150,6 +160,10 @@ func TrainNeural(inputDim int, samples []Sample, opts NeuralOptions) (*Neural, e
 		})
 	if err != nil {
 		return nil, err
+	}
+	cands := make([]candidate, len(trained))
+	for k, c := range trained {
+		cands[order[k]] = c
 	}
 
 	// Highest accuracy wins; a smaller network within TiePct takes the

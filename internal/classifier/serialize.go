@@ -262,17 +262,25 @@ func DecodeNeural(data []byte) (*Neural, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&g); err != nil {
 		return nil, fmt.Errorf("classifier: decode neural: %w", err)
 	}
-	if len(g.Sizes) < 2 || len(g.W) != len(g.Sizes)-1 || len(g.B) != len(g.Sizes)-1 {
-		return nil, fmt.Errorf("classifier: malformed neural stream")
-	}
-	if len(g.ScaleMin) != g.Sizes[0] || len(g.ScaleMax) != g.Sizes[0] {
-		return nil, fmt.Errorf("classifier: neural scaler dimension mismatch")
+	if len(g.Sizes) < 2 { // before Classification, which needs a layer count
+		return nil, fmt.Errorf("classifier: malformed neural stream: %d layers", len(g.Sizes))
 	}
 	net := &nn.Network{
 		Sizes: g.Sizes,
 		Acts:  nn.Classification(len(g.Sizes) - 1),
 		W:     g.W,
 		B:     g.B,
+	}
+	if err := net.Validate(); err != nil {
+		return nil, fmt.Errorf("classifier: malformed neural stream: %w", err)
+	}
+	// Classify compares the accelerate and precise output neurons.
+	if out := g.Sizes[len(g.Sizes)-1]; out != 2 {
+		return nil, fmt.Errorf("classifier: neural stream has %d output neurons, want 2", out)
+	}
+	if len(g.ScaleMin) != g.Sizes[0] || len(g.ScaleMax) != g.Sizes[0] {
+		return nil, fmt.Errorf("classifier: neural scaler widths %d/%d, network input %d",
+			len(g.ScaleMin), len(g.ScaleMax), g.Sizes[0])
 	}
 	return &Neural{
 		net:      net,

@@ -1,11 +1,14 @@
 package classifier
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"runtime"
 	"testing"
 
 	"mithra/internal/mathx"
+	"mithra/internal/nn"
 )
 
 func trainedTestTable(t *testing.T) *Table {
@@ -267,5 +270,45 @@ func TestDecodeRegressorErrors(t *testing.T) {
 	}
 	if _, err := DecodeRegressor(data); err == nil {
 		t.Error("weight/dim mismatch should fail")
+	}
+}
+
+// TestDecodeNeuralRefusesMalformedShapes encodes neural classifiers whose
+// weights, biases or scaler disagree with Sizes; each must fail to decode
+// rather than panic on first Classify.
+func TestDecodeNeuralRefusesMalformedShapes(t *testing.T) {
+	valid := func() gobNeural {
+		n := nn.New([]int{3, 2, 2}, nn.Classification(2), mathx.NewRNG(1))
+		return gobNeural{Sizes: n.Sizes, W: n.W, B: n.B,
+			ScaleMin: []float64{0, 0, 0}, ScaleMax: []float64{1, 1, 1}}
+	}
+	cases := map[string]func(g *gobNeural){
+		"short first row":    func(g *gobNeural) { g.W[0][1] = g.W[0][1][:2] },
+		"long output row":    func(g *gobNeural) { g.W[1][0] = append(g.W[1][0], 1) },
+		"missing row":        func(g *gobNeural) { g.W[1] = g.W[1][:1] },
+		"missing bias":       func(g *gobNeural) { g.B[0] = g.B[0][:1] },
+		"missing bias layer": func(g *gobNeural) { g.B = g.B[:1] },
+		"zero width":         func(g *gobNeural) { g.Sizes = []int{3, 0, 2} },
+		"negative width":     func(g *gobNeural) { g.Sizes = []int{3, -2, 2} },
+		"no layers":          func(g *gobNeural) { g.Sizes = nil },
+		"one output neuron":  func(g *gobNeural) { g.Sizes[2], g.W[1], g.B[1] = 1, g.W[1][:1], g.B[1][:1] },
+		"scaler width":       func(g *gobNeural) { g.ScaleMax = g.ScaleMax[:2] },
+	}
+	encode := func(g gobNeural) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(g); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if _, err := DecodeNeural(encode(valid())); err != nil {
+		t.Fatalf("valid classifier refused: %v", err)
+	}
+	for name, corrupt := range cases {
+		g := valid()
+		corrupt(&g)
+		if n, err := DecodeNeural(encode(g)); err == nil {
+			t.Errorf("%s: decoded with nil error (topology %v)", name, n.Topology())
+		}
 	}
 }

@@ -60,6 +60,28 @@ func TestParallelMatchesSerial(t *testing.T) {
 			if ds.RandomRate != dp.RandomRate {
 				t.Errorf("random rates differ: %v vs %v", ds.RandomRate, dp.RandomRate)
 			}
+			// Topology and bias alone would pass a sweep that picked the
+			// same size with different weights: compare the encoded
+			// network and the whole exported program too.
+			for _, enc := range []struct {
+				what string
+				f    func(*Deployment) ([]byte, error)
+			}{
+				{"neural classifier encodings", func(d *Deployment) ([]byte, error) { return d.Neural.Encode() }},
+				{"exported programs", (*Deployment).Export},
+			} {
+				bs, err := enc.f(ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bp, err := enc.f(dp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(bs, bp) {
+					t.Errorf("%s differ", enc.what)
+				}
+			}
 
 			for _, design := range allDesigns {
 				rs := ds.EvaluateValidation(design)

@@ -112,11 +112,16 @@ func DecodeApproximator(data []byte) (*Approximator, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&g); err != nil {
 		return nil, fmt.Errorf("nn: decode approximator: %w", err)
 	}
-	in := g.InScale
-	out := g.OutScale
-	return &Approximator{
-		Net:      &Network{Sizes: g.Sizes, Acts: g.Acts, W: g.W, B: g.B},
-		InScale:  &in,
-		OutScale: &out,
-	}, nil
+	net := &Network{Sizes: g.Sizes, Acts: g.Acts, W: g.W, B: g.B}
+	if err := net.Validate(); err != nil {
+		return nil, fmt.Errorf("nn: decode approximator: %w", err)
+	}
+	in, out := g.Sizes[0], g.Sizes[len(g.Sizes)-1]
+	if len(g.InScale.Min) != in || len(g.InScale.Max) != in ||
+		len(g.OutScale.Min) != out || len(g.OutScale.Max) != out {
+		return nil, fmt.Errorf("nn: decode approximator: scaler widths %d/%d in, %d/%d out for a %s network",
+			len(g.InScale.Min), len(g.InScale.Max), len(g.OutScale.Min), len(g.OutScale.Max), net.TopologyString())
+	}
+	inScale, outScale := g.InScale, g.OutScale
+	return &Approximator{Net: net, InScale: &inScale, OutScale: &outScale}, nil
 }

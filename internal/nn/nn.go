@@ -152,20 +152,13 @@ func Classification(depth int) []Activation {
 // shared across goroutines.
 type Scratch struct {
 	act [][]float64 // activations per layer, act[0] aliases nothing
-	del [][]float64 // deltas per non-input layer (used by training)
 }
 
 // NewScratch allocates evaluation buffers for n.
 func (n *Network) NewScratch() *Scratch {
-	s := &Scratch{
-		act: make([][]float64, len(n.Sizes)),
-		del: make([][]float64, len(n.Sizes)-1),
-	}
+	s := &Scratch{act: make([][]float64, len(n.Sizes))}
 	for l, size := range n.Sizes {
 		s.act[l] = make([]float64, size)
-		if l > 0 {
-			s.del[l-1] = make([]float64, size)
-		}
 	}
 	return s
 }
@@ -194,6 +187,43 @@ func (n *Network) ForwardScratch(in []float64, s *Scratch) []float64 {
 		}
 	}
 	return s.act[len(s.act)-1]
+}
+
+// Validate reports whether the network's parts agree with its Sizes:
+// every width positive, one known activation per non-input layer, and
+// W[l] Sizes[l+1] rows of Sizes[l] weights with Sizes[l+1] biases in
+// B[l]. Decoders call it so a malformed blob is refused instead of
+// panicking on first use.
+func (n *Network) Validate() error {
+	if len(n.Sizes) < 2 {
+		return fmt.Errorf("nn: %d layers, need at least input and output", len(n.Sizes))
+	}
+	for l, s := range n.Sizes {
+		if s <= 0 {
+			return fmt.Errorf("nn: layer %d has width %d", l, s)
+		}
+	}
+	layers := len(n.Sizes) - 1
+	if len(n.Acts) != layers || len(n.W) != layers || len(n.B) != layers {
+		return fmt.Errorf("nn: %d layers with %d activations, %d weight and %d bias layers",
+			len(n.Sizes), len(n.Acts), len(n.W), len(n.B))
+	}
+	for l := 0; l < layers; l++ {
+		if n.Acts[l] < Sigmoid || n.Acts[l] > ReLU {
+			return fmt.Errorf("nn: layer %d has unknown %v", l+1, n.Acts[l])
+		}
+		fanIn, fanOut := n.Sizes[l], n.Sizes[l+1]
+		if len(n.W[l]) != fanOut || len(n.B[l]) != fanOut {
+			return fmt.Errorf("nn: layer %d has %d weight rows and %d biases, want %d",
+				l+1, len(n.W[l]), len(n.B[l]), fanOut)
+		}
+		for j, row := range n.W[l] {
+			if len(row) != fanIn {
+				return fmt.Errorf("nn: layer %d row %d has %d weights, want %d", l+1, j, len(row), fanIn)
+			}
+		}
+	}
+	return nil
 }
 
 // NumWeights returns the count of trainable parameters (weights + biases).

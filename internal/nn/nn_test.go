@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 	"testing/quick"
@@ -123,10 +125,11 @@ func TestGradientNumerically(t *testing.T) {
 	n := New([]int{2, 3, 2}, Regression(2), mathx.NewRNG(3))
 	smp := Sample{In: []float64{0.4, -0.7}, Out: []float64{0.2, 0.9}}
 
-	s := n.NewScratch()
-	gw, gb := n.zeroGrads()
-	n.clearGrads(gw, gb)
-	n.accumulate(smp, s, gw, gb)
+	// The training kernel's gradient for a one-sample batch.
+	k := newTrainer(n, 1)
+	k.gradient([]Sample{smp}, []int{0}, 0)
+	gw := func(l, j, i int) float64 { return k.gw[l][j*n.Sizes[l]+i] }
+	gb := k.gb
 
 	loss := func() float64 {
 		out := n.Forward(smp.In)
@@ -148,9 +151,9 @@ func TestGradientNumerically(t *testing.T) {
 				down := loss()
 				n.W[l][j][i] = orig
 				num := (up - down) / (4 * h) // loss is sum of squares; grad uses (y-t), i.e. d(loss/2)
-				if math.Abs(num-gw[l][j][i]) > 1e-4 {
+				if math.Abs(num-gw(l, j, i)) > 1e-4 {
 					t.Fatalf("weight grad [%d][%d][%d]: backprop %v numerical %v",
-						l, j, i, gw[l][j][i], num)
+						l, j, i, gw(l, j, i), num)
 				}
 			}
 			orig := n.B[l][j]
@@ -358,5 +361,49 @@ func TestTrainLRDecay(t *testing.T) {
 	}
 	if noDecay == decayed {
 		t.Error("LRDecay had no effect on the training trajectory")
+	}
+}
+
+// TestDecodeApproximatorRefusesMalformedShapes encodes approximators
+// whose parts disagree with Sizes; each must fail to decode rather than
+// panic on first evaluation.
+func TestDecodeApproximatorRefusesMalformedShapes(t *testing.T) {
+	valid := func() gobApproximator {
+		n := New([]int{2, 2, 1}, Regression(2), mathx.NewRNG(1))
+		return gobApproximator{
+			Sizes: n.Sizes, Acts: n.Acts, W: n.W, B: n.B,
+			InScale:  Scaler{Min: []float64{0, 0}, Max: []float64{1, 1}},
+			OutScale: Scaler{Min: []float64{0}, Max: []float64{1}},
+		}
+	}
+	cases := map[string]func(g *gobApproximator){
+		"short first row":      func(g *gobApproximator) { g.W[0][1] = g.W[0][1][:1] },
+		"missing row":          func(g *gobApproximator) { g.W[0] = g.W[0][:1] },
+		"missing bias":         func(g *gobApproximator) { g.B[1] = nil },
+		"missing weight layer": func(g *gobApproximator) { g.W = g.W[:1] },
+		"missing activation":   func(g *gobApproximator) { g.Acts = g.Acts[:1] },
+		"unknown activation":   func(g *gobApproximator) { g.Acts[0] = 9 },
+		"zero width":           func(g *gobApproximator) { g.Sizes = []int{2, 0, 1} },
+		"one layer":            func(g *gobApproximator) { g.Sizes = []int{2} },
+		"input scaler width":   func(g *gobApproximator) { g.InScale.Max = g.InScale.Max[:1] },
+		"output scaler width":  func(g *gobApproximator) { g.OutScale = Scaler{Min: []float64{0, 0}, Max: []float64{1, 1}} },
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(valid()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeApproximator(buf.Bytes()); err != nil {
+		t.Fatalf("valid approximator refused: %v", err)
+	}
+	for name, corrupt := range cases {
+		g := valid()
+		corrupt(&g)
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode(g); err != nil {
+			t.Fatal(err)
+		}
+		if a, err := DecodeApproximator(buf.Bytes()); err == nil {
+			t.Errorf("%s: decoded with nil error (Sizes %v)", name, a.Net.Sizes)
+		}
 	}
 }

@@ -54,6 +54,10 @@ type TrainResult struct {
 // Train fits the network to samples with mini-batch SGD + momentum,
 // minimizing mean squared error. It mutates the receiver and returns the
 // final training error.
+//
+// Training runs on a flat copy of the weights (see trainer) and writes
+// the result back; the weights it produces are, bit for bit, those of
+// per-sample backpropagation with the gradient summed in batch order.
 func (n *Network) Train(samples []Sample, cfg TrainConfig) TrainResult {
 	if len(samples) == 0 {
 		return TrainResult{}
@@ -70,9 +74,7 @@ func (n *Network) Train(samples []Sample, cfg TrainConfig) TrainResult {
 	}
 
 	rng := mathx.NewRNG(cfg.Seed)
-	s := n.NewScratch()
-	gradW, gradB := n.zeroGrads()
-	velW, velB := n.zeroGrads()
+	t := newTrainer(n, cfg.BatchSize)
 
 	res := TrainResult{}
 	baseLR := cfg.LearningRate
@@ -85,11 +87,8 @@ func (n *Network) Train(samples []Sample, cfg TrainConfig) TrainResult {
 			if end > len(perm) {
 				end = len(perm)
 			}
-			n.clearGrads(gradW, gradB)
-			for _, idx := range perm[start:end] {
-				sse += n.accumulate(samples[idx], s, gradW, gradB)
-			}
-			n.applyGrads(gradW, gradB, velW, velB, cfg, end-start)
+			sse = t.gradient(samples, perm[start:end], sse)
+			t.applyGrads(cfg, end-start)
 		}
 		res.Epochs = epoch + 1
 		res.FinalMSE = sse / float64(len(samples))
@@ -97,6 +96,7 @@ func (n *Network) Train(samples []Sample, cfg TrainConfig) TrainResult {
 			break
 		}
 	}
+	t.store(n)
 	return res
 }
 
@@ -127,85 +127,212 @@ func (n *Network) checkSamples(samples []Sample) {
 	}
 }
 
-func (n *Network) zeroGrads() ([][][]float64, [][]float64) {
-	gw := make([][][]float64, len(n.W))
-	gb := make([][]float64, len(n.B))
-	for l := range n.W {
-		gw[l] = make([][]float64, len(n.W[l]))
-		for j := range n.W[l] {
-			gw[l][j] = make([]float64, len(n.W[l][j]))
-		}
-		gb[l] = make([]float64, len(n.B[l]))
-	}
-	return gw, gb
+// trainer is the mini-batch training kernel. Layer l's weights are one
+// row-major slice, w[l][j*Sizes[l]+i] = Network.W[l][j][i], and the
+// gradient and velocity buffers share that layout. The weights are fixed
+// within a mini-batch, so each stage runs for the whole batch at once:
+// forward for every sample, then the output and hidden deltas, then the
+// batch gradient Σ_s d[s][j]·a[s][i]. All three are products of one
+// matrix's rows with another's (mulT), for which the batch is kept in
+// both layouts: sample-major (one row per sample) and feature-major (one
+// row per neuron, ns samples long).
+//
+// Every float64 equals the per-sample kernel's: each sum starts from 0.0
+// and adds its terms in the per-sample order — inputs in index order for
+// a dot product, samples in batch order for a gradient. FMA is not used:
+// it would round differently.
+type trainer struct {
+	sizes  []int
+	acts   []Activation
+	w, b   [][]float64
+	gw, gb [][]float64
+	vw, vb [][]float64
+	// a[l] holds the batch's layer-l activations sample-major (a[0] the
+	// inputs) and at[l] feature-major; d[l] and dt[l] hold the deltas
+	// of layer l+1 the same two ways. wt[l] is w[l] transposed, for
+	// l ≥ 1.
+	a, at, d, dt, wt [][]float64
 }
 
-func (n *Network) clearGrads(gw [][][]float64, gb [][]float64) {
-	for l := range gw {
-		for j := range gw[l] {
-			row := gw[l][j]
-			for i := range row {
-				row[i] = 0
+func newTrainer(n *Network, batch int) *trainer {
+	layers := len(n.W)
+	t := &trainer{
+		sizes: n.Sizes, acts: n.Acts,
+		w: make([][]float64, layers), b: make([][]float64, layers),
+		gw: make([][]float64, layers), gb: make([][]float64, layers),
+		vw: make([][]float64, layers), vb: make([][]float64, layers),
+		a: make([][]float64, layers+1), at: make([][]float64, layers+1),
+		d: make([][]float64, layers), dt: make([][]float64, layers),
+		wt: make([][]float64, layers),
+	}
+	for l := 0; l < layers; l++ {
+		fanIn, fanOut := n.Sizes[l], n.Sizes[l+1]
+		t.w[l] = make([]float64, 0, fanIn*fanOut)
+		for _, row := range n.W[l] {
+			t.w[l] = append(t.w[l], row...)
+		}
+		t.b[l] = append([]float64(nil), n.B[l]...)
+		t.gw[l] = make([]float64, fanIn*fanOut)
+		t.gb[l] = make([]float64, fanOut)
+		t.vw[l] = make([]float64, fanIn*fanOut)
+		t.vb[l] = make([]float64, fanOut)
+		t.d[l] = make([]float64, batch*fanOut)
+		t.dt[l] = make([]float64, batch*fanOut)
+		if l > 0 {
+			t.wt[l] = make([]float64, fanIn*fanOut)
+		}
+	}
+	for l, size := range n.Sizes {
+		t.a[l] = make([]float64, batch*size)
+		t.at[l] = make([]float64, batch*size)
+	}
+	return t
+}
+
+// store copies the trained weights back into n.
+func (t *trainer) store(n *Network) {
+	for l := range t.w {
+		fanIn := t.sizes[l]
+		for j, row := range n.W[l] {
+			copy(row, t.w[l][j*fanIn:(j+1)*fanIn])
+		}
+		copy(n.B[l], t.b[l])
+	}
+}
+
+// gradient runs the mini-batch samples[idx...] forward and back, leaves
+// the batch gradient in (gw, gb) and returns sse plus the batch's
+// squared error, added per sample in batch order.
+func (t *trainer) gradient(samples []Sample, idx []int, sse float64) float64 {
+	ns := len(idx)
+	in, a0, at0 := t.sizes[0], t.a[0], t.at[0]
+	for s, k := range idx {
+		x := samples[k].In
+		copy(a0[s*in:(s+1)*in], x)
+		for i, xi := range x {
+			at0[i*ns+s] = xi
+		}
+	}
+	last := len(t.w) - 1
+	for l := 0; l <= last; l++ {
+		// at[l+1][j][s] = Σ_i w[l][j][i]·a[l][s][i], then the bias and
+		// activation in place.
+		m, act, y, yt := t.sizes[l+1], t.acts[l], t.a[l+1], t.at[l+1]
+		mulT(yt, t.w[l], t.a[l], m, ns, t.sizes[l])
+		for j, bj := range t.b[l] {
+			row := yt[j*ns : (j+1)*ns]
+			for s, z := range row {
+				row[s] = act.apply(bj + z)
+				y[s*m+j] = row[s]
 			}
 		}
-		for j := range gb[l] {
-			gb[l][j] = 0
-		}
 	}
-}
-
-// accumulate adds one sample's gradient into (gw, gb) and returns its
-// summed squared error.
-func (n *Network) accumulate(smp Sample, s *Scratch, gw [][][]float64, gb [][]float64) float64 {
-	out := n.ForwardScratch(smp.In, s)
-	last := len(n.W) - 1
 
 	// Output deltas: dE/dz = (y - t) * f'(z).
-	sse := 0.0
-	for j, y := range out {
-		diff := y - smp.Out[j]
-		sse += diff * diff
-		s.del[last][j] = diff * n.Acts[last].derivFromOutput(y)
+	out, act := t.sizes[last+1], t.acts[last]
+	for s, k := range idx {
+		want := samples[k].Out
+		e := 0.0
+		for j, y := range t.a[last+1][s*out : (s+1)*out] {
+			diff := y - want[j]
+			e += diff * diff
+			del := diff * act.derivFromOutput(y)
+			t.d[last][s*out+j] = del
+			t.dt[last][j*ns+s] = del
+		}
+		sse += e
 	}
-	// Hidden deltas, back to front.
+	// Hidden deltas, back to front: dt[l][j][s] = Σ_k w[l+1][k][j]·d[l+1][s][k]
+	// times f'(z).
 	for l := last - 1; l >= 0; l-- {
-		next := s.del[l+1]
-		for j := range s.del[l] {
-			sum := 0.0
-			for k := range next {
-				sum += n.W[l+1][k][j] * next[k]
+		m, n, w, wt := t.sizes[l+1], t.sizes[l+2], t.w[l+1], t.wt[l+1]
+		for k := 0; k < n; k++ {
+			for j, wkj := range w[k*m : (k+1)*m] {
+				wt[j*n+k] = wkj
 			}
-			s.del[l][j] = sum * n.Acts[l].derivFromOutput(s.act[l+1][j])
+		}
+		del, delT, yt, act := t.d[l], t.dt[l], t.at[l+1], t.acts[l]
+		mulT(delT, wt, t.d[l+1], m, ns, n)
+		for j := 0; j < m; j++ {
+			row, ys := delT[j*ns:(j+1)*ns], yt[j*ns:(j+1)*ns]
+			for s, z := range row {
+				row[s] = z * act.derivFromOutput(ys[s])
+				del[s*m+j] = row[s]
+			}
 		}
 	}
-	// Gradient accumulation.
-	for l := range n.W {
-		prev := s.act[l]
-		for j := range n.W[l] {
-			d := s.del[l][j]
-			row := gw[l][j]
-			for i := range row {
-				row[i] += d * prev[i]
+	// Batch gradient: gw[l][j][i] = Σ_s d[l][s][j]·a[l][s][i].
+	for l := 0; l <= last; l++ {
+		mulT(t.gw[l], t.dt[l], t.at[l], t.sizes[l+1], t.sizes[l], ns)
+		for j := range t.gb[l] {
+			z := 0.0
+			for _, del := range t.dt[l][j*ns : (j+1)*ns] {
+				z += del
 			}
-			gb[l][j] += d
+			t.gb[l][j] = z
 		}
 	}
 	return sse
 }
 
-func (n *Network) applyGrads(gw [][][]float64, gb [][]float64, vw [][][]float64, vb [][]float64, cfg TrainConfig, batch int) {
+// mulT sets c[r*cols+q] = Σ_k x[r*depth+k]·y[q*depth+k]: each row of x
+// times each row of y, summed in k order from 0.0 as mathx.Dot does. It
+// works on two rows of x and three of y at a time, six independent sums
+// that keep the floating-point pipeline busy without spilling registers.
+func mulT(c, x, y []float64, rows, cols, depth int) {
+	r := 0
+	for ; r+2 <= rows; r += 2 {
+		x0, x1 := x[r*depth:(r+1)*depth], x[(r+1)*depth:(r+2)*depth]
+		c0, c1 := c[r*cols:(r+1)*cols], c[(r+1)*cols:(r+2)*cols]
+		q := 0
+		for ; q+3 <= cols; q += 3 {
+			c0[q], c0[q+1], c0[q+2], c1[q], c1[q+1], c1[q+2] = dot2x3(x0, x1,
+				y[q*depth:(q+1)*depth], y[(q+1)*depth:(q+2)*depth], y[(q+2)*depth:(q+3)*depth])
+		}
+		for ; q < cols; q++ {
+			yq := y[q*depth : (q+1)*depth]
+			c0[q], c1[q] = mathx.Dot(x0, yq), mathx.Dot(x1, yq)
+		}
+	}
+	if r < rows {
+		xr, cr := x[r*depth:(r+1)*depth], c[r*cols:(r+1)*cols]
+		for q := range cr {
+			cr[q] = mathx.Dot(xr, y[q*depth:(q+1)*depth])
+		}
+	}
+}
+
+// dot2x3 returns the six dot products of (x0, x1) with (y0, y1, y2), all
+// of len(x0).
+func dot2x3(x0, x1, y0, y1, y2 []float64) (z00, z01, z02, z10, z11, z12 float64) {
+	x1, y0, y1, y2 = x1[:len(x0)], y0[:len(x0)], y1[:len(x0)], y2[:len(x0)]
+	for k, a := range x0 {
+		b := x1[k]
+		z00 += a * y0[k]
+		z01 += a * y1[k]
+		z02 += a * y2[k]
+		z10 += b * y0[k]
+		z11 += b * y1[k]
+		z12 += b * y2[k]
+	}
+	return
+}
+
+func (t *trainer) applyGrads(cfg TrainConfig, batch int) {
 	scale := cfg.LearningRate / float64(batch)
-	for l := range n.W {
-		for j := range n.W[l] {
-			wRow, gRow, vRow := n.W[l][j], gw[l][j], vw[l][j]
-			for i := range wRow {
-				v := cfg.Momentum*vRow[i] - scale*(gRow[i]+cfg.L2*wRow[i])
-				vRow[i] = v
-				wRow[i] += v
-			}
-			v := cfg.Momentum*vb[l][j] - scale*gb[l][j]
-			vb[l][j] = v
-			n.B[l][j] += v
+	for l := range t.w {
+		w := t.w[l]
+		g, v := t.gw[l][:len(w)], t.vw[l][:len(w)]
+		for i := range w {
+			vi := cfg.Momentum*v[i] - scale*(g[i]+cfg.L2*w[i])
+			v[i] = vi
+			w[i] += vi
+		}
+		b, gb, vb := t.b[l], t.gb[l], t.vb[l]
+		for j := range b {
+			vj := cfg.Momentum*vb[j] - scale*gb[j]
+			vb[j] = vj
+			b[j] += vj
 		}
 	}
 }
