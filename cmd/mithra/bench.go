@@ -4,7 +4,11 @@ package main
 // committed perf trajectory (DESIGN.md §12):
 //
 //	mithra bench -out BENCH_serve.json            # regenerate the file
-//	mithra bench -smoke -compare BENCH_serve.json # CI regression gate
+//	mithra bench -smoke -compare BENCH_serve.json -ratio 25 -lint-root .
+//	                                              # CI regression gate
+//
+// The gate passes -lint-root because the committed file carries a
+// lint_repo row, which only a run with -lint-root produces.
 //
 // Without -compare, the measured rows are merged into -out (replacing
 // rows with the same identity, deterministic layout). With -compare,

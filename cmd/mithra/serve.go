@@ -309,13 +309,13 @@ func cmdLoadgen(args []string, stdout, stderr io.Writer) int {
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
-				retry := serve.RetryConfig{Seed: *seed + uint64(c) + 1}
+				retrySeed := *seed + uint64(c) + 1
 				var cl interface {
 					DecideBatch(bench string, baseID uint32, inputs [][]float64) ([]serve.DecideResponse, error)
 					Decide(bench string, id uint32, in []float64) (*serve.DecideResponse, error)
 				}
 				if cspec != nil {
-					rc, err := cluster.NewRoutedClient(cspec, *chaos, retry)
+					rc, err := cluster.NewRoutedClient(cspec, *chaos, retrySeed)
 					if err != nil {
 						errs[c] = err
 						return
@@ -326,7 +326,7 @@ func cmdLoadgen(args []string, stdout, stderr io.Writer) int {
 					var sc *serve.Client
 					var err error
 					if *chaos {
-						sc, err = serve.DialResilient(network, target, retry)
+						sc, err = serve.DialResilient(network, target, retrySeed)
 					} else {
 						sc, err = serve.Dial(network, target)
 					}

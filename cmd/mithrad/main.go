@@ -255,12 +255,9 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 		Obs:        o,
 		Faults:     faults,
 		Watch: watch.Config{
-			Window: *recheckWin,
-			Lag:    *watchLag,
-			Recheck: watch.Recheck{
-				RepairEvery: *recheckWin,
-				MaxFoldIns:  *maxFoldIns,
-			},
+			Window:  *recheckWin,
+			Lag:     *watchLag,
+			Recheck: watch.Recheck{MaxFoldIns: *maxFoldIns},
 		},
 	}
 	if node != nil {

@@ -374,7 +374,7 @@ func Run(cfg Config) ([]Row, error) {
 	}
 
 	// drift_overhead: decide_steady re-measured against a drift-armed
-	// server — sampler, probe and recheck-mode monitor with the fold-in
+	// server — sampler, probe and guarantee monitor with the fold-in
 	// escalation and the forced-sampling boost window armed: the serving
 	// shape `mithrad -sample-rate 0.05 -recheck-window 16 -watch-lag 64`
 	// runs. The driver's request ID (1) is not sampled at seed 42, so this
@@ -390,10 +390,7 @@ func Run(cfg Config) ([]Row, error) {
 	}
 	dsrv, err := serve.NewServer(serve.NewRegistry(dsnap), serve.Config{
 		SampleRate: 0.05, SampleSeed: 42,
-		Watch: watch.Config{
-			Window: 16, RecoverAfter: 8, Lag: 64,
-			Recheck: watch.Recheck{MaxFoldIns: 8, RepairEvery: 40},
-		},
+		Watch: watch.Config{Window: 16, Lag: 64},
 	})
 	if err != nil {
 		return nil, err
@@ -413,8 +410,8 @@ func Run(cfg Config) ([]Row, error) {
 
 	// watch_observe: one sampled observation through the guarantee
 	// monitor in the shape `mithrad -recheck-window 32 -watch-lag 64`
-	// runs it — recheck armed, divergence reference attached, metrics on,
-	// no journal — on a holding stream. Every release re-checks the
+	// runs it — divergence reference attached, metrics on, no journal —
+	// on a holding stream. Every release re-checks the
 	// Clopper-Pearson guarantee and every 32nd marks a window, so this
 	// row is the monitor's full per-sample cost on the updater goroutine.
 	wrng := mathx.NewRNG(cfg.Seed + 2)
@@ -426,10 +423,7 @@ func Run(cfg Config) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	mon := watch.NewMonitor(benchName, g, watch.BuildReference(nil, wins), watch.Config{
-		Enabled: true, Window: 32, Lag: 64,
-		Recheck: watch.Recheck{Enabled: true, RepairEvery: 32, MaxFoldIns: 8},
-	}, wo)
+	mon := watch.NewMonitor(benchName, g, watch.BuildReference(nil, wins), watch.Config{Window: 32, Lag: 64}, wo)
 	var obsID uint32
 	if err := herm("watch_observe", func() error {
 		mon.Observe(watch.Obs{ID: obsID, In: wins[obsID%uint32(len(wins))]})

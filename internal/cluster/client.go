@@ -20,7 +20,7 @@ import (
 type RoutedClient struct {
 	router    *Router
 	resilient bool
-	retry     serve.RetryConfig
+	seed      uint64
 
 	clients map[string]*serve.Client
 
@@ -36,10 +36,10 @@ type part struct {
 }
 
 // NewRoutedClient builds a routed client over spec. With resilient set,
-// per-node connections are dialed with serve.DialResilient and retry
-// (chaos-tolerant loadgen); otherwise with serve.Dial. Connections are
-// dialed lazily, on first use of each node.
-func NewRoutedClient(spec *Spec, resilient bool, retry serve.RetryConfig) (*RoutedClient, error) {
+// per-node connections are dialed with serve.DialResilient, its backoff
+// jitter keyed by seed (chaos-tolerant loadgen); otherwise with
+// serve.Dial. Connections are dialed lazily, on first use of each node.
+func NewRoutedClient(spec *Spec, resilient bool, seed uint64) (*RoutedClient, error) {
 	router, err := NewRouter(spec)
 	if err != nil {
 		return nil, err
@@ -47,7 +47,7 @@ func NewRoutedClient(spec *Spec, resilient bool, retry serve.RetryConfig) (*Rout
 	return &RoutedClient{
 		router:    router,
 		resilient: resilient,
-		retry:     retry,
+		seed:      seed,
 		clients:   map[string]*serve.Client{},
 		parts:     map[string]*part{},
 	}, nil
@@ -133,7 +133,7 @@ func (rc *RoutedClient) client(node string) (*serve.Client, error) {
 	var cl *serve.Client
 	var err error
 	if rc.resilient {
-		cl, err = serve.DialResilient(nw, a, rc.retry)
+		cl, err = serve.DialResilient(nw, a, rc.seed)
 	} else {
 		cl, err = serve.Dial(nw, a)
 	}

@@ -220,7 +220,7 @@ func testInputs(n int) [][]float64 {
 // driveRouted replays inputs through a routed client in batches of 32.
 func driveRouted(t *testing.T, spec *Spec, bench string, inputs [][]float64) []serve.DecideResponse {
 	t.Helper()
-	rc, err := NewRoutedClient(spec, false, serve.RetryConfig{})
+	rc, err := NewRoutedClient(spec, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func dialShape(t *testing.T, spec *Spec, shape clientShape, resilient bool, seed
 	t.Helper()
 	rcs := make([]*RoutedClient, shape.conns)
 	for c := range rcs {
-		rc, err := NewRoutedClient(spec, resilient, serve.RetryConfig{Seed: seed + uint64(c)})
+		rc, err := NewRoutedClient(spec, resilient, seed+uint64(c))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,11 +44,10 @@ func clusterDriftInputs(n int) [][]float64 {
 }
 
 // clusterDriftRun drives the sudden-drift scenario through routed
-// clients of one shape against an n-node cluster with recheck-armed
-// monitors, waits
-// for the repaired tables to replicate, and returns the home node's
-// rendered note streams plus the number of fold-ins the home registry
-// installed.
+// clients of one shape against an n-node cluster with sampling
+// monitors, waits for the repaired tables to replicate, and returns the
+// home node's rendered note streams plus the number of fold-ins the
+// home registry installed.
 func clusterDriftRun(t *testing.T, nodes int, shape clientShape) (string, int64) {
 	t.Helper()
 	d, err := dataset.ParseDrift("kind=sudden,at=300,shift=0.35,seed=3")
@@ -62,7 +61,7 @@ func clusterDriftRun(t *testing.T, nodes int, shape clientShape) (string, int64)
 		// Lag 128 covers the widest shape's in-flight skew (4 clients of
 		// 32-request windows).
 		watch: watch.Config{
-			Window: 16, RecoverAfter: 8, Exemplars: 4, Lag: 128,
+			Window: 16, Lag: 128,
 			Recheck: watch.Recheck{MaxFoldIns: 8, RepairEvery: 40},
 		},
 	}, "synth")

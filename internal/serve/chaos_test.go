@@ -100,7 +100,7 @@ func TestChaosFaultsDegradeSafelyAndRecover(t *testing.T) {
 
 	_, addr := startServer(t, Config{Obs: o, Faults: faults}, snap)
 
-	rcl, err := DialResilient("tcp", addr, RetryConfig{Seed: 11})
+	rcl, err := DialResilient("tcp", addr, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestChaosDecisionParity(t *testing.T) {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			rcl, err := DialResilient("tcp", addr, RetryConfig{Seed: seed})
+			rcl, err := DialResilient("tcp", addr, seed)
 			if err != nil {
 				t.Error(err)
 				return
@@ -444,7 +444,9 @@ func TestRefusedRepairIsRetriedByMonitor(t *testing.T) {
 	})
 
 	// Window 16, lag 8: the monitor releases an observation once 8 newer
-	// ones are pending, and RepairEvery defaults to the window.
+	// ones are pending, and RepairEvery defaults to the window, so while
+	// the violation persists the fold-ins come at the 16th, 32nd and
+	// 48th release.
 	_, addr := startServerWithRegistry(t, reg, Config{
 		SampleRate: 1, SampleSeed: 3, Obs: o,
 		Watch: watch.Config{Window: 16, Lag: 8},
@@ -484,7 +486,7 @@ func TestRefusedRepairIsRetriedByMonitor(t *testing.T) {
 	foldIns := o.Counter("watch.recovery.foldins.synth")
 
 	// IDs 0..23 release 16 observations: a full, violated window, whose
-	// repair the fault plan refuses.
+	// repair (at the 16th release) the fault plan refuses.
 	send(0, 24)
 	waitFor("the refused install", func() bool { return installErrors.Value() == 1 })
 	if reg.Swaps() != 0 {
@@ -492,8 +494,8 @@ func TestRefusedRepairIsRetriedByMonitor(t *testing.T) {
 	}
 
 	// IDs 24..31 release up to the 24th observation, short of the next
-	// repair: the shard answers with the classifier on the unrepaired
-	// table, not a fallback.
+	// repair at the 32nd: the shard answers with the classifier on the
+	// unrepaired table, not a fallback.
 	for i, r := range send(24, 32) {
 		if r.Fallback || r.Version != 1 || r.Precise != offline.Classify(inputs[24+i]) {
 			t.Fatalf("request %d after the refused install: fallback=%v version=%d precise=%v, want the v1 classifier's answer",
@@ -505,8 +507,8 @@ func TestRefusedRepairIsRetriedByMonitor(t *testing.T) {
 		t.Fatalf("%d fold-ins and %d swaps before RepairEvery releases, want 1 and 0", foldIns.Value(), reg.Swaps())
 	}
 
-	// IDs 32..47 release up to the 40th observation: past the next
-	// repair, which installs, and short of the one after it.
+	// IDs 32..47 release up to the 40th observation: past the retried
+	// repair at the 32nd, which installs, and short of the 48th.
 	send(32, 48)
 	waitFor("the retried fold-in", func() bool { return foldIns.Value() == 2 })
 	if reg.Swaps() != 1 {

@@ -58,49 +58,25 @@ type Client struct {
 	Fallbacks int
 }
 
-// RetryConfig shapes a DialResilient client's recovery behavior.
-type RetryConfig struct {
-	// Attempts bounds how many times one request may be (re)tried
-	// (default 10: a chaos plan can put five faults in a row on one link,
-	// e.g. peer.drop=1@3 then conn.partition=1@2).
-	Attempts int
-	// Timeout is the per-attempt deadline covering the write and every
-	// read of that attempt (default 5s; <0 disables deadlines — tests).
-	Timeout time.Duration
-	// BaseDelay and MaxDelay bound the decorrelated-jitter backoff
-	// between attempts (defaults 2ms and 250ms).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Seed keys the backoff jitter RNG: each connection derives its own
-	// deterministic jitter stream, so a replayed chaos run schedules the
-	// same retry pattern (default 1).
-	Seed uint64
-}
+// The recovery limits of a DialResilient client.
+const (
+	// retryAttempts bounds how many times one request may be (re)tried:
+	// a chaos plan can put five faults in a row on one link, e.g.
+	// peer.drop=1@3 then conn.partition=1@2.
+	retryAttempts = 10
+	// retryTimeout is the per-attempt deadline covering the write and
+	// every read of that attempt.
+	retryTimeout = 5 * time.Second
+	// retryBaseDelay and retryMaxDelay bound the decorrelated-jitter
+	// backoff between attempts.
+	retryBaseDelay = 2 * time.Millisecond
+	retryMaxDelay  = 250 * time.Millisecond
+)
 
-func (c RetryConfig) withDefaults() RetryConfig {
-	if c.Attempts <= 0 {
-		c.Attempts = 10
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 5 * time.Second
-	}
-	if c.BaseDelay <= 0 {
-		c.BaseDelay = 2 * time.Millisecond
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 250 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// redial is a retrying client's recovery state: where to reconnect, how
-// often to try, and the seeded backoff jitter stream.
+// redial is a retrying client's recovery state: where to reconnect and
+// the seeded backoff jitter stream.
 type redial struct {
 	network, addr string
-	cfg           RetryConfig
 	rng           *mathx.RNG
 	prevDelay     time.Duration
 }
@@ -121,17 +97,17 @@ func Dial(network, addr string) (*Client, error) {
 	return NewClient(c), nil
 }
 
-// DialResilient connects with retries armed by cfg. The jitter RNG is
-// seeded from cfg.Seed and the dial address: a per-connection
-// deterministic stream.
-func DialResilient(network, addr string, cfg RetryConfig) (*Client, error) {
+// DialResilient connects with retries armed. The backoff jitter RNG is
+// seeded from seed and the dial address: each connection draws its own
+// deterministic stream, so a replayed chaos run schedules the same retry
+// pattern.
+func DialResilient(network, addr string, seed uint64) (*Client, error) {
 	cl, err := Dial(network, addr)
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	cl.retry = &redial{network: network, addr: addr, cfg: cfg,
-		rng: mathx.NewRNG(parallel.Seed(cfg.Seed, network+"!"+addr))}
+	cl.retry = &redial{network: network, addr: addr,
+		rng: mathx.NewRNG(parallel.Seed(seed, network+"!"+addr))}
 	return cl, nil
 }
 
@@ -180,12 +156,12 @@ func (c *Client) reconnect() error {
 }
 
 // backoff sleeps a decorrelated-jitter delay: uniformly drawn between
-// BaseDelay and three times the previous delay, capped at MaxDelay. The
-// draw comes from the per-connection seeded stream, so retry schedules
-// replay deterministically.
+// retryBaseDelay and three times the previous delay, capped at
+// retryMaxDelay. The draw comes from the per-connection seeded stream,
+// so retry schedules replay deterministically.
 func (r *redial) backoff() {
-	lo := r.cfg.BaseDelay
-	hi := min(max(3*r.prevDelay, lo), r.cfg.MaxDelay)
+	lo := retryBaseDelay
+	hi := min(max(3*r.prevDelay, lo), retryMaxDelay)
 	d := lo
 	if hi > lo {
 		d = lo + time.Duration(r.rng.Float64()*float64(hi-lo))
@@ -301,7 +277,7 @@ func (c *Client) pipeline(bench string, baseID uint32, ids []uint32, inputs [][]
 	clear(filled)
 	missing, attempts := n, 1
 	if c.retry != nil {
-		attempts = c.retry.cfg.Attempts
+		attempts = retryAttempts
 	}
 	var err error
 	for attempt := 0; attempt < attempts && missing > 0; attempt++ {
@@ -335,8 +311,8 @@ func (c *Client) pipeline(bench string, baseID uint32, ids []uint32, inputs [][]
 // answered or the exchange fails, returning how many stay unanswered.
 func (c *Client) attempt(bench string, baseID uint32, ids []uint32, inputs [][]float64,
 	out []DecideResponse, filled []bool, missing int) (int, error) {
-	if c.retry != nil && c.retry.cfg.Timeout > 0 {
-		c.c.SetDeadline(clientNow().Add(c.retry.cfg.Timeout)) //nolint:errcheck
+	if c.retry != nil {
+		c.c.SetDeadline(clientNow().Add(retryTimeout)) //nolint:errcheck
 	}
 	req := DecideRequest{Bench: bench, TraceID: c.trace}
 	frames := c.wbuf[:0]

@@ -1,7 +1,7 @@
 package serve
 
 // mithradrift acceptance: under every seeded drift scenario (gradual,
-// sudden, seasonal, heavy-tail) the recheck-mode monitor must walk the
+// sudden, seasonal, heavy-tail) the guarantee monitor must walk the
 // full holding → violated → … → recovering → holding cycle, restore the
 // guarantee within the configured fold-in bound, and journal a recovery
 // record — byte-identically at both client shapes. The drifted
@@ -59,7 +59,7 @@ func driftProbeFactory() ErrorProbe {
 	}
 }
 
-// driftScenario drives one drift spec against a recheck-armed server and
+// driftScenario drives one drift spec against a sampling server and
 // returns the rendered deterministic note streams plus the recovery
 // summaries. The stream is base inputs replayed `repeats` times with the
 // drift transform applied by global request index — what loadgen sends —
@@ -93,7 +93,7 @@ func driftScenario(t *testing.T, shape clientShape, spec string, sampleRate floa
 		SampleSeed: 11,
 		Obs:        o,
 		Watch: watch.Config{
-			Window: 16, RecoverAfter: 8, Exemplars: 4, Lag: 128,
+			Window: 16, Lag: 128,
 			Recheck: watch.Recheck{MaxFoldIns: 8, RepairEvery: 40},
 		},
 	}

@@ -11,14 +11,13 @@ import (
 type observation struct {
 	in      []float64
 	id      uint32 // request ID (keys the watch monitor's reorder buffer)
-	trace   uint64 // propagated trace identity (0: untraced)
 	bad     bool   // true accelerator error exceeded the snapshot threshold
 	precise bool   // the classifier had already routed this input precisely
 }
 
 // updater is one shard's online update loop — the serving counterpart of
 // the paper's §IV-C1 online training. It feeds every sampled observation
-// to the shard's guarantee monitor (internal/watch, recheck mode), which
+// to the shard's guarantee monitor (internal/watch), which
 // windows them, re-checks the Clopper-Pearson guarantee, and calls foldIn
 // below when the guarantee is violated. foldIn folds the misclassified
 // inputs into a copy of the table classifier (the update rule is
@@ -50,7 +49,7 @@ func (u *updater) observe(ob observation) { u.ch <- ob }
 func (u *updater) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for ob := range u.ch {
-		u.sh.mon.Observe(watch.Obs{ID: ob.id, Trace: ob.trace, Bad: ob.bad, Precise: ob.precise, In: ob.in})
+		u.sh.mon.Observe(watch.Obs{ID: ob.id, Bad: ob.bad, Precise: ob.precise, In: ob.in})
 	}
 	// Drain: no more observations can arrive, so every observation still
 	// parked in the monitor's reorder buffer is releasable in ID order.

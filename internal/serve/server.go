@@ -61,10 +61,10 @@ type Config struct {
 	Faults *fault.Set
 	// Watch sizes the per-shard guarantee monitor (internal/watch), the
 	// one guarantee loop: a sliding-window Clopper-Pearson re-check with
-	// journaled state transitions, divergence gauges, and recheck-mode
-	// escalation (sampling boost + table fold-in). Every shard runs one,
-	// with recheck armed, exactly when SampleRate > 0: the Enabled and
-	// Recheck.Enabled fields are ignored. An unset Recheck.BoostDelay is
+	// journaled state transitions, divergence gauges, and escalation
+	// (sampling boost + table fold-in). Every shard runs one exactly when
+	// SampleRate > 0; the Enabled and Recheck.Enabled fields are ignored,
+	// as they are by the monitor itself. An unset Recheck.BoostDelay is
 	// scaled to the sample rate (boostDelay).
 	Watch watch.Config
 	// Cluster wires this node into a multi-node deployment (DESIGN.md
@@ -83,12 +83,7 @@ type Config struct {
 
 // withDefaults fills unset knobs.
 func (c Config) withDefaults() Config {
-	// Sampling is what feeds the guarantee monitor, so it alone decides
-	// whether shards run one; the Enabled fields a caller sets are
-	// ignored.
-	c.Watch.Enabled = c.SampleRate > 0
-	c.Watch.Recheck.Enabled = c.Watch.Enabled
-	if c.Watch.Enabled && c.Watch.Recheck.BoostDelay <= 0 {
+	if c.SampleRate > 0 && c.Watch.Recheck.BoostDelay <= 0 {
 		c.Watch.Recheck.BoostDelay = boostDelay(c.Watch.Lag, c.SampleRate)
 	}
 	return c
@@ -261,15 +256,15 @@ func NewServer(reg *Registry, cfg Config) (*Server, error) {
 			cDecisions: cfg.Obs.Counter("serve.bench.decisions." + b),
 			cFallbacks: cfg.Obs.Counter("serve.bench.fallbacks." + b),
 		}
-		if cfg.Watch.Enabled {
-			sh.mon = watch.NewMonitor(b, snap.G, snap.Ref, cfg.Watch, cfg.Obs)
-		}
 		sh.up = newUpdater(s, sh)
-		if sh.mon != nil {
-			// Recheck escalation: the monitor forces sampling over a
-			// deterministic future ID window and drives table fold-ins at
-			// release positions. Freeze mode keeps the boost (it only adds
-			// measurements) but pins snapshots, so no fold hook.
+		if cfg.SampleRate > 0 {
+			// Sampling is what feeds the guarantee monitor, so it alone
+			// decides whether the shard runs one. The monitor forces
+			// sampling over a deterministic future ID window and drives
+			// table fold-ins at release positions. Freeze mode keeps the
+			// boost (it only adds measurements) but pins snapshots, so no
+			// fold hook.
+			sh.mon = watch.NewMonitor(b, snap.G, snap.Ref, cfg.Watch, cfg.Obs)
 			esc := watch.Escalation{Boost: sh.armBoost}
 			if !cfg.Freeze {
 				esc.FoldIn = sh.up.foldIn
@@ -738,7 +733,7 @@ func (s *Server) decide(sh *shard, snap *Snapshot, view classifier.Classifier,
 	// the monitor may retain the input until a fold-in): it must be copied
 	// out, never aliased.
 	in := append([]float64(nil), req.In...)
-	return dresp, observation{in: in, id: rid, trace: req.TraceID, bad: bad, precise: precise}, true
+	return dresp, observation{in: in, id: rid, bad: bad, precise: precise}, true
 }
 
 // armBoost publishes a forced-sampling request-ID window [from, until).

@@ -63,7 +63,7 @@ func driftJournal(t *testing.T, shape clientShape) []byte {
 		Freeze:     true,
 		Obs:        o,
 		Faults:     fault.NewSet(plan),
-		Watch:      watch.Config{Window: 16, RecoverAfter: 4, Exemplars: 4, Lag: 512},
+		Watch:      watch.Config{Window: 16, Lag: 512},
 	}
 	s, addr := startServer(t, cfg, snap)
 

@@ -112,7 +112,7 @@ type BenchStatus struct {
 	Fallbacks  float64 // precise fallbacks served
 	Violations float64 // violation transitions since boot
 
-	// Recovery surface (recheck mode; DESIGN.md §16). FoldIns and
+	// Recovery surface (escalation; DESIGN.md §16). FoldIns and
 	// Recoveries come from the benchmark's home monitor; ReplicaFolds
 	// counts fold-ins applied via replication on other nodes, so a
 	// multi-address watch shows the repairs landing cluster-wide.

@@ -1,23 +1,27 @@
 package watch
 
-// Recheck mode (DESIGN.md §16): the continuous-monitoring escalation
-// layer on top of the sliding-window state machine. When armed, the
-// monitor does four more things, all measured in released-observation
-// counts so the journal is byte-identical at any client shape:
+// Escalation (DESIGN.md §16): the continuous-monitoring layer on top of
+// the sliding-window state machine. Every monitor does four more things,
+// all measured in released-observation counts so the journal is
+// byte-identical at any client shape:
 //
 //   - marks a per-window Clopper-Pearson lower bound every Window
 //     releases (`cp_window` notes + the watch.cp.window_lower gauge), the
 //     CP trajectory the robustness line argues must accompany end-point
 //     quality;
 //   - escalates at-risk and violated into a forced sampling-rate boost
-//     over a deterministic future request-ID window;
+//     over a deterministic future request-ID window (Escalation.Boost);
 //   - escalates violated into a table fold-in of the violating inputs
-//     collected so far, repeated every RepairEvery releases while the
-//     violation persists, bounded by MaxFoldIns per episode;
+//     collected so far (Escalation.FoldIn), repeated every RepairEvery
+//     releases while the violation persists, bounded by MaxFoldIns per
+//     episode;
 //   - accounts recovery episodes: dwell time outside holding,
 //     time-to-recover after the first fold-in, and fold-ins-to-recover,
 //     journaled as a `recovery` note when the state machine re-enters
 //     holding.
+//
+// Without hooks (Arm never called) the monitor still marks windows and
+// closes episodes, but never boosts or folds.
 //
 // Determinism. The fold-in hook returns a Reclassify view of the
 // repaired table; from that release onward the monitor recomputes every
@@ -25,17 +29,12 @@ package watch
 // racy served routing (see Monitor.ingest). The boost window's bounds
 // are pure functions of the triggering release's request ID.
 
-import (
-	"strconv"
+import "strconv"
 
-	"mithra/internal/obs"
-)
-
-// Recheck tunes the escalation layer; zero value (Enabled=false) keeps
-// the monitor purely observational.
+// Recheck sizes the escalation.
 type Recheck struct {
-	// Enabled arms per-window CP marks, escalation, and episode
-	// accounting.
+	// Enabled is ignored: every monitor escalates through the hooks Arm
+	// attaches.
 	Enabled bool
 	// MaxFoldIns bounds fold-ins per recovery episode (default 8). When
 	// the bound trips the monitor journals `recovery_exceeded` once and
@@ -54,21 +53,19 @@ type Recheck struct {
 	// connections × pipeline depth. The serve layer fills it in from the
 	// sample rate when unset.
 	BoostDelay int
-	// BoostLen is the forced-sampling window length in request IDs
-	// (default 4096).
-	BoostLen int
-	// MaxPending bounds the violating inputs retained between fold-ins
-	// (default 256).
-	MaxPending int
-	// Trajectory is how many trailing per-window lower bounds the
-	// `recovery` note carries (default 16).
-	Trajectory int
 }
 
+const (
+	// boostLen is the forced-sampling window length in request IDs.
+	boostLen = 4096
+	// maxPending bounds the violating inputs retained between fold-ins.
+	maxPending = 256
+	// trajectoryLen is how many trailing per-window lower bounds the
+	// `recovery` note carries.
+	trajectoryLen = 16
+)
+
 func (r Recheck) withDefaults(c Config) Recheck {
-	if !r.Enabled {
-		return r
-	}
 	if r.MaxFoldIns <= 0 {
 		r.MaxFoldIns = 8
 	}
@@ -78,15 +75,6 @@ func (r Recheck) withDefaults(c Config) Recheck {
 	if r.BoostDelay <= 0 {
 		r.BoostDelay = 8 * c.Lag
 	}
-	if r.BoostLen <= 0 {
-		r.BoostLen = 4096
-	}
-	if r.MaxPending <= 0 {
-		r.MaxPending = 256
-	}
-	if r.Trajectory <= 0 {
-		r.Trajectory = 16
-	}
 	return r
 }
 
@@ -94,7 +82,7 @@ func (r Recheck) withDefaults(c Config) Recheck {
 // It is called only from the monitor's goroutine.
 type Reclassify func(in []float64) bool
 
-// Escalation wires the monitor's recheck-mode decisions back into the
+// Escalation wires the monitor's escalation decisions back into the
 // serving stack. Both hooks run on the monitor's goroutine (the shard
 // updater) at deterministic release positions.
 type Escalation struct {
@@ -108,47 +96,6 @@ type Escalation struct {
 	Boost func(from, until uint32)
 }
 
-// recovery is the monitor's recheck-mode state, embedded in Monitor.
-type recovery struct {
-	esc        Escalation
-	reclassify Reclassify
-
-	lastID      uint32
-	boostUntil  uint32 // end of the last armed boost window (0: none)
-	windowTick  int
-	windowIdx   int
-	sinceRepair int
-
-	badPending [][]float64
-
-	inEpisode    bool
-	episodeStart int // m.seen at violation entry
-	firstFold    int // m.seen at the episode's first fold-in (0: none yet)
-	foldIns      int // fold-ins this episode
-	exceeded     bool
-
-	traj     []float64 // trailing per-window lower bounds
-	trajHead int
-	trajLen  int
-
-	gWindowLower, gLastDwell, gLastTTR, gLastFoldIns *obs.Gauge
-	cEpisodes, cFoldIns, cBoosts, cExceeded          *obs.Counter
-}
-
-func (r *recovery) init(m *Monitor) {
-	r.badPending = make([][]float64, 0, m.cfg.Recheck.MaxPending)
-	r.traj = make([]float64, m.cfg.Recheck.Trajectory)
-	b := m.bench
-	r.gWindowLower = m.o.Gauge("watch.cp.window_lower." + b)
-	r.gLastDwell = m.o.Gauge("watch.recovery.last_dwell." + b)
-	r.gLastTTR = m.o.Gauge("watch.recovery.last_ttr." + b)
-	r.gLastFoldIns = m.o.Gauge("watch.recovery.last_foldins." + b)
-	r.cEpisodes = m.o.Counter("watch.recovery.episodes." + b)
-	r.cFoldIns = m.o.Counter("watch.recovery.foldins." + b)
-	r.cBoosts = m.o.Counter("watch.recovery.boosts." + b)
-	r.cExceeded = m.o.Counter("watch.recovery.exceeded." + b)
-}
-
 // Arm attaches the escalation hooks. Call once, before the first
 // Observe; a monitor without hooks still marks windows and accounts
 // episodes but cannot repair.
@@ -156,63 +103,52 @@ func (m *Monitor) Arm(esc Escalation) {
 	if m == nil {
 		return
 	}
-	m.rec.esc = esc
-}
-
-// FoldInsThisEpisode reports fold-ins in the current (or, after it ends,
-// most recent) recovery episode — test and status surface.
-func (m *Monitor) FoldInsThisEpisode() int {
-	if m == nil {
-		return 0
-	}
-	return m.rec.foldIns
+	m.esc = esc
 }
 
 // collect retains a violating observation's input for the next fold-in.
-// Bounded by MaxPending; inputs are owned by the monitor from delivery
+// Bounded by maxPending; inputs are owned by the monitor from delivery
 // (the serve path copies each sampled input).
-func (r *recovery) collect(ob Obs) {
-	if r.esc.FoldIn == nil || ob.In == nil || len(r.badPending) >= cap(r.badPending) {
+func (m *Monitor) collect(ob Obs) {
+	if m.esc.FoldIn == nil || ob.In == nil || len(m.badPending) >= cap(m.badPending) {
 		return
 	}
-	r.badPending = append(r.badPending, ob.In)
+	m.badPending = append(m.badPending, ob.In)
 }
 
 // onTransition runs after the state machine commits a transition (the
 // `guarantee` note is already journaled, so escalation notes always
 // follow their trigger).
-func (m *Monitor) onTransition(prev, next State) {
+func (m *Monitor) onTransition(next State) {
 	switch next {
 	case AtRisk:
 		// Early escalation: more samples tighten the CP bound before the
 		// window tips over.
 		m.boostSampling()
 	case Violated:
-		if !m.rec.inEpisode {
-			m.rec.inEpisode = true
-			m.rec.episodeStart = m.seen
-			m.rec.firstFold = 0
-			m.rec.foldIns = 0
-			m.rec.exceeded = false
+		if !m.inEpisode {
+			m.inEpisode = true
+			m.episodeStart = m.seen
+			m.firstFold = 0
+			m.foldIns = 0
+			m.exceeded = false
 		}
 		m.boostSampling()
 		m.repair()
 	case Holding:
-		if m.rec.inEpisode {
+		if m.inEpisode {
 			m.finishEpisode()
 		}
 	}
-	_ = prev
 }
 
 // boostSampling arms a forced-sampling window over a deterministic
 // future request-ID range.
 func (m *Monitor) boostSampling() {
-	r := &m.rec
-	if r.esc.Boost == nil {
+	if m.esc.Boost == nil {
 		return
 	}
-	if r.boostUntil != 0 && r.lastID < r.boostUntil {
+	if m.boostUntil != 0 && m.lastID < m.boostUntil {
 		// The previous window's IDs have not all been released yet.
 		// Replacing the armed window now would change the sampling
 		// verdict of in-flight IDs depending on decide timing — skip;
@@ -220,14 +156,14 @@ func (m *Monitor) boostSampling() {
 		// position).
 		return
 	}
-	from := r.lastID + uint32(m.cfg.Recheck.BoostDelay)
-	until := from + uint32(m.cfg.Recheck.BoostLen)
+	from := m.lastID + uint32(m.cfg.Recheck.BoostDelay)
+	until := from + boostLen
 	if until < from { // uint32 wrap at the very end of the ID space
 		until = ^uint32(0)
 	}
-	r.esc.Boost(from, until)
-	r.boostUntil = until
-	r.cBoosts.Inc()
+	m.esc.Boost(from, until)
+	m.boostUntil = until
+	m.cBoosts.Inc()
 	m.o.Note("boost", map[string]any{
 		"bench": m.bench,
 		"from":  from,
@@ -239,42 +175,41 @@ func (m *Monitor) boostSampling() {
 // repair folds the pending violating inputs into the serving table and
 // advances the monitor's deterministic routing view.
 func (m *Monitor) repair() {
-	r := &m.rec
-	r.sinceRepair = 0
-	if r.esc.FoldIn == nil || len(r.badPending) == 0 {
+	m.lastRepair = m.seen
+	if m.esc.FoldIn == nil || len(m.badPending) == 0 {
 		return
 	}
-	if r.foldIns >= m.cfg.Recheck.MaxFoldIns {
-		if !r.exceeded {
-			r.exceeded = true
-			r.cExceeded.Inc()
+	if m.foldIns >= m.cfg.Recheck.MaxFoldIns {
+		if !m.exceeded {
+			m.exceeded = true
+			m.cExceeded.Inc()
 			m.o.Note("recovery_exceeded", map[string]any{
 				"bench":   m.bench,
-				"foldins": r.foldIns,
+				"foldins": m.foldIns,
 				"bound":   m.cfg.Recheck.MaxFoldIns,
 				"seen":    m.seen,
 			})
 		}
 		return
 	}
-	view, ok := r.esc.FoldIn(r.badPending)
-	r.foldIns++
-	r.cFoldIns.Inc()
-	if r.firstFold == 0 {
-		r.firstFold = m.seen
+	view, ok := m.esc.FoldIn(m.badPending)
+	m.foldIns++
+	m.cFoldIns.Inc()
+	if m.firstFold == 0 {
+		m.firstFold = m.seen
 	}
 	m.o.Note("foldin", map[string]any{
 		"bench":           m.bench,
-		"inputs":          len(r.badPending),
-		"episode_foldins": r.foldIns,
+		"inputs":          len(m.badPending),
+		"episode_foldins": m.foldIns,
 		"applied":         ok,
 		"seen":            m.seen,
 	})
 	if ok {
 		if view != nil {
-			r.reclassify = view
+			m.reclassify = view
 		}
-		r.badPending = r.badPending[:0]
+		m.badPending = m.badPending[:0]
 	}
 }
 
@@ -282,24 +217,23 @@ func (m *Monitor) repair() {
 // ring, and a `cp_window` note. It runs every Window releases on the
 // steady path, so it allocates nothing unless a journal is attached.
 func (m *Monitor) windowMark() {
-	r := &m.rec
 	lb := m.lower[m.successes]
-	r.windowIdx++
-	r.gWindowLower.Set(lb)
-	r.traj[r.trajHead] = lb
-	r.trajHead++
-	if r.trajHead == len(r.traj) {
-		r.trajHead = 0
+	m.windowIdx++
+	m.gWindowLower.Set(lb)
+	m.traj[m.trajHead] = lb
+	m.trajHead++
+	if m.trajHead == len(m.traj) {
+		m.trajHead = 0
 	}
-	if r.trajLen < len(r.traj) {
-		r.trajLen++
+	if m.trajLen < len(m.traj) {
+		m.trajLen++
 	}
 	if m.o.Journal() == nil {
 		return
 	}
 	m.o.Note("cp_window", map[string]any{
 		"bench":       m.bench,
-		"window":      r.windowIdx,
+		"window":      m.windowIdx,
 		"successes":   m.successes,
 		"size":        m.filled,
 		"lower_bound": FormatFloat(lb),
@@ -308,20 +242,20 @@ func (m *Monitor) windowMark() {
 
 // trajectoryList renders the trailing per-window lower bounds
 // oldest-first in FormatFloat form (episode end only).
-func (r *recovery) trajectoryList() string {
-	if r.trajLen == 0 {
+func (m *Monitor) trajectoryList() string {
+	if m.trajLen == 0 {
 		return ""
 	}
-	start := r.trajHead - r.trajLen
+	start := m.trajHead - m.trajLen
 	if start < 0 {
-		start += len(r.traj)
+		start += len(m.traj)
 	}
-	buf := make([]byte, 0, r.trajLen*12)
-	for i := 0; i < r.trajLen; i++ {
+	buf := make([]byte, 0, m.trajLen*12)
+	for i := 0; i < m.trajLen; i++ {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = appendFloat(buf, r.traj[(start+i)%len(r.traj)])
+		buf = appendFloat(buf, m.traj[(start+i)%len(m.traj)])
 	}
 	return string(buf)
 }
@@ -329,24 +263,23 @@ func (r *recovery) trajectoryList() string {
 // finishEpisode closes a recovery episode as the state machine re-enters
 // holding, publishing the robustness metrics the drift suite gates on.
 func (m *Monitor) finishEpisode() {
-	r := &m.rec
-	r.inEpisode = false
-	dwell := m.seen - r.episodeStart // releases spent outside holding
+	m.inEpisode = false
+	dwell := m.seen - m.episodeStart // releases spent outside holding
 	ttr := 0
-	if r.firstFold > 0 {
-		ttr = m.seen - r.firstFold // releases from first repair to restored
+	if m.firstFold > 0 {
+		ttr = m.seen - m.firstFold // releases from first repair to restored
 	}
-	r.cEpisodes.Inc()
-	r.gLastDwell.Set(float64(dwell))
-	r.gLastTTR.Set(float64(ttr))
-	r.gLastFoldIns.Set(float64(r.foldIns))
+	m.cEpisodes.Inc()
+	m.gLastDwell.Set(float64(dwell))
+	m.gLastTTR.Set(float64(ttr))
+	m.gLastFoldIns.Set(float64(m.foldIns))
 	m.o.Note("recovery", map[string]any{
 		"bench":           m.bench,
 		"dwell":           dwell,
 		"time_to_recover": ttr,
-		"foldins":         r.foldIns,
-		"exceeded":        strconv.FormatBool(r.exceeded),
-		"trajectory":      r.trajectoryList(),
+		"foldins":         m.foldIns,
+		"exceeded":        strconv.FormatBool(m.exceeded),
+		"trajectory":      m.trajectoryList(),
 		"seen":            m.seen,
 	})
 }

@@ -15,12 +15,12 @@ import (
 
 // releaseMonitor builds a monitor whose release order is observable: all
 // observations are fed Bad, the window is larger than the stream so the
-// state machine never evaluates, and the exemplar ring is wide enough to
-// record every released (failing) ID in release order.
-func releaseMonitor(t *testing.T, lag, capacity int) *Monitor {
+// state machine never evaluates, and the exemplar ring records the last
+// eight released (failing) IDs in release order.
+func releaseMonitor(t *testing.T, lag int) *Monitor {
 	t.Helper()
 	var buf bytes.Buffer
-	cfg := Config{Enabled: true, Window: 4 * capacity, Exemplars: capacity, Lag: lag}
+	cfg := Config{Window: 64, Lag: lag}
 	return NewMonitor("fft", testGuarantee(), nil, cfg, notesObs(t, &buf))
 }
 
@@ -28,7 +28,7 @@ func releaseMonitor(t *testing.T, lag, capacity int) *Monitor {
 // replayed observation) is not deduplicated — both copies are released
 // and counted, and the release stream stays non-decreasing.
 func TestReorderDuplicateIDs(t *testing.T) {
-	m := releaseMonitor(t, 8, 16)
+	m := releaseMonitor(t, 8)
 	for _, id := range []uint32{0, 2, 1, 2, 2, 3} {
 		m.Observe(Obs{ID: id, Bad: true})
 	}
@@ -51,7 +51,7 @@ func TestReorderDuplicateIDs(t *testing.T) {
 // with the pending set never exceeding Lag after delivery.
 func TestReorderLagOverflow(t *testing.T) {
 	const lag = 4
-	m := releaseMonitor(t, lag, 32)
+	m := releaseMonitor(t, lag)
 	// IDs 1..20 in order; ID 0 is withheld past its Lag window.
 	for id := uint32(1); id <= 20; id++ {
 		m.Observe(Obs{ID: id, Bad: true})
@@ -66,7 +66,8 @@ func TestReorderLagOverflow(t *testing.T) {
 	if m.Seen() != 21 {
 		t.Fatalf("seen %d, want 21 — the straggler must not be dropped", m.Seen())
 	}
-	want := "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,0,17,18,19,20"
+	// The ring holds the last eight releases.
+	want := "14,15,16,0,17,18,19,20"
 	if got := m.exemplarList(); got != want {
 		t.Fatalf("release order %q, want %q (straggler released late, not lost)", got, want)
 	}
@@ -82,7 +83,7 @@ func TestReorderFlushDrainsBacklogInOrder(t *testing.T) {
 	run := func(lag int, reversed bool) []byte {
 		var buf bytes.Buffer
 		o := notesObs(t, &buf)
-		cfg := Config{Enabled: true, Window: 8, RecoverAfter: 2, Exemplars: 4, Lag: lag}
+		cfg := Config{Window: 8, Lag: lag}
 		m := NewMonitor("fft", testGuarantee(), nil, cfg, o)
 		// Healthy warmup, a violation burst, then recovery — the stream
 		// must journal transitions or the byte comparison is vacuous.

@@ -8,7 +8,12 @@
 // whose transitions are journaled via obs.Note and exported as
 // watch.guarantee.* gauges and counters, plus streaming input-histogram
 // divergence gauges (PSI, L1) against a reference distribution baked
-// into the snapshot at compile time.
+// into the snapshot at compile time. The monitor has one mode: it also
+// marks a per-window CP trajectory, escalates at-risk and violated into
+// a sampling boost and table fold-ins, and accounts recovery episodes
+// (recovery.go). Escalation acts through the hooks Arm attaches; a
+// monitor without them marks windows and closes episodes but never
+// boosts or folds.
 //
 // Cost. The check only runs on a full window, so its trial count is
 // always Config.Window and only the success count varies. NewMonitor
@@ -42,13 +47,13 @@ const (
 	// guarantee with margin to spare.
 	Holding State = iota
 	// AtRisk: the check still certifies, but the certified lower bound
-	// sits within RiskMargin of the required success rate.
+	// sits within riskMargin of the required success rate.
 	AtRisk
 	// Violated: the window no longer certifies the guarantee.
 	Violated
 	// Recovering: the window certifies again after a violation; the
-	// monitor demands RecoverAfter consecutive certifying observations
-	// before declaring the guarantee restored.
+	// monitor demands Window consecutive certifying observations before
+	// declaring the guarantee restored.
 	Recovering
 )
 
@@ -66,52 +71,43 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// Config tunes a Monitor. The zero value plus Enabled=true yields the
-// defaults below.
+// Config tunes a Monitor. The zero value yields the defaults below.
 type Config struct {
-	// Enabled arms guarantee monitoring on every shard.
+	// Enabled is ignored: whoever builds a monitor runs one (the serve
+	// layer builds one per shard exactly when it samples).
 	Enabled bool
 	// Window is the sliding-window size in sampled observations
 	// (default 64). The Clopper-Pearson check is evaluated once the
-	// window has filled and on every observation after that.
+	// window has filled and on every observation after that. Leaving
+	// recovering takes Window consecutive certifying observations.
 	Window int
-	// RiskMargin is the lower-bound headroom (certified lower bound
-	// minus required success rate) below which a holding guarantee is
-	// reported as at-risk (default 0.02).
-	RiskMargin float64
-	// RecoverAfter is the number of consecutive certifying observations
-	// required to leave recovering (default: Window).
-	RecoverAfter int
-	// Exemplars bounds the ring of most recent guarantee-relevant
-	// (failing) request IDs attached to transition notes (default 8).
-	Exemplars int
 	// Lag is the reorder-buffer depth: observations are released to the
 	// state machine in request-ID order once more than Lag are pending
 	// (default DefaultLag). It must exceed the maximum in-flight ID skew
 	// (the clients' connections × pipeline depth) for the notes to be
 	// the same at any client shape.
 	Lag int
-	// Recheck arms the continuous-monitoring escalation mode
-	// (recovery.go): per-window CP trajectories, violation → sampling
-	// boost + table fold-in, and recovery-episode accounting.
+	// Recheck sizes the escalation (recovery.go): violation → sampling
+	// boost + table fold-in, bounded per recovery episode.
 	Recheck Recheck
 }
 
 // DefaultLag is the reorder-buffer depth an unset Config.Lag gets.
 const DefaultLag = 512
 
+const (
+	// riskMargin is the lower-bound headroom (certified lower bound
+	// minus required success rate) below which a holding guarantee is
+	// reported as at-risk.
+	riskMargin = 0.02
+	// exemplarRing bounds the ring of most recent guarantee-relevant
+	// (failing) request IDs attached to transition notes.
+	exemplarRing = 8
+)
+
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 64
-	}
-	if c.RiskMargin <= 0 {
-		c.RiskMargin = 0.02
-	}
-	if c.RecoverAfter <= 0 {
-		c.RecoverAfter = c.Window
-	}
-	if c.Exemplars <= 0 {
-		c.Exemplars = 8
 	}
 	if c.Lag <= 0 {
 		c.Lag = DefaultLag
@@ -124,11 +120,10 @@ func (c Config) withDefaults() Config {
 // identity, the sampled kernel input, whether the probe measured the
 // approximate output as bad, and whether the request was routed precise
 // (a precise routing never degrades output quality, so it always counts
-// as a success). In must not be mutated after delivery — in recheck mode
-// the monitor retains failing inputs until the next fold-in.
+// as a success). In must not be mutated after delivery — the monitor
+// retains failing inputs until the next fold-in.
 type Obs struct {
 	ID      uint32
-	Trace   uint64
 	Bad     bool
 	Precise bool
 	In      []float64
@@ -166,11 +161,34 @@ type Monitor struct {
 	seen          int
 	recoverStreak int
 
-	exemplars []uint32
+	exemplars [exemplarRing]uint32
 	exHead    int
 	exLen     int
 
-	rec recovery // recheck-mode escalation + episode state (recovery.go)
+	// Escalation and episode state (recovery.go).
+	esc        Escalation
+	reclassify Reclassify
+
+	lastID     uint32
+	boostUntil uint32 // end of the last armed boost window (0: none)
+	windowTick int
+	windowIdx  int
+	lastRepair int // seen at the last repair attempt
+
+	badPending [][]float64
+
+	inEpisode    bool
+	episodeStart int // seen at violation entry
+	firstFold    int // seen at the episode's first fold-in (0: none yet)
+	foldIns      int // fold-ins this episode
+	exceeded     bool
+
+	traj     [trajectoryLen]float64 // trailing per-window lower bounds
+	trajHead int
+	trajLen  int
+
+	gWindowLower, gLastDwell, gLastTTR, gLastFoldIns *obs.Gauge
+	cEpisodes, cFoldIns, cBoosts, cExceeded          *obs.Counter
 }
 
 // NewMonitor builds a monitor for one benchmark shard. ref may be nil
@@ -179,12 +197,12 @@ type Monitor struct {
 func NewMonitor(bench string, g stats.Guarantee, ref *Reference, cfg Config, o *obs.Obs) *Monitor {
 	cfg = cfg.withDefaults()
 	m := &Monitor{
-		bench:     bench,
-		g:         g,
-		cfg:       cfg,
-		o:         o,
-		ring:      make([]bool, cfg.Window),
-		exemplars: make([]uint32, cfg.Exemplars),
+		bench:      bench,
+		g:          g,
+		cfg:        cfg,
+		o:          o,
+		ring:       make([]bool, cfg.Window),
+		badPending: make([][]float64, 0, maxPending),
 	}
 	m.lower, m.upper = g.BoundTable(cfg.Window)
 	m.required = cfg.Window + 1
@@ -208,14 +226,19 @@ func NewMonitor(bench string, g stats.Guarantee, ref *Reference, cfg Config, o *
 	m.cSamples = o.Counter("watch.samples." + bench)
 	m.cTransitions = o.Counter("watch.guarantee.transitions." + bench)
 	m.cViolations = o.Counter("watch.guarantee.violations." + bench)
+	m.gWindowLower = o.Gauge("watch.cp.window_lower." + bench)
+	m.gLastDwell = o.Gauge("watch.recovery.last_dwell." + bench)
+	m.gLastTTR = o.Gauge("watch.recovery.last_ttr." + bench)
+	m.gLastFoldIns = o.Gauge("watch.recovery.last_foldins." + bench)
+	m.cEpisodes = o.Counter("watch.recovery.episodes." + bench)
+	m.cFoldIns = o.Counter("watch.recovery.foldins." + bench)
+	m.cBoosts = o.Counter("watch.recovery.boosts." + bench)
+	m.cExceeded = o.Counter("watch.recovery.exceeded." + bench)
 	// Static context for the status surface: the required success rate
 	// and the window the bound is computed over.
 	o.Gauge("watch.guarantee.target." + bench).Set(g.SuccessRate)
 	o.Gauge("watch.guarantee.window." + bench).Set(float64(cfg.Window))
 	m.gState.Set(float64(Holding))
-	if cfg.Recheck.Enabled {
-		m.rec.init(m)
-	}
 	return m
 }
 
@@ -275,23 +298,23 @@ func (m *Monitor) Seen() int {
 func (m *Monitor) ingest(ob Obs) {
 	m.seen++
 	m.dwell++
-	m.rec.lastID = ob.ID
+	m.lastID = ob.ID
 	routed := ob.Precise
-	if m.rec.reclassify != nil {
-		// Recheck mode after the first fold-in: routing is recomputed
-		// against the monitor's own deterministic table view, which
-		// advances exactly at the release index that triggered each
-		// fold-in. The served snapshot swap lands at a racy wall-clock
-		// moment relative to in-flight decisions; fold-ins are monotone
-		// (a routing the old table called precise stays precise), so the
-		// deterministic view dominates the served routing and the window
-		// accounting is byte-identical at any client shape.
-		routed = m.rec.reclassify(ob.In)
+	if m.reclassify != nil {
+		// After the first fold-in, routing is recomputed against the
+		// monitor's own deterministic table view, which advances exactly
+		// at the release index that triggered each fold-in. The served
+		// snapshot swap lands at a racy wall-clock moment relative to
+		// in-flight decisions; fold-ins are monotone (a routing the old
+		// table called precise stays precise), so the deterministic view
+		// dominates the served routing and the window accounting is
+		// byte-identical at any client shape.
+		routed = m.reclassify(ob.In)
 	}
 	success := routed || !ob.Bad
 	if !success {
 		m.exemplar(ob.ID)
-		m.rec.collect(ob)
+		m.collect(ob)
 	}
 	if m.filled == len(m.ring) {
 		if m.ring[m.head] {
@@ -315,20 +338,17 @@ func (m *Monitor) ingest(ob Obs) {
 		m.gDwell.Set(float64(m.dwell))
 		return
 	}
-	if m.cfg.Recheck.Enabled {
-		m.rec.windowTick++
-		if m.rec.windowTick >= m.cfg.Window {
-			m.rec.windowTick = 0
-			m.windowMark()
-		}
+	if m.windowTick++; m.windowTick >= m.cfg.Window {
+		m.windowTick = 0
+		m.windowMark()
 	}
 	m.evaluate()
-	if m.cfg.Recheck.Enabled && m.state == Violated {
+	if m.state == Violated {
 		// Still violated after the entry-time fold-in: the pending set
 		// keeps growing as more of the drifted distribution is observed;
-		// fold again every RepairEvery releases until the window
-		// certifies or the episode bound trips.
-		if m.rec.sinceRepair++; m.rec.sinceRepair >= m.cfg.Recheck.RepairEvery {
+		// fold again RepairEvery releases after the last attempt until
+		// the window certifies or the episode bound trips.
+		if m.seen-m.lastRepair >= m.cfg.Recheck.RepairEvery {
 			m.repair()
 		}
 	}
@@ -347,7 +367,7 @@ func (m *Monitor) evaluate() {
 		switch {
 		case !holds:
 			next = Violated
-		case margin < m.cfg.RiskMargin:
+		case margin < riskMargin:
 			next = AtRisk
 		default:
 			next = Holding
@@ -359,7 +379,7 @@ func (m *Monitor) evaluate() {
 	case Recovering:
 		if !holds {
 			next = Violated
-		} else if m.recoverStreak++; m.recoverStreak >= m.cfg.RecoverAfter {
+		} else if m.recoverStreak++; m.recoverStreak >= m.cfg.Window {
 			next = Holding
 		}
 	}
@@ -390,13 +410,10 @@ func (m *Monitor) transition(next State, lb, margin float64) {
 		"margin":      FormatFloat(margin),
 		"exemplars":   m.exemplarList(),
 	})
-	prev := m.state
 	m.state = next
 	m.dwell = 0
 	m.recoverStreak = 0
-	if m.cfg.Recheck.Enabled {
-		m.onTransition(prev, next)
-	}
+	m.onTransition(next)
 }
 
 // exemplar records a guarantee-relevant (failing) request ID in the

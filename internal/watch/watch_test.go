@@ -58,7 +58,7 @@ func TestStateMachineCycle(t *testing.T) {
 	var buf bytes.Buffer
 	o := notesObs(t, &buf)
 	g := testGuarantee()
-	cfg := Config{Enabled: true, Window: 8, RecoverAfter: 3, Exemplars: 4, Lag: 4}
+	cfg := Config{Window: 8, Lag: 4}
 	m := NewMonitor("fft", g, nil, cfg, o)
 
 	if m.State() != Holding {
@@ -79,7 +79,7 @@ func TestStateMachineCycle(t *testing.T) {
 	if m.State() != Violated {
 		t.Fatalf("after failure burst: %v, want violated", m.State())
 	}
-	for i := 0; i < 8+cfg.RecoverAfter; i++ { // heal the window, then dwell
+	for i := 0; i < 2*cfg.Window; i++ { // heal the window, then dwell a window
 		feed(m, id, false)
 		id++
 	}
@@ -111,14 +111,18 @@ func TestStateMachineCycle(t *testing.T) {
 }
 
 // TestViolationNoteCarriesExemplars checks the transition note attaches
-// the bounded ring of failing request IDs.
+// the bounded ring of failing request IDs: ten failures land in the
+// warm-up window, and the violation at its first evaluation carries only
+// the eight most recent.
 func TestViolationNoteCarriesExemplars(t *testing.T) {
 	var buf bytes.Buffer
 	o := notesObs(t, &buf)
-	cfg := Config{Enabled: true, Window: 8, Exemplars: 2, Lag: 1}
-	m := NewMonitor("fft", testGuarantee(), nil, cfg, o)
+	m := NewMonitor("fft", testGuarantee(), nil, Config{Window: 16, Lag: 1}, o)
 	for i := uint32(0); i < 16; i++ {
-		feed(m, i, i >= 8)
+		feed(m, i, i%3 != 0)
+	}
+	if m.State() != Violated {
+		t.Fatalf("state %v after a window of 10 failures in 16, want violated", m.State())
 	}
 	if err := o.Close(nil); err != nil {
 		t.Fatal(err)
@@ -135,9 +139,10 @@ func TestViolationNoteCarriesExemplars(t *testing.T) {
 		attrs := e["attrs"].(map[string]any)
 		if attrs["to"] == "violated" {
 			found = true
-			// Exemplars=2 keeps only the most recent failing IDs.
-			if ex := attrs["exemplars"].(string); ex == "" {
-				t.Fatalf("violated note without exemplars: %v", attrs)
+			// Failing IDs 1,2,4,5,7,8,10,11,13,14: the ring drops the
+			// oldest two.
+			if ex := attrs["exemplars"].(string); ex != "4,5,7,8,10,11,13,14" {
+				t.Fatalf("violated note exemplars %q, want the 8 most recent failing IDs", ex)
 			}
 		}
 	}
@@ -184,7 +189,7 @@ func TestReorderDeterminism(t *testing.T) {
 	run := func(shuffle bool) []byte {
 		var buf bytes.Buffer
 		o := notesObs(t, &buf)
-		cfg := Config{Enabled: true, Window: 16, RecoverAfter: 4, Lag: 16}
+		cfg := Config{Window: 16, Lag: 16}
 		m := NewMonitor("fft", testGuarantee(), nil, cfg, o)
 		obs := obSeq(300)
 		if shuffle {
@@ -315,7 +320,7 @@ func negZero() float64 {
 func TestBoundTableExact(t *testing.T) {
 	for _, g := range []stats.Guarantee{testGuarantee(), stats.PaperGuarantee()} {
 		for _, window := range []int{16, 32, 64} {
-			m := NewMonitor("fft", g, nil, Config{Enabled: true, Window: window}, nil)
+			m := NewMonitor("fft", g, nil, Config{Window: window}, nil)
 			if len(m.lower) != window+1 || len(m.upper) != window+1 {
 				t.Fatalf("%v window %d: table sizes %d/%d, want %d", g, window, len(m.lower), len(m.upper), window+1)
 			}
@@ -340,8 +345,8 @@ func TestBoundTableExact(t *testing.T) {
 }
 
 // TestObserveSteadyZeroAlloc pins the Observe hotpath promise in the
-// serving shape: recheck armed, divergence reference attached, metrics
-// on, no journal, a holding stream. Each run feeds two full windows, so
+// serving shape: divergence reference attached, metrics on, no journal,
+// a holding stream. Each run feeds two full windows, so
 // a per-window allocation (the cp_window mark) cannot hide below one per
 // run.
 func TestObserveSteadyZeroAlloc(t *testing.T) {
@@ -357,10 +362,7 @@ func TestObserveSteadyZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	const window = 32
-	m := NewMonitor("fft", testGuarantee(), BuildReference(nil, ins), Config{
-		Enabled: true, Window: window, Lag: 64,
-		Recheck: Recheck{Enabled: true, RepairEvery: window, MaxFoldIns: 8},
-	}, o)
+	m := NewMonitor("fft", testGuarantee(), BuildReference(nil, ins), Config{Window: window, Lag: 64}, o)
 	id := uint32(0)
 	feedWindows := func() {
 		for i := 0; i < 2*window; i++ {
@@ -373,7 +375,7 @@ func TestObserveSteadyZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, feedWindows); allocs != 0 {
 		t.Fatalf("steady holding Observe: %v allocs per %d observations, want 0", allocs, 2*window)
 	}
-	if m.State() != Holding || m.rec.windowIdx == 0 {
-		t.Fatalf("state %v after %d window marks: the stream did not reach a steady holding check", m.State(), m.rec.windowIdx)
+	if m.State() != Holding || m.windowIdx == 0 {
+		t.Fatalf("state %v after %d window marks: the stream did not reach a steady holding check", m.State(), m.windowIdx)
 	}
 }
