@@ -23,6 +23,7 @@ package axbench
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"mithra/internal/mathx"
 	"mithra/internal/quality"
@@ -107,6 +108,66 @@ type Benchmark interface {
 	// writes out (OutputDim values).
 	Precise(in, out []float64)
 }
+
+// Separable is implemented by benchmarks whose every final-output element
+// is computed from exactly one invocation's kernel output (and the input
+// dataset): the element-wise and block-wise applications. For them, the
+// output under any decision vector is a per-element selection between the
+// all-precise and all-approximate outputs, which is what lets
+// internal/trace replay a decision vector without running the
+// application. fft is not separable: every butterfly stage mixes earlier
+// twiddle factors into every output bin.
+type Separable interface {
+	// Owners returns, for each element of Run(in, ·)'s output, the index
+	// of the invocation that element is computed from. The slice is shared
+	// by every input of the same shape and must not be modified.
+	Owners(in Input) []int
+}
+
+// ownerCache memoizes a benchmark's owner slices by input shape, so
+// every dataset of one shape shares one slice. It grows by one entry per
+// distinct shape; the zero value is ready to use.
+type ownerCache struct {
+	mu sync.Mutex
+	m  map[[2]int][]int
+}
+
+// get returns the slice for shape, building it on first use.
+func (c *ownerCache) get(shape [2]int, build func() []int) []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if o, ok := c.m[shape]; ok {
+		return o
+	}
+	if c.m == nil {
+		c.m = make(map[[2]int][]int)
+	}
+	o := build()
+	c.m[shape] = o
+	return o
+}
+
+// elementOwners is the layout of an application whose invocation i writes
+// output elements [i*per, (i+1)*per).
+func (c *ownerCache) elementOwners(n, per int) []int {
+	return c.get([2]int{n, per}, func() []int {
+		o := make([]int, n*per)
+		for e := range o {
+			o[e] = e / per
+		}
+		return o
+	})
+}
+
+// The separable benchmarks; fft is the one that is not.
+var (
+	_ Separable = (*Blackscholes)(nil)
+	_ Separable = (*InverseK2J)(nil)
+	_ Separable = (*Jmeint)(nil)
+	_ Separable = (*JPEG)(nil)
+	_ Separable = (*KMeans)(nil)
+	_ Separable = (*Sobel)(nil)
+)
 
 // PreciseInvoker returns an Invoker that runs b's exact kernel.
 func PreciseInvoker(b Benchmark) Invoker {

@@ -652,3 +652,34 @@ func TestInverseDCTMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestOwnersSharedPerShape checks every separable benchmark's owner
+// declaration: one owner per output element, each a valid invocation,
+// and one slice shared by every dataset of the same shape.
+func TestOwnersSharedPerShape(t *testing.T) {
+	for _, name := range append(Names(), Extensions()...) {
+		b, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ok := b.(Separable)
+		if !ok {
+			continue
+		}
+		in1 := b.GenInput(mathx.NewRNG(1), TestScale())
+		in2 := b.GenInput(mathx.NewRNG(2), TestScale())
+		o1, o2 := s.Owners(in1), s.Owners(in2)
+		out := b.Run(in1, b.Precise)
+		if len(o1) != len(out) {
+			t.Fatalf("%s: %d owners for %d outputs", name, len(o1), len(out))
+		}
+		for e, o := range o1 {
+			if o < 0 || o >= in1.Invocations() {
+				t.Fatalf("%s: output %d owned by invocation %d of %d", name, e, o, in1.Invocations())
+			}
+		}
+		if &o1[0] != &o2[0] {
+			t.Errorf("%s: two datasets of one shape got separate owner slices", name)
+		}
+	}
+}

@@ -12,7 +12,7 @@ import (
 // model — the PARSEC-derived financial-analysis benchmark. The kernel maps
 // the six option parameters to one price; the application prices a batch
 // of options and the final output is the price vector.
-type Blackscholes struct{}
+type Blackscholes struct{ owners ownerCache }
 
 // NewBlackscholes returns the benchmark.
 func NewBlackscholes() *Blackscholes { return &Blackscholes{} }
@@ -87,4 +87,9 @@ func (*Blackscholes) Precise(in, out []float64) {
 // cnd is the standard normal CDF.
 func cnd(x float64) float64 {
 	return 0.5 * (1 + math.Erf(x/math.Sqrt2))
+}
+
+// Owners implements Separable: option i's price is invocation i's output.
+func (b *Blackscholes) Owners(in Input) []int {
+	return b.owners.elementOwners(in.Invocations(), 1)
 }

@@ -19,7 +19,7 @@ const (
 // a target end-effector position (x, y), find the joint angles
 // (theta1, theta2). The kernel is the closed-form elbow-up solution; the
 // application solves a stream of target positions.
-type InverseK2J struct{}
+type InverseK2J struct{ owners ownerCache }
 
 // NewInverseK2J returns the benchmark.
 func NewInverseK2J() *InverseK2J { return &InverseK2J{} }
@@ -87,4 +87,10 @@ func (*InverseK2J) Precise(in, out []float64) {
 	theta1 := math.Atan2(y, x) - math.Atan2(armL2*math.Sin(theta2), armL1+armL2*math.Cos(theta2))
 	out[0] = theta1
 	out[1] = theta2
+}
+
+// Owners implements Separable: point i's two joint angles are invocation
+// i's outputs.
+func (b *InverseK2J) Owners(in Input) []int {
+	return b.owners.elementOwners(in.Invocations(), 2)
 }

@@ -14,7 +14,7 @@ import (
 // class (intersecting / non-intersecting); the larger score wins, matching
 // the NPU topology's two output neurons. The final output is one boolean
 // per pair and quality is the miss rate.
-type Jmeint struct{}
+type Jmeint struct{ owners ownerCache }
 
 // NewJmeint returns the benchmark.
 func NewJmeint() *Jmeint { return &Jmeint{} }
@@ -276,4 +276,9 @@ func pointInTri2D(p [2]float64, tri [3][2]float64) bool {
 	hasNeg := d0 < 0 || d1 < 0 || d2 < 0
 	hasPos := d0 > 0 || d1 > 0 || d2 > 0
 	return !(hasNeg && hasPos)
+}
+
+// Owners implements Separable: pair i's verdict is invocation i's output.
+func (b *Jmeint) Owners(in Input) []int {
+	return b.owners.elementOwners(in.Invocations(), 1)
 }

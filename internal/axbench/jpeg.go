@@ -15,7 +15,7 @@ import (
 // application encodes the whole image, then decodes it (dequantization +
 // inverse DCT) so quality can be measured as image diff between the
 // approximately-encoded and precisely-encoded reconstructions.
-type JPEG struct{}
+type JPEG struct{ owners ownerCache }
 
 // NewJPEG returns the benchmark.
 func NewJPEG() *JPEG { return &JPEG{} }
@@ -91,6 +91,22 @@ func (j *JPEG) Run(in Input, invoke Invoker) []float64 {
 		}
 	}
 	return out
+}
+
+// Owners implements Separable: each pixel is decoded from its 8x8 block's
+// coefficients, and blocks are invoked in row-major block order.
+func (j *JPEG) Owners(in Input) []int {
+	im := in.(*jpegInput).im
+	w, h := im.W, im.H
+	return j.owners.get([2]int{w, h}, func() []int {
+		o := make([]int, w*h)
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				o[y*w+x] = (y/8)*(w/8) + x/8
+			}
+		}
+		return o
+	})
 }
 
 // Precise implements Benchmark: level shift, forward 2D DCT, quantize.

@@ -21,7 +21,7 @@ import (
 // It is registered separately from the paper's suite (Extensions) so the
 // figure reproductions stay faithful, but exercises every pipeline stage
 // and is available to the CLI and examples.
-type KMeans struct{}
+type KMeans struct{ owners ownerCache }
 
 // kmeansK is the cluster count (kernel input = pixel + (kmeansK-1)
 // non-trivial centroids = 6 values, matching the 6-input topology).
@@ -144,4 +144,9 @@ func (*KMeans) Precise(in, out []float64) {
 		}
 	}
 	out[0] = best
+}
+
+// Owners implements Separable: pixel i is invocation i's output.
+func (km *KMeans) Owners(in Input) []int {
+	return km.owners.elementOwners(in.Invocations(), 1)
 }

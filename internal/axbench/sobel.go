@@ -12,7 +12,7 @@ import (
 // The kernel maps a 3x3 pixel window to the gradient magnitude of its
 // center pixel; the application convolves the whole image and the final
 // output is the gradient image.
-type Sobel struct{}
+type Sobel struct{ owners ownerCache }
 
 // NewSobel returns the benchmark.
 func NewSobel() *Sobel { return &Sobel{} }
@@ -85,4 +85,10 @@ func (*Sobel) Precise(in, out []float64) {
 	gy := (in[6] + 2*in[7] + in[8]) - (in[0] + 2*in[1] + in[2])
 	// Max |gx| = max |gy| = 4, so the magnitude is normalized by 4*sqrt2.
 	out[0] = math.Hypot(gx, gy) / (4 * math.Sqrt2)
+}
+
+// Owners implements Separable: pixels are invoked in row-major order, so
+// pixel i is invocation i's output.
+func (s *Sobel) Owners(in Input) []int {
+	return s.owners.elementOwners(in.Invocations(), 1)
 }

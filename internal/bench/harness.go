@@ -205,11 +205,11 @@ func Run(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 	g := stats.Guarantee{QualityLoss: 0.05, SuccessRate: 0.6, Confidence: 0.9}
-	snap, err := serve.NewSnapshot(benchName, tab, nil, 0.1, g, nil)
+	snap, err := serve.NewSnapshot(benchName, tab, 0.1, g, nil)
 	if err != nil {
 		return nil, err
 	}
-	snap64, err := serve.NewSnapshot(benchName64, tab64, nil, 0.1, g, nil)
+	snap64, err := serve.NewSnapshot(benchName64, tab64, 0.1, g, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -384,7 +384,7 @@ func Run(cfg Config) ([]Row, error) {
 	// drift-armed steady decide still allocates nothing (boost membership
 	// is one atomic load), so continuous monitoring is safe to leave on in
 	// production.
-	dsnap, err := serve.NewSnapshot(benchName, tab, nil, 0.1, g, zeroProbe)
+	dsnap, err := serve.NewSnapshot(benchName, tab, 0.1, g, zeroProbe)
 	if err != nil {
 		return nil, err
 	}
@@ -458,6 +458,29 @@ func Run(cfg Config) ([]Row, error) {
 	}
 	rows = append(rows, Row{
 		Label: cfg.Label, Stage: "nn_train",
+		Decisions: m.ops, Seconds: m.seconds, NsPerOp: m.nsPerOp,
+		AllocsPerOp: m.allocs, BytesPerOp: m.bytes,
+	})
+
+	// table_train: one TrainTable at the default geometry (8 × 0.5 KB,
+	// majority, 6 bits) on 2048 seeded 64-wide samples — a jpeg medium
+	// compile's training-set shape — a quarter of them bad. Not hermetic:
+	// each call allocates its per-configuration indices and bitsets.
+	trng := mathx.NewRNG(cfg.Seed + 4)
+	tabSamples := make([]classifier.Sample, 2048)
+	for i := range tabSamples {
+		in := seededInput(trng, 64)
+		tabSamples[i] = classifier.Sample{In: in, Bad: in[0] > 0.75}
+	}
+	m, err = measure(nnWarm, nnOps, func() error {
+		_, err := classifier.TrainTable(classifier.DefaultTableConfig(), tabSamples)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bench: stage table_train: %w", err)
+	}
+	rows = append(rows, Row{
+		Label: cfg.Label, Stage: "table_train",
 		Decisions: m.ops, Seconds: m.seconds, NsPerOp: m.nsPerOp,
 		AllocsPerOp: m.allocs, BytesPerOp: m.bytes,
 	})

@@ -34,8 +34,10 @@ func TestSmokeRunProducesAllStages(t *testing.T) {
 			t.Errorf("stage %s: %d allocs/op, want 0 — the zero-alloc decide path regressed", stage, r.AllocsPerOp)
 		}
 	}
-	if r, ok := byStage["nn_train"]; !ok || r.NsPerOp <= 0 {
-		t.Errorf("nn_train stage missing or untimed: %+v", r)
+	for _, stage := range []string{"nn_train", "table_train"} {
+		if r, ok := byStage[stage]; !ok || r.NsPerOp <= 0 {
+			t.Errorf("%s stage missing or untimed: %+v", stage, r)
+		}
 	}
 	for _, stage := range []string{"rtt_p1", "rtt_p32"} {
 		r, ok := byStage[stage]

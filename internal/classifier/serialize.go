@@ -166,96 +166,6 @@ func (n *Neural) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// gobDTree is the wire form of a DTree; nodes are stored flat in build
-// order (node 0 is the root).
-type gobDTree struct {
-	Feature []int
-	Thresh  []float64
-	Left    []int32
-	Right   []int32
-	Bad     []bool
-	Dim     int
-	Depth   int
-}
-
-// Encode serializes the decision-tree baseline.
-func (t *DTree) Encode() ([]byte, error) {
-	g := gobDTree{Dim: t.dim, Depth: t.depth}
-	for _, n := range t.nodes {
-		g.Feature = append(g.Feature, n.feature)
-		g.Thresh = append(g.Thresh, n.thresh)
-		g.Left = append(g.Left, n.left)
-		g.Right = append(g.Right, n.right)
-		g.Bad = append(g.Bad, n.bad)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(g); err != nil {
-		return nil, fmt.Errorf("classifier: encode dtree: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeDTree reverses DTree.Encode. Child links and feature indices are
-// validated so a corrupt stream cannot produce a tree whose Classify
-// walks out of bounds.
-func DecodeDTree(data []byte) (*DTree, error) {
-	var g gobDTree
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&g); err != nil {
-		return nil, fmt.Errorf("classifier: decode dtree: %w", err)
-	}
-	n := len(g.Feature)
-	if n == 0 || len(g.Thresh) != n || len(g.Left) != n || len(g.Right) != n || len(g.Bad) != n {
-		return nil, fmt.Errorf("classifier: malformed dtree stream (%d/%d/%d/%d/%d nodes)",
-			n, len(g.Thresh), len(g.Left), len(g.Right), len(g.Bad))
-	}
-	if g.Dim < 1 || g.Depth < 1 {
-		return nil, fmt.Errorf("classifier: dtree stream has dim %d, depth %d", g.Dim, g.Depth)
-	}
-	t := &DTree{dim: g.Dim, depth: g.Depth, nodes: make([]dtreeNode, n)}
-	for i := range t.nodes {
-		f := g.Feature[i]
-		if f < -1 || f >= g.Dim {
-			return nil, fmt.Errorf("classifier: dtree node %d splits on feature %d of %d", i, f, g.Dim)
-		}
-		if f >= 0 && (g.Left[i] <= 0 || int(g.Left[i]) >= n || g.Right[i] <= 0 || int(g.Right[i]) >= n) {
-			return nil, fmt.Errorf("classifier: dtree node %d has children %d/%d outside [1,%d)",
-				i, g.Left[i], g.Right[i], n)
-		}
-		t.nodes[i] = dtreeNode{feature: f, thresh: g.Thresh[i],
-			left: g.Left[i], right: g.Right[i], bad: g.Bad[i]}
-	}
-	return t, nil
-}
-
-// gobRegressor is the wire form of the error-regression baseline.
-type gobRegressor struct {
-	W   []float64
-	Dim int
-	Th  float64
-}
-
-// Encode serializes the error regressor.
-func (r *Regressor) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(gobRegressor{W: r.w, Dim: r.dim, Th: r.th}); err != nil {
-		return nil, fmt.Errorf("classifier: encode regressor: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeRegressor reverses Regressor.Encode.
-func DecodeRegressor(data []byte) (*Regressor, error) {
-	var g gobRegressor
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&g); err != nil {
-		return nil, fmt.Errorf("classifier: decode regressor: %w", err)
-	}
-	if g.Dim < 1 || len(g.W) != 2*g.Dim+1 {
-		return nil, fmt.Errorf("classifier: regressor stream has %d weights for dim %d (want %d)",
-			len(g.W), g.Dim, 2*g.Dim+1)
-	}
-	return &Regressor{w: g.W, dim: g.Dim, th: g.Th}, nil
-}
-
 // DecodeNeural reverses Neural.Encode.
 func DecodeNeural(data []byte) (*Neural, error) {
 	var g gobNeural

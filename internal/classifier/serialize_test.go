@@ -154,125 +154,6 @@ func TestDecodeNeuralErrors(t *testing.T) {
 	}
 }
 
-func TestDTreeEncodeDecodeRoundTrip(t *testing.T) {
-	rng := mathx.NewRNG(25)
-	samples := syntheticSamples(rng, 1500, 4, 0.12)
-	tree, err := TrainDTree(4, samples, DefaultDTreeOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := tree.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeDTree(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2000; i++ {
-		in := []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
-		if tree.Classify(in) != back.Classify(in) {
-			t.Fatalf("decision mismatch at trial %d", i)
-		}
-	}
-	if back.Nodes() != tree.Nodes() {
-		t.Errorf("node count not preserved: %d != %d", back.Nodes(), tree.Nodes())
-	}
-	if back.Overhead() != tree.Overhead() {
-		t.Error("overhead (depth) not preserved")
-	}
-	if back.SizeBytes() != tree.SizeBytes() {
-		t.Error("size not preserved")
-	}
-}
-
-func TestDecodeDTreeErrors(t *testing.T) {
-	if _, err := DecodeDTree([]byte("garbage")); err == nil {
-		t.Error("garbage should fail")
-	}
-	if _, err := DecodeDTree(nil); err == nil {
-		t.Error("empty should fail")
-	}
-	// A structurally valid gob whose child links point out of range must
-	// be rejected, not walked.
-	corrupt := &DTree{dim: 2, depth: 3, nodes: []dtreeNode{
-		{feature: 0, thresh: 0.5, left: 7, right: 9},
-	}}
-	data, err := corrupt.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeDTree(data); err == nil {
-		t.Error("out-of-range child links should fail")
-	}
-	badFeature := &DTree{dim: 2, depth: 3, nodes: []dtreeNode{
-		{feature: 5, thresh: 0.5, left: 1, right: 2},
-		{feature: -1}, {feature: -1},
-	}}
-	data, err = badFeature.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeDTree(data); err == nil {
-		t.Error("out-of-range feature index should fail")
-	}
-}
-
-func TestRegressorEncodeDecodeRoundTrip(t *testing.T) {
-	rng := mathx.NewRNG(26)
-	dim := 3
-	samples := make([]RegSample, 1200)
-	for i := range samples {
-		in := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		// A smooth synthetic error surface the quadratic model can fit.
-		e := 0.3*in[0] + 0.5*in[1]*in[1] + 0.1*in[2] + 0.02*(rng.Float64()-0.5)
-		samples[i] = RegSample{In: in, Err: e}
-	}
-	reg, err := TrainRegressor(dim, samples, 0.4, DefaultRegressorOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := reg.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeRegressor(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2000; i++ {
-		in := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		if reg.Predict(in) != back.Predict(in) {
-			t.Fatalf("prediction mismatch at trial %d", i)
-		}
-		if reg.Classify(in) != back.Classify(in) {
-			t.Fatalf("decision mismatch at trial %d", i)
-		}
-	}
-	if back.Overhead() != reg.Overhead() {
-		t.Error("overhead not preserved")
-	}
-	if back.SizeBytes() != reg.SizeBytes() {
-		t.Error("size not preserved")
-	}
-}
-
-func TestDecodeRegressorErrors(t *testing.T) {
-	if _, err := DecodeRegressor([]byte("garbage")); err == nil {
-		t.Error("garbage should fail")
-	}
-	// Weight/dim mismatch must be rejected before Predict can index
-	// outside the weight slice.
-	mismatch := &Regressor{w: []float64{1, 2, 3}, dim: 4, th: 0.1}
-	data, err := mismatch.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeRegressor(data); err == nil {
-		t.Error("weight/dim mismatch should fail")
-	}
-}
-
 // TestDecodeNeuralRefusesMalformedShapes encodes neural classifiers whose
 // weights, biases or scaler disagree with Sizes; each must fail to decode
 // rather than panic on first Classify.

@@ -154,125 +154,214 @@ func projection(cfg TableConfig, c, dim int) []int {
 // TrainTable pre-trains a table-based classifier from labeled samples
 // (paper §IV-C1): the quantizer is calibrated on the sample inputs, MISR
 // configurations are assigned greedily to minimize false decisions, and
-// every bad sample sets its entry in every table.
+// every bad sample sets its entry in every table. It is PrepareTable
+// followed by TablePrep.Train.
 func TrainTable(cfg TableConfig, samples []Sample) (*Table, error) {
+	inputs := make([][]float64, len(samples))
+	for i, s := range samples {
+		inputs[i] = s.In
+	}
+	p, err := PrepareTable(cfg, inputs)
+	if err != nil {
+		return nil, err
+	}
+	return p.Train(cfg, samples)
+}
+
+// TablePrep is the label-free half of table training: the quantizer fit
+// to the training inputs, every pool configuration's hasher and element
+// projection, and every input's entry under every configuration. It
+// depends only on the inputs and the geometry (QuantBits, TableBytes,
+// Project), so candidates that differ in labels, Combine or NumTables
+// share one. It is read-only after PrepareTable: concurrent Train calls
+// are safe, and the tables they return share its quantizer and hashers.
+type TablePrep struct {
+	geom    TableConfig
+	quant   *misr.Quantizer
+	hashers []*misr.Hasher
+	projs   [][]int
+	// idx[c][s] is input s's entry in pool configuration c's table.
+	idx [][]uint32
+}
+
+// PrepareTable fits the quantizer to inputs and indexes every input under
+// every pool configuration (each with its own element projection), through
+// one pool-wide lookup table.
+func PrepareTable(cfg TableConfig, inputs [][]float64) (*TablePrep, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(samples) == 0 {
+	if len(inputs) == 0 {
 		return nil, fmt.Errorf("classifier: no training samples")
 	}
 	if cfg.QuantBits == 0 {
 		cfg.QuantBits = 6
 	}
-	if dim := len(samples[0].In); dim > MaxInputDim {
+	if dim := len(inputs[0]); dim > MaxInputDim {
 		return nil, fmt.Errorf("classifier: input dim %d exceeds %d", dim, MaxInputDim)
-	}
-	inputs := make([][]float64, len(samples))
-	for i, s := range samples {
-		inputs[i] = s.In
 	}
 	quant := misr.FitQuantizerBits(inputs, cfg.QuantBits)
 	width := cfg.indexWidth()
 	dim := quant.Dim()
 
-	// Pre-hash every sample under every pool configuration (each with its
-	// own element projection), through one pool-wide lookup table.
 	pool := misr.Pool()
-	hashers := make([]*misr.Hasher, len(pool))
-	projs := make([][]int, len(pool))
-	for i, pc := range pool {
-		hashers[i] = misr.NewHasher(pc, width)
-		projs[i] = projection(cfg, i, dim)
+	p := &TablePrep{
+		geom:    cfg,
+		quant:   quant,
+		hashers: make([]*misr.Hasher, len(pool)),
+		projs:   make([][]int, len(pool)),
+		idx:     make([][]uint32, len(pool)),
 	}
-	poolLUT, err := newLUT(quant, hashers, projs)
+	for i, pc := range pool {
+		p.hashers[i] = misr.NewHasher(pc, width)
+		p.projs[i] = projection(cfg, i, dim)
+		p.idx[i] = make([]uint32, len(inputs))
+	}
+	poolLUT, err := newLUT(quant, p.hashers, p.projs)
 	if err != nil {
 		return nil, err
 	}
-	sampleIdx := make([][]uint32, len(pool))
-	for c := range pool {
-		sampleIdx[c] = make([]uint32, len(samples))
+	for si, in := range inputs {
+		sig := poolLUT.sign(in)
+		for c := range pool {
+			p.idx[c][si] = sig.index(c)
+		}
 	}
+	return p, nil
+}
+
+// Train labels the prepared inputs with samples[i].Bad — samples must be
+// the inputs PrepareTable saw, in order — and assigns cfg.NumTables
+// configurations greedily under cfg.Combine. cfg's geometry must match
+// the one the preparation was built for.
+func (p *TablePrep) Train(cfg TableConfig, samples []Sample) (*Table, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.QuantBits == 0 {
+		cfg.QuantBits = 6
+	}
+	if cfg.QuantBits != p.geom.QuantBits || cfg.TableBytes != p.geom.TableBytes || cfg.Project != p.geom.Project {
+		return nil, fmt.Errorf("classifier: table geometry %+v differs from the prepared %+v", cfg, p.geom)
+	}
+	n := len(p.idx[0])
+	if len(samples) != n {
+		return nil, fmt.Errorf("classifier: %d samples for %d prepared inputs", len(samples), n)
+	}
+
+	// Per-config bad-entry bitsets (what the table would contain), and per
+	// config the samples whose entry is set: hits[c] bit s is table c's
+	// flag for sample s.
+	words := (n + 63) / 64
+	bad := make([]uint64, words)
+	var badIdx []int
 	for si, s := range samples {
-		sig := poolLUT.sign(s.In)
-		for c := range pool {
-			sampleIdx[c][si] = sig.index(c)
+		if s.Bad {
+			bad[si/64] |= 1 << (si % 64)
+			badIdx = append(badIdx, si)
 		}
 	}
-
-	// Per-config bad-entry bitsets (what the table would contain).
-	entries := cfg.TableBytes * 8
-	wordsPerTable := (entries + 63) / 64
-	cfgBits := make([][]uint64, len(pool))
-	for c := range pool {
-		cfgBits[c] = make([]uint64, wordsPerTable)
-		for si, s := range samples {
-			if s.Bad {
-				setBit(cfgBits[c], sampleIdx[c][si])
-			}
+	wordsPerTable := (cfg.TableBytes*8 + 63) / 64
+	cfgBits := make([][]uint64, len(p.idx))
+	hits := make([][]uint64, len(p.idx))
+	for c, idx := range p.idx {
+		bs := make([]uint64, wordsPerTable)
+		for _, si := range badIdx {
+			setBit(bs, idx[si])
 		}
+		h := make([]uint64, words)
+		for w := range h {
+			var word uint64
+			for j, e := range idx[w*64 : min(n, w*64+64)] {
+				word |= (bs[e/64] >> (e % 64) & 1) << j
+			}
+			h[w] = word
+		}
+		cfgBits[c], hits[c] = bs, h
 	}
 
-	// Greedy assignment: pick the configuration that minimizes the
-	// ensemble's false decisions after adding it (paper: "the compiler
-	// assigns the first table the MISR configuration that incurs least
-	// aliasing; the second table ... the combination provides least false
-	// decisions; ...").
-	chosen := make([]int, 0, cfg.NumTables)
-	used := make([]bool, len(pool))
-	for len(chosen) < cfg.NumTables {
-		bestC, bestFalse := -1, -1
-		for c := range pool {
-			if used[c] {
-				continue
-			}
-			trial := append(append([]int(nil), chosen...), c)
-			f := countFalseDecisions(cfg.Combine, trial, cfgBits, sampleIdx, samples)
-			if bestC == -1 || f < bestFalse {
-				bestC, bestFalse = c, f
-			}
-		}
-		chosen = append(chosen, bestC)
-		used[bestC] = true
-	}
-
+	chosen := assignGreedy(cfg.Combine, cfg.NumTables, hits, bad, n)
 	t := &Table{
 		cfg:     cfg,
-		quant:   quant,
+		quant:   p.quant,
 		hashers: make([]*misr.Hasher, cfg.NumTables),
 		proj:    make([][]int, cfg.NumTables),
 		bitsets: make([][]uint64, cfg.NumTables),
 	}
 	for i, c := range chosen {
-		t.hashers[i] = hashers[c]
-		t.proj[i] = projs[c]
+		t.hashers[i] = p.hashers[c]
+		t.proj[i] = p.projs[c]
 		t.bitsets[i] = cfgBits[c]
 	}
-	if t.lut, err = newLUT(quant, t.hashers, t.proj); err != nil {
+	var err error
+	if t.lut, err = newLUT(p.quant, t.hashers, t.proj); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// countFalseDecisions evaluates an ensemble candidate on the training set.
-// False positives (good samples flagged) and false negatives (bad samples
-// missed — impossible under this training, but counted for robustness)
-// are weighted equally, matching the paper's "least false decisions".
-func countFalseDecisions(comb Combine, cfgs []int, cfgBits [][]uint64, sampleIdx [][]uint32, samples []Sample) int {
-	falseCount := 0
-	for si, s := range samples {
-		flags := 0
-		for _, c := range cfgs {
-			if getBit(cfgBits[c], sampleIdx[c][si]) {
-				flags++
+// assignGreedy picks tables configurations one at a time, each the one
+// whose addition minimizes the ensemble's false decisions on the n
+// training samples (paper: "the compiler assigns the first table the MISR
+// configuration that incurs least aliasing; the second table ... the
+// combination provides least false decisions; ..."). False positives (good
+// samples flagged) and false negatives (bad samples missed — impossible
+// under this training, but counted for robustness) weigh equally; ties go
+// to the lowest configuration index.
+//
+// Everything runs on sample bitsets, 64 samples per word. atLeast[j]
+// holds the samples at least j chosen tables flag. Every Combine rule is
+// monotone in the flag count, so a trial ensemble of k tables sends a
+// sample precise exactly when at least m of them flag it, m the rule's
+// smallest firing count (combineFlags). With U = atLeast[m] (precise
+// whether or not the candidate flags it) and T = atLeast[m-1] (precise if
+// it does), candidate c, flagging hits[c], sends U | (T & hits[c])
+// precise, and its false decisions are that set's symmetric difference
+// with bad.
+func assignGreedy(comb Combine, tables int, hits [][]uint64, bad []uint64, n int) []int {
+	words := len(bad)
+	// atLeast[0] is every sample; atLeast[j] for j above the chosen count
+	// stays empty.
+	atLeast := make([][]uint64, tables+2)
+	for j := range atLeast {
+		atLeast[j] = make([]uint64, words)
+	}
+	for s := 0; s < n; s++ {
+		atLeast[0][s/64] |= 1 << (s % 64)
+	}
+	used := make([]bool, len(hits))
+	chosen := make([]int, 0, tables)
+	for len(chosen) < tables {
+		k := len(chosen) + 1
+		m := 0
+		for m <= k && !combineFlags(comb, m, k) {
+			m++
+		}
+		u, t := atLeast[m], atLeast[max(m-1, 0)]
+		best, bestFalse := -1, 0
+		for c, h := range hits {
+			if used[c] {
+				continue
+			}
+			f := 0
+			for w, b := range bad {
+				f += bits.OnesCount64((u[w] | t[w]&h[w]) ^ b)
+			}
+			if best == -1 || f < bestFalse {
+				best, bestFalse = c, f
 			}
 		}
-		precise := combineFlags(comb, flags, len(cfgs))
-		if precise != s.Bad {
-			falseCount++
+		chosen = append(chosen, best)
+		used[best] = true
+		// A sample the new table flags moves up one level.
+		h := hits[best]
+		for j := k; j >= 1; j-- {
+			for w := range h {
+				atLeast[j][w] |= atLeast[j-1][w] & h[w]
+			}
 		}
 	}
-	return falseCount
+	return chosen
 }
 
 func combineFlags(comb Combine, flags, tables int) bool {

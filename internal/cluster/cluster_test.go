@@ -123,7 +123,7 @@ func startCluster(t *testing.T, opts clusterOpts, benches ...string) *testCluste
 					}
 				}
 			}
-			snap, err := serve.NewSnapshot(bench, tab, nil, 0.1, g, factory)
+			snap, err := serve.NewSnapshot(bench, tab, 0.1, g, factory)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -654,7 +654,7 @@ func stopNode(t *testing.T, tc *testCluster, name string) {
 // registry assigns the seed version).
 func synthSnapshot(t *testing.T, tab *classifier.Table, version uint32) *serve.Snapshot {
 	t.Helper()
-	snap, err := serve.NewSnapshot("synth", tab, nil, 0.1,
+	snap, err := serve.NewSnapshot("synth", tab, 0.1,
 		stats.Guarantee{QualityLoss: 0.05, SuccessRate: 0.6, Confidence: 0.9}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -246,6 +246,19 @@ func pickBest(cands []tunedCandidate, target float64) int {
 // tuples and scored on held-out training datasets.
 func (d *Deployment) autoTuneTable(tuples tupleSet) (*classifier.Table, float64, error) {
 	base := d.Ctx.Opts.TableCfg
+	// The label-free half of training (quantizer fit and pool hashing)
+	// depends only on the quantization width, so it runs once per width
+	// and the candidates of that width share it read-only.
+	widths := []int{3, 4, 6}
+	preps, err := parallel.Map(d.Ctx.Opts.Parallelism, len(widths),
+		func(i int) (*classifier.TablePrep, error) {
+			cfg := base
+			cfg.QuantBits = widths[i]
+			return classifier.PrepareTable(cfg, tuples.ins)
+		})
+	if err != nil {
+		return nil, 0, err
+	}
 	// Enumerate the candidate grid up front: each candidate is trained and
 	// scored independently on the worker pool (samples per guard band are
 	// labeled once and shared read-only), and the selection below folds the
@@ -254,16 +267,17 @@ func (d *Deployment) autoTuneTable(tuples tupleSet) (*classifier.Table, float64,
 		guard   float64
 		samples []classifier.Sample
 		cfg     classifier.TableConfig
+		prep    *classifier.TablePrep
 	}
 	var specs []tableSpec
 	for _, guard := range []float64{1.0, 0.7, 0.45} {
 		samples := tuples.label(d.Th.Threshold * guard)
-		for _, bits := range []int{3, 4, 6} {
+		for wi, bits := range widths {
 			for _, comb := range []classifier.Combine{classifier.CombineMajority, classifier.CombineAll, classifier.CombineAny} {
 				cfg := base
 				cfg.QuantBits = bits
 				cfg.Combine = comb
-				specs = append(specs, tableSpec{guard: guard, samples: samples, cfg: cfg})
+				specs = append(specs, tableSpec{guard: guard, samples: samples, cfg: cfg, prep: preps[wi]})
 			}
 		}
 	}
@@ -274,7 +288,7 @@ func (d *Deployment) autoTuneTable(tuples tupleSet) (*classifier.Table, float64,
 	d.obs.Counter("classifier.table.candidates").Add(int64(len(specs)))
 	scored, err := parallel.Map(d.Ctx.Opts.Parallelism, len(specs),
 		func(i int) (tableCand, error) {
-			tab, err := classifier.TrainTable(specs[i].cfg, specs[i].samples)
+			tab, err := specs[i].prep.Train(specs[i].cfg, specs[i].samples)
 			if err != nil {
 				return tableCand{}, err
 			}

@@ -147,7 +147,7 @@ func readDecisions(t *testing.T, br *bufio.Reader, view classifier.Classifier, i
 // in one client Write are answered by exactly one server Write carrying
 // all 32 response frames.
 func TestPipelinedBatchOneWrite(t *testing.T) {
-	snap, err := NewSnapshot("wide", wideTable(t, 64), nil, 0.1, testGuarantee(), nil)
+	snap, err := NewSnapshot("wide", wideTable(t, 64), 0.1, testGuarantee(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestPipelinedBatchOneWrite(t *testing.T) {
 // frame it already decided; only then does the client send the rest of
 // the split frame, which is answered in turn.
 func TestSplitFrameAnswered(t *testing.T) {
-	snap, err := NewSnapshot("wide", wideTable(t, 64), nil, 0.1, testGuarantee(), nil)
+	snap, err := NewSnapshot("wide", wideTable(t, 64), 0.1, testGuarantee(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func (c *loopConn) Write(p []byte) (int, error) {
 // decided, and answered in one write — to zero allocations per batch.
 func TestReaderBatchZeroAlloc(t *testing.T) {
 	skipUnderRace(t)
-	snap, err := NewSnapshot("wide", wideTable(t, 64), nil, 0.1, testGuarantee(), nil)
+	snap, err := NewSnapshot("wide", wideTable(t, 64), 0.1, testGuarantee(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func syntheticTable(t testing.TB) *classifier.Table {
 // guarantee). probeFactory may be nil.
 func syntheticSnapshot(t testing.TB, bench string, probeFactory func() ErrorProbe) *Snapshot {
 	t.Helper()
-	snap, err := NewSnapshot(bench, syntheticTable(t), nil, 0.1, testGuarantee(), probeFactory)
+	snap, err := NewSnapshot(bench, syntheticTable(t), 0.1, testGuarantee(), probeFactory)
 	if err != nil {
 		t.Fatal(err)
 	}

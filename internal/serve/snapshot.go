@@ -41,9 +41,6 @@ type Snapshot struct {
 	// Table is the serving classifier (the design with an online update
 	// rule, paper §IV-C1).
 	Table *classifier.Table
-	// Neural optionally rides along for the HTTP inspection endpoint and
-	// future designs; decisions are served by Table.
-	Neural *classifier.Neural
 	// Ref is the build-time reference input histogram the watch monitor
 	// compares live traffic against (nil or invalid: divergence gauges
 	// disabled). Compiled into the program blob alongside the classifier.
@@ -61,8 +58,8 @@ type Snapshot struct {
 
 // NewSnapshot assembles a serving snapshot. probeFactory may be nil,
 // which disables the error-sampling path.
-func NewSnapshot(bench string, tab *classifier.Table, neu *classifier.Neural,
-	threshold float64, g stats.Guarantee, probeFactory func() ErrorProbe) (*Snapshot, error) {
+func NewSnapshot(bench string, tab *classifier.Table, threshold float64,
+	g stats.Guarantee, probeFactory func() ErrorProbe) (*Snapshot, error) {
 	if bench == "" {
 		return nil, fmt.Errorf("serve: snapshot needs a benchmark name")
 	}
@@ -74,7 +71,6 @@ func NewSnapshot(bench string, tab *classifier.Table, neu *classifier.Neural,
 		Threshold: threshold,
 		G:         g,
 		Table:     tab,
-		Neural:    neu,
 		probe:     probeFactory,
 	}, nil
 }
@@ -104,7 +100,7 @@ func SnapshotFromProgram(p *core.Program) (*Snapshot, error) {
 			return maxe
 		}
 	}
-	s, err := NewSnapshot(p.Bench.Name(), p.Table, p.Neural, p.Threshold, p.G, probe)
+	s, err := NewSnapshot(p.Bench.Name(), p.Table, p.Threshold, p.G, probe)
 	if err != nil {
 		return nil, err
 	}

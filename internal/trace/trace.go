@@ -6,13 +6,17 @@
 // This is the engine room of Algorithm 1: the statistical optimizer needs
 // the final output quality at many candidate thresholds, and the paper's
 // benchmarks all have data-parallel kernels (an invocation's outputs never
-// feed a later invocation's inputs), so one capture per dataset suffices —
-// every subsequent threshold probe is a cheap replay of recorded outputs
-// through the application's post-processing.
+// feed a later invocation's inputs), so one capture per dataset suffices.
+// Every later threshold probe is a replay that evaluates neither the
+// kernel nor the accelerator: for a separable application
+// (axbench.Separable) it selects each final-output element from the
+// recorded all-precise or all-approximate output, and otherwise it feeds
+// the recorded kernel outputs through the application's post-processing.
 package trace
 
 import (
 	"fmt"
+	"math"
 
 	"mithra/internal/axbench"
 	"mithra/internal/npu"
@@ -47,6 +51,11 @@ type Trace struct {
 	// every invocation runs precisely / on the accelerator.
 	PreciseOut []float64
 	ApproxOut  []float64
+
+	// owners[e] is the invocation final-output element e is computed from,
+	// when the benchmark is separable and the trace full-precision (nil
+	// otherwise); Capture checks it before setting it.
+	owners []int
 }
 
 // Compact reports whether the trace uses float32 storage.
@@ -123,8 +132,41 @@ func Capture(b axbench.Benchmark, in axbench.Input, acc *npu.Accelerator, opts O
 		panic(fmt.Sprintf("trace: benchmark %s made %d invocations, Invocations() reported %d",
 			b.Name(), idx, n))
 	}
-	t.PreciseOut = t.Replay(b, in, nil, allPrecise)
+	t.PreciseOut = t.runReplay(b, in, nil, allPrecise)
+	// Compact traces keep the application replay: their ApproxOut comes
+	// from the unrounded accelerator outputs, so a selection would differ
+	// from a replay of the float32 records in the last bits.
+	if s, ok := b.(axbench.Separable); ok && !opts.Compact {
+		t.owners = s.Owners(in)
+		t.checkSelection(b, in)
+	}
 	return t
+}
+
+// checkSelection replays one mixed decision vector (odd invocations
+// precise) both ways and panics unless the selection equals the
+// application replay bit for bit, so a wrong owner declaration cannot
+// pass silently at any scale.
+func (t *Trace) checkSelection(b axbench.Benchmark, in axbench.Input) {
+	if len(t.owners) != len(t.PreciseOut) || len(t.ApproxOut) != len(t.PreciseOut) {
+		panic(fmt.Sprintf("trace: benchmark %s declares %d output owners for %d outputs",
+			b.Name(), len(t.owners), len(t.PreciseOut)))
+	}
+	for e, o := range t.owners {
+		if o < 0 || o >= t.N {
+			panic(fmt.Sprintf("trace: benchmark %s: output %d owned by invocation %d of %d",
+				b.Name(), e, o, t.N))
+		}
+	}
+	mixed := func(i int) bool { return i%2 == 1 }
+	want := t.runReplay(b, in, nil, mixed)
+	got := t.selectReplay(nil, mixed)
+	for e := range want {
+		if math.Float64bits(got[e]) != math.Float64bits(want[e]) {
+			panic(fmt.Sprintf("trace: benchmark %s: selection replay of output %d is %v, application replay %v",
+				b.Name(), e, got[e], want[e]))
+		}
+	}
 }
 
 // Decision chooses how invocation i executes during a replay. Returning
@@ -145,10 +187,14 @@ func (t *Trace) ThresholdOracle(th float64) Decision {
 	return func(i int) bool { return t.MaxErr[i] > th }
 }
 
-// Replay re-runs the application feeding each invocation the recorded
-// precise or approximate output according to decide, and returns the final
-// output. decisions may be nil to mean all-precise. The per-invocation
-// work is two copies — no kernel or accelerator evaluation happens.
+// Replay returns the application's final output when each invocation
+// runs precisely or on the accelerator according to decide (nil means
+// all-precise). It calls decide(0), ..., decide(N-1) exactly once each, in
+// order, and evaluates neither the kernel nor the accelerator. A
+// separable benchmark's full-precision trace selects each output element
+// from PreciseOut or ApproxOut by its owning invocation's decision;
+// otherwise the application re-runs with each invocation fed its recorded
+// precise or approximate output.
 //
 // The optional dst slice receives the per-invocation decisions when
 // non-nil (it must have length N); sim uses this to cost the run.
@@ -159,6 +205,36 @@ func (t *Trace) Replay(b axbench.Benchmark, in axbench.Input, dst []bool, decide
 	if dst != nil && len(dst) != t.N {
 		panic(fmt.Sprintf("trace: decision dst length %d, want %d", len(dst), t.N))
 	}
+	if t.owners != nil {
+		return t.selectReplay(dst, decide)
+	}
+	return t.runReplay(b, in, dst, decide)
+}
+
+// selectReplay is Replay for a separable benchmark: out[e] is
+// PreciseOut[e] when e's owning invocation runs precisely, else
+// ApproxOut[e].
+func (t *Trace) selectReplay(dst []bool, decide Decision) []float64 {
+	if dst == nil {
+		dst = make([]bool, t.N)
+	}
+	for i := range dst {
+		dst[i] = decide(i)
+	}
+	out := make([]float64, len(t.owners))
+	for e, o := range t.owners {
+		if dst[o] {
+			out[e] = t.PreciseOut[e]
+		} else {
+			out[e] = t.ApproxOut[e]
+		}
+	}
+	return out
+}
+
+// runReplay is Replay through the application: each invocation's recorded
+// output is copied into the kernel's output slot.
+func (t *Trace) runReplay(b axbench.Benchmark, in axbench.Input, dst []bool, decide Decision) []float64 {
 	idx := 0
 	replayer := func(kin, kout []float64) {
 		if idx >= t.N {
