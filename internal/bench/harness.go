@@ -49,17 +49,18 @@ const (
 // the measured malloc count is reproducible on any machine. Compare
 // gates these exactly; RTT stages get slack.
 var hermeticStages = map[string]bool{
-	"wire_encode":        true,
-	"wire_parse":         true,
-	"misr_hash":          true,
-	"table_classify":     true,
-	"table_classify_64d": true,
-	"registry_lookup":    true,
-	"ring_lookup":        true,
-	"decide_steady":      true,
-	"drift_overhead":     true,
-	"watch_observe":      true,
-	"cluster_hop":        true,
+	"wire_encode":           true,
+	"wire_parse":            true,
+	"misr_hash":             true,
+	"table_classify":        true,
+	"table_classify_64d":    true,
+	"table_classify_64d_q4": true,
+	"registry_lookup":       true,
+	"ring_lookup":           true,
+	"decide_steady":         true,
+	"drift_overhead":        true,
+	"watch_observe":         true,
+	"cluster_hop":           true,
 }
 
 // IsHermetic reports whether stage carries an exact allocs/op contract.
@@ -148,18 +149,19 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[i]
 }
 
-// syntheticTable trains a dim-wide table on seeded uniform inputs: those
-// with in[0] > 0.9 are bad. At dim 3 it is the table every serving stage
-// classifies against — the same geometry the serve tests use, cheap to
-// train and fully determined by the seed.
-func syntheticTable(seed uint64, dim int) (*classifier.Table, error) {
+// syntheticTable trains a dim-wide table of geometry tcfg on seeded
+// uniform inputs: those with in[0] > 0.9 are bad. At dim 3 and the
+// default geometry it is the table every serving stage classifies
+// against — the same geometry the serve tests use, cheap to train and
+// fully determined by the seed.
+func syntheticTable(seed uint64, dim int, tcfg classifier.TableConfig) (*classifier.Table, error) {
 	rng := mathx.NewRNG(seed)
 	samples := make([]classifier.Sample, 2000)
 	for i := range samples {
 		in := seededInput(rng, dim)
 		samples[i] = classifier.Sample{In: in, Bad: in[0] > 0.9}
 	}
-	return classifier.TrainTable(classifier.DefaultTableConfig(), samples)
+	return classifier.TrainTable(tcfg, samples)
 }
 
 // seededInput draws a dim-wide input uniform in [0,1).
@@ -194,13 +196,21 @@ func Run(cfg Config) ([]Row, error) {
 		nnWarm, nnOps = 1, 5
 	}
 
-	tab, err := syntheticTable(cfg.Seed, 3)
+	tab, err := syntheticTable(cfg.Seed, 3, classifier.DefaultTableConfig())
 	if err != nil {
 		return nil, err
 	}
 	// The jpeg-width table: 64 elements, default geometry (8 projected
 	// tables, QuantBits 6).
-	tab64, err := syntheticTable(cfg.Seed, 64)
+	tab64, err := syntheticTable(cfg.Seed, 64, classifier.DefaultTableConfig())
+	if err != nil {
+		return nil, err
+	}
+	// The served jpeg geometry — the auto-tuner picks QuantBits 4 and
+	// CombineAll for jpeg's medium compile — one 4-bit chunk per word.
+	q4 := classifier.DefaultTableConfig()
+	q4.QuantBits, q4.Combine = 4, classifier.CombineAll
+	tab64q4, err := syntheticTable(cfg.Seed, 64, q4)
 	if err != nil {
 		return nil, err
 	}
@@ -305,6 +315,17 @@ func Run(cfg Config) ([]Row, error) {
 	insIdx = 0
 	if err := herm("table_classify_64d", func() error {
 		sinkB = tab64.Classify(ins64[insIdx%len(ins64)])
+		insIdx++
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+
+	// table_classify_64d_q4: the same inputs on the served jpeg geometry,
+	// where the kernel reads one row per element instead of two.
+	insIdx = 0
+	if err := herm("table_classify_64d_q4", func() error {
+		sinkB = tab64q4.Classify(ins64[insIdx%len(ins64)])
 		insIdx++
 		return nil
 	}); err != nil {

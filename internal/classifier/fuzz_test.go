@@ -97,3 +97,27 @@ func FuzzDecodeTable(f *testing.F) {
 		checkMatchesRef(t, "decoded after update", got, ins)
 	})
 }
+
+// FuzzSignMatchesReference holds the lookup-table kernel to the per-table
+// Hash reference on arbitrary values and ranges: a table of 1–16 pool
+// configurations at QuantBits 1–16 over boundaryQuant's features, with
+// the first feature's range replaced by [lo, lo+width] when that is a
+// valid quantizer range, indexes {x, x, x} exactly as the reference does.
+func FuzzSignMatchesReference(f *testing.F) {
+	f.Add(uint8(4), uint8(8), -1.0, 3.0, 0.5)
+	f.Add(uint8(6), uint8(16), -1.0, 3.0, 1.0/3)
+	f.Add(uint8(16), uint8(16), 0.1, 0.6, math.Nextafter(0.1+0.6/65535, 1))
+	f.Add(uint8(1), uint8(1), 0.0, 1.0, math.Copysign(0, -1))
+	f.Add(uint8(9), uint8(12), -4e-310, 8e-310, 0x1p-1074)
+	f.Add(uint8(12), uint8(3), -1.0, 3.0, math.Inf(1))
+	f.Add(uint8(3), uint8(5), -1.0, 3.0, math.NaN())
+	f.Fuzz(func(t *testing.T, bits, tables uint8, lo, width, x float64) {
+		q := boundaryQuant(1 + int(bits)%16)
+		q.Min[0], q.Max[0] = lo, lo+width
+		if q.Validate() != nil {
+			q = boundaryQuant(q.Bits)
+		}
+		tab := boundaryTable(t, q, 1+int(tables)%16)
+		checkMatchesRef(t, "fuzzed", tab, [][]float64{{x, x, x}})
+	})
+}

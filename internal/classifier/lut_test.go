@@ -1,6 +1,7 @@
 package classifier
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -24,27 +25,33 @@ func refWord(q *misr.Quantizer, i int, x float64) uint16 {
 	return uint16(r * levels)
 }
 
-// refIndices hashes in under every table the way the paper's MISRs do:
-// quantize, gather each table's projected words, fold them through
-// misr.Hasher.Hash.
-func refIndices(tab *Table, in []float64) []uint32 {
-	idx := make([]uint32, len(tab.hashers))
-	for ti, h := range tab.hashers {
-		words := make([]uint16, len(tab.proj[ti]))
-		for i, p := range tab.proj[ti] {
-			words[i] = refWord(tab.quant, p, in[p])
+// refSign hashes in under every table the way the paper's MISRs do:
+// quantize, gather table t's projected words projs[t], fold them through
+// hashers[t].Hash.
+func refSign(q *misr.Quantizer, hashers []*misr.Hasher, projs [][]int, in []float64) []uint32 {
+	idx := make([]uint32, len(hashers))
+	var words []uint16
+	for ti, h := range hashers {
+		words = words[:0]
+		for _, p := range projs[ti] {
+			words = append(words, refWord(q, p, in[p]))
 		}
 		idx[ti] = h.Hash(words)
 	}
 	return idx
 }
 
-// refClassify is Classify's reference: per-table Hash, one bit read per
-// table, combineFlags.
-func refClassify(tab *Table, in []float64) bool {
+// refIndices is refSign under tab's tables.
+func refIndices(tab *Table, in []float64) []uint32 {
+	return refSign(tab.quant, tab.hashers, tab.proj, in)
+}
+
+// refClassify is Classify's reference: one bit read per table at the
+// per-table Hash indices idx, combineFlags.
+func refClassify(tab *Table, idx []uint32) bool {
 	flags := 0
-	for ti, idx := range refIndices(tab, in) {
-		if getBit(tab.bitsets[ti], idx) {
+	for ti, i := range idx {
+		if getBit(tab.bitsets[ti], i) {
 			flags++
 		}
 	}
@@ -56,14 +63,14 @@ func refClassify(tab *Table, in []float64) bool {
 func checkMatchesRef(t *testing.T, name string, tab *Table, ins [][]float64) {
 	t.Helper()
 	for i, in := range ins {
-		sig := tab.lut.sign(in)
-		for ti, want := range refIndices(tab, in) {
+		sig, ref := tab.lut.sign(in), refIndices(tab, in)
+		for ti, want := range ref {
 			if got := sig.index(ti); got != want {
-				t.Fatalf("%s: input %d table %d: index %#x, reference %#x", name, i, ti, got, want)
+				t.Fatalf("%s: input %d %v: table %d index %#x, reference %#x", name, i, in, ti, got, want)
 			}
 		}
-		if got, want := tab.Classify(in), refClassify(tab, in); got != want {
-			t.Fatalf("%s: input %d: Classify=%v, reference=%v", name, i, got, want)
+		if got, want := tab.Classify(in), refClassify(tab, ref); got != want {
+			t.Fatalf("%s: input %d %v: Classify=%v, reference=%v", name, i, in, got, want)
 		}
 	}
 }
@@ -173,11 +180,11 @@ func TestUpdateSetsReferenceEntries(t *testing.T) {
 	}
 }
 
-// jpegShapedTable trains the default geometry (8 projected tables of
-// 0.5 KB, QuantBits 6) on 64-wide inputs, the shape of jpeg's table.
-func jpegShapedTable(tb testing.TB) *Table {
+// wideTable trains geometry cfg on seeded 64-wide inputs, jpeg's input
+// width.
+func wideTable(tb testing.TB, cfg TableConfig) *Table {
 	tb.Helper()
-	tab, err := TrainTable(DefaultTableConfig(), syntheticSamples(mathx.NewRNG(55), 2000, 64, 0.1))
+	tab, err := TrainTable(cfg, syntheticSamples(mathx.NewRNG(55), 2000, 64, 0.1))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -185,17 +192,27 @@ func jpegShapedTable(tb testing.TB) *Table {
 }
 
 // TestTableClassifyZeroAlloc pins the bench harness's table_classify_64d
-// row: a decision allocates nothing.
+// row — a decision allocates nothing — and holds the kernel to it at
+// every row shape: chunk counts 1–4 (QuantBits 4, 8, 12, 16) × packed
+// words 1–4 (4, 8, 12 and 16 tables).
 func TestTableClassifyZeroAlloc(t *testing.T) {
-	tab := jpegShapedTable(t)
-	ins := testInputs(mathx.NewRNG(56), 32, 64)
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		sinkBool = tab.Classify(ins[i%len(ins)])
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("Table.Classify allocates %.1f times per decision", allocs)
+	tabs := []*Table{wideTable(t, DefaultTableConfig())}
+	for bits := 4; bits <= 16; bits += 4 {
+		for n := 4; n <= 16; n += 4 {
+			tabs = append(tabs, boundaryTable(t, boundaryQuant(bits), n))
+		}
+	}
+	for _, tab := range tabs {
+		ins := testInputs(mathx.NewRNG(56), 32, tab.InputDim())
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			sinkBool = tab.Classify(ins[i%len(ins)])
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("QuantBits %d, %d tables: Table.Classify allocates %.1f times per decision",
+				tab.quant.Bits, len(tab.hashers), allocs)
+		}
 	}
 }
 
@@ -229,28 +246,126 @@ func TestDecodeTableRefusesWideQuantizer(t *testing.T) {
 	}
 }
 
-// TestQuantizeNonFinite: NaN quantizes to word 0 and infinities saturate,
-// at every width.
+// boundaryQuant is a three-feature quantizer of width bits: a range
+// whose width is no power of two, one inside (0, 1), and one whose
+// bounds are subnormal.
+func boundaryQuant(bits int) *misr.Quantizer {
+	return &misr.Quantizer{Min: []float64{-1, 0.1, -4e-310}, Max: []float64{2, 0.7, 4e-310}, Bits: bits}
+}
+
+// boundaryTable builds, without training, the n-table classifier over q
+// that hashes through the first n pool configurations, each with its
+// pool projection, and holds seeded contents. At n = 16 its lookup table
+// is the pool-wide one PrepareTable indexes every sample with.
+func boundaryTable(tb testing.TB, q *misr.Quantizer, n int) *Table {
+	tb.Helper()
+	cfg := TableConfig{NumTables: n, TableBytes: 64, Combine: CombineMajority, QuantBits: q.Bits, Project: true}
+	tab := &Table{
+		cfg:     cfg,
+		quant:   q,
+		hashers: make([]*misr.Hasher, n),
+		proj:    make([][]int, n),
+		bitsets: make([][]uint64, n),
+	}
+	rng := mathx.NewRNG(uint64(57 + n))
+	for i, pc := range misr.Pool()[:n] {
+		tab.hashers[i] = misr.NewHasher(pc, cfg.indexWidth())
+		tab.proj[i] = projection(cfg, i, q.Dim())
+		tab.bitsets[i] = make([]uint64, cfg.TableBytes/8)
+		for w := range tab.bitsets[i] {
+			tab.bitsets[i][w] = rng.Uint64()
+		}
+	}
+	var err error
+	if tab.lut, err = newLUT(q, tab.hashers, tab.proj); err != nil {
+		tb.Fatal(err)
+	}
+	return tab
+}
+
+// boundaryValues returns, for feature i of q, every level boundary
+// lo + k·(hi−lo)/levels with both of its float64 neighbours, then ±0,
+// the smallest and largest subnormals of both signs, ±Inf and NaN.
+func boundaryValues(q *misr.Quantizer, i int) []float64 {
+	lo, hi, levels := q.Min[i], q.Max[i], q.Levels()
+	var vs []float64
+	for k := 0.0; k <= levels; k++ {
+		b := lo + k*(hi-lo)/levels
+		vs = append(vs, math.Nextafter(b, math.Inf(-1)), b, math.Nextafter(b, math.Inf(1)))
+	}
+	const maxSub = 0x1p-1022 - 0x1p-1074
+	return append(vs, 0, math.Copysign(0, -1), 0x1p-1074, -0x1p-1074, maxSub, -maxSub,
+		math.Inf(1), math.Inf(-1), math.NaN())
+}
+
+// TestSignMatchesReferenceAtBoundaries: at every quantization level
+// boundary of every feature, at both of its float64 neighbours, and at
+// ±0, subnormals, ±Inf and NaN, the kernel indexes every table exactly as
+// the per-table Hash reference does. Each QuantBits 1–16 gets its own
+// table count 1–16, chosen so every chunk count meets every packed-word
+// count once, and the 16-table pool lookup table. Random inputs almost
+// never land on a boundary, where the quantizer's division and
+// truncation decide the word.
+func TestSignMatchesReferenceAtBoundaries(t *testing.T) {
+	for bits := 1; bits <= 16; bits++ {
+		q := boundaryQuant(bits)
+		ns := []int{1 + 4*((bits-1)%4) + (bits-1)/4, 16}
+		if ns[0] == 16 {
+			ns = ns[:1]
+		}
+		for _, n := range ns {
+			tab := boundaryTable(t, q, n)
+			name := fmt.Sprintf("bits %d, %d tables", bits, n)
+			for i := range q.Min {
+				in := []float64{0.5, 0.4, 0}
+				ins := [][]float64{in}
+				for _, v := range boundaryValues(q, i) {
+					in[i] = v
+					checkMatchesRef(t, name, tab, ins)
+				}
+			}
+		}
+	}
+}
+
+// TestQuantizeNonFinite: NaN quantizes to word 0 and infinities
+// saturate, at every width — in the reference quantizer, and in every
+// table index the kernel computes from them.
 func TestQuantizeNonFinite(t *testing.T) {
 	for bits := 1; bits <= 16; bits++ {
 		q := &misr.Quantizer{Min: []float64{-1}, Max: []float64{2}, Bits: bits}
 		top := uint16(1<<bits - 1)
+		tab := boundaryTable(t, q, 4)
 		for _, c := range []struct {
 			x    float64
 			want uint16
 		}{{math.NaN(), 0}, {math.Inf(1), top}, {math.Inf(-1), 0},
 			{math.MaxFloat64, top}, {-math.MaxFloat64, 0}} {
-			var got [1]uint16
-			if q.QuantizeAt(0, []float64{c.x}, got[:]); got[0] != c.want {
-				t.Errorf("bits %d: QuantizeAt(%v) = %d, want %d", bits, c.x, got[0], c.want)
+			if got := refWord(q, 0, c.x); got != c.want {
+				t.Errorf("bits %d: reference word of %v = %d, want %d", bits, c.x, got, c.want)
 			}
+			checkMatchesRef(t, "non-finite", tab, [][]float64{{c.x}})
 		}
 	}
 }
 
 // BenchmarkTableClassify64 is table_classify_64d as a Go benchmark.
 func BenchmarkTableClassify64(b *testing.B) {
-	tab := jpegShapedTable(b)
+	tab := wideTable(b, DefaultTableConfig())
+	ins := testInputs(mathx.NewRNG(56), 32, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkBool = tab.Classify(ins[i%len(ins)])
+	}
+}
+
+// BenchmarkTableClassify64Q4 is table_classify_64d_q4 as a Go benchmark:
+// the served jpeg geometry, QuantBits 4 and CombineAll.
+func BenchmarkTableClassify64Q4(b *testing.B) {
+	cfg := DefaultTableConfig()
+	cfg.QuantBits, cfg.Combine = 4, CombineAll
+	tab := wideTable(b, cfg)
 	ins := testInputs(mathx.NewRNG(56), 32, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -262,7 +377,7 @@ func BenchmarkTableClassify64(b *testing.B) {
 // BenchmarkLUTBuild is the lookup-table build a jpeg-shaped table pays in
 // TrainTable and DecodeTable.
 func BenchmarkLUTBuild(b *testing.B) {
-	tab := jpegShapedTable(b)
+	tab := wideTable(b, DefaultTableConfig())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

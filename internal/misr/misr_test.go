@@ -208,7 +208,9 @@ func TestFoldWord(t *testing.T) {
 // quantize returns the quantized words of a whole input vector.
 func quantize(q *Quantizer, in []float64) []uint16 {
 	dst := make([]uint16, q.Dim())
-	q.QuantizeAt(0, in, dst)
+	for i := range dst {
+		dst[i] = uint16(Word(in[i], q.Min[i], q.Max[i]-q.Min[i], q.Levels()))
+	}
 	return dst
 }
 

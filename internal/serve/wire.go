@@ -430,12 +430,15 @@ func parseRequestInto(payload []byte, req *DecideRequest) (bench []byte, err err
 	if len(body) != 8*dim+trail {
 		return nil, protoErrf("decide request input is %d bytes, want %d", len(body), 8*dim+trail) //mithra:coldpath error formatting on a malformed frame
 	}
-	in := req.In[:0]
+	in := req.In
 	if cap(in) < dim {
-		in = make([]float64, 0, dim) //mithra:coldpath one-time input-vector growth; capacity is kept by the reused request
+		in = make([]float64, dim) //mithra:coldpath one-time input-vector growth; capacity is kept by the reused request
 	}
-	for i := 0; i < dim; i++ {
-		in = append(in, math.Float64frombits(binary.BigEndian.Uint64(body[8*i:8*i+8])))
+	in = in[:dim]
+	raw := body[:8*dim]
+	for i := range in {
+		in[i] = math.Float64frombits(binary.BigEndian.Uint64(raw))
+		raw = raw[8:]
 	}
 	req.In = in
 	req.TraceID = 0
