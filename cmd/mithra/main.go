@@ -335,7 +335,6 @@ func cmdCompile(args []string, stdout, stderr io.Writer) int {
 	var (
 		bench, scale, out            *string
 		seed                         *uint64
-		deltaWalk                    *bool
 		par                          *int
 		quality, success, confidence *float64
 		twoSided                     *bool
@@ -345,7 +344,6 @@ func cmdCompile(args []string, stdout, stderr io.Writer) int {
 		scale = fs.String("scale", "medium", "dataset scale: test|medium|paper")
 		seed = fs.Uint64("seed", 42, "experiment seed")
 		out = fs.String("o", "", "write the exported deployment to this file")
-		deltaWalk = fs.Bool("delta-walk", false, "use Algorithm 1's delta-walk instead of bisection")
 		par = parallelFlag(fs)
 		quality, success, confidence, twoSided = guaranteeFlags(fs)
 		of.register(fs)
@@ -355,7 +353,6 @@ func cmdCompile(args []string, stdout, stderr io.Writer) int {
 			return err
 		}
 		opts.Seed = *seed
-		opts.UseDeltaWalk = *deltaWalk
 		opts.Parallelism = *par
 		g := mithra.Guarantee{QualityLoss: *quality, SuccessRate: *success,
 			Confidence: *confidence, TwoSided: *twoSided}
@@ -363,7 +360,6 @@ func cmdCompile(args []string, stdout, stderr io.Writer) int {
 		o, shutdown, err := of.open(lg, "compile", *seed, map[string]any{
 			"bench": *bench, "scale": *scale, "quality": *quality,
 			"success": *success, "confidence": *confidence, "two_sided": *twoSided,
-			"delta_walk": *deltaWalk,
 		}, *par)
 		if err != nil {
 			return err

@@ -51,6 +51,7 @@ const (
 var hermeticStages = map[string]bool{
 	"wire_encode":           true,
 	"wire_parse":            true,
+	"wire_parse_64d":        true,
 	"misr_hash":             true,
 	"table_classify":        true,
 	"table_classify_64d":    true,
@@ -328,6 +329,25 @@ func Run(cfg Config) ([]Row, error) {
 		sinkB = tab64q4.Classify(ins64[insIdx%len(ins64)])
 		insIdx++
 		return nil
+	}); err != nil {
+		return nil, err
+	}
+
+	// wire_parse_64d: wire_parse at jpeg's input width, cycling over the
+	// table_classify_64d inputs' frames.
+	payloads64 := make([][]byte, len(ins64))
+	for i, x := range ins64 {
+		f, err := serve.AppendDecideRequest(nil, &serve.DecideRequest{ID: uint32(i), Bench: benchName64, In: x})
+		if err != nil {
+			return nil, err
+		}
+		payloads64[i] = f[4:]
+	}
+	insIdx = 0
+	if err := herm("wire_parse_64d", func() error {
+		_, e := serve.ParseDecideRequestInto(payloads64[insIdx%len(payloads64)], &preq)
+		insIdx++
+		return e
 	}); err != nil {
 		return nil, err
 	}

@@ -11,30 +11,31 @@ import (
 	"mithra/internal/parallel"
 )
 
+// The neural sweep's fixed settings.
+const (
+	// neuralTiePct is the accuracy slack (fraction) within which a
+	// smaller network wins the topology tie-break.
+	neuralTiePct = 0.005
+	// neuralSeed keys weight initialization.
+	neuralSeed = 1
+	// neuralHoldoutFrac of the samples are withheld for topology
+	// selection.
+	neuralHoldoutFrac = 0.2
+	// neuralMaxSamples caps the training tuples: the sweep trains one
+	// network per hidden size, so a deterministic subsample keeps
+	// compilation fast without hurting the boundary the classifier must
+	// learn.
+	neuralMaxSamples = 8000
+)
+
 // NeuralOptions controls neural-classifier training.
 type NeuralOptions struct {
 	// HiddenSizes is the topology sweep; the paper considers
 	// {2, 4, 8, 16, 32} hidden neurons and picks the most accurate
 	// network, preferring fewer neurons on near-ties.
 	HiddenSizes []int
-	// TiePct is the accuracy slack (fraction) within which a smaller
-	// network wins the tie-break.
-	TiePct float64
 	// Train configures the underlying SGD.
 	Train nn.TrainConfig
-	// Seed keys weight initialization.
-	Seed uint64
-	// HoldoutFrac of the samples are withheld for topology selection.
-	HoldoutFrac float64
-	// MaxSamples caps the training tuples (0 = no cap); the sweep trains
-	// five networks, so a deterministic subsample keeps compilation fast
-	// without hurting the boundary the classifier must learn.
-	MaxSamples int
-	// Bias shifts the decision boundary toward the precise function: the
-	// classifier falls back when out[precise] > out[accelerate] - Bias.
-	// A positive bias trades false positives for fewer misses — the
-	// quality-first asymmetry the paper's designs exhibit.
-	Bias float64
 	// Parallelism bounds the worker pool training the topology sweep's
 	// candidates (<= 0: GOMAXPROCS, 1: serial). Every candidate trains
 	// from its own deterministic seed, so the selected network is
@@ -49,7 +50,6 @@ type NeuralOptions struct {
 func DefaultNeuralOptions() NeuralOptions {
 	return NeuralOptions{
 		HiddenSizes: []int{2, 4, 8, 16, 32},
-		TiePct:      0.005,
 		Train: nn.TrainConfig{
 			Epochs:       80,
 			LearningRate: 0.3,
@@ -57,9 +57,6 @@ func DefaultNeuralOptions() NeuralOptions {
 			BatchSize:    16,
 			Seed:         1,
 		},
-		Seed:        1,
-		HoldoutFrac: 0.2,
-		MaxSamples:  8000,
 	}
 }
 
@@ -74,14 +71,19 @@ type Neural struct {
 	scratch  *nn.Scratch
 	buf      []float64
 	overhead Overhead
-	bias     float64
+	// bias shifts the decision boundary toward the precise function: the
+	// classifier falls back when out[precise] > out[accelerate] - bias.
+	// A positive bias trades false positives for fewer misses — the
+	// quality-first asymmetry the paper's designs exhibit.
+	bias float64
 }
 
 // TrainNeural trains the topology sweep on the labeled samples and returns
 // the selected classifier. Bad samples are oversampled to a rough class
 // balance, since invocations needing fallback are a small minority (the
 // paper's Figure 1 insight) and an unweighted fit would collapse to
-// "always accelerate".
+// "always accelerate". The selected classifier has no bias; WithBias
+// derives biased ones that share its network.
 func TrainNeural(inputDim int, samples []Sample, opts NeuralOptions) (*Neural, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("classifier: no training samples")
@@ -98,9 +100,9 @@ func TrainNeural(inputDim int, samples []Sample, opts NeuralOptions) (*Neural, e
 		obs.A("candidates", len(opts.HiddenSizes)), obs.A("samples", len(samples)))
 	defer span.End()
 	opts.Obs.Counter("classifier.neural.candidates").Add(int64(len(opts.HiddenSizes)))
-	if opts.MaxSamples > 0 && len(samples) > opts.MaxSamples {
-		stride := len(samples)/opts.MaxSamples + 1
-		sub := make([]Sample, 0, opts.MaxSamples)
+	if len(samples) > neuralMaxSamples {
+		stride := len(samples)/neuralMaxSamples + 1
+		sub := make([]Sample, 0, neuralMaxSamples)
 		for i := 0; i < len(samples); i += stride {
 			sub = append(sub, samples[i])
 		}
@@ -115,7 +117,7 @@ func TrainNeural(inputDim int, samples []Sample, opts NeuralOptions) (*Neural, e
 
 	// Split train/holdout deterministically, then balance the training
 	// half by oversampling the minority class.
-	holdN := int(opts.HoldoutFrac * float64(len(samples)))
+	holdN := int(neuralHoldoutFrac * float64(len(samples)))
 	if holdN < 1 {
 		holdN = 1
 	}
@@ -154,7 +156,7 @@ func TrainNeural(inputDim int, samples []Sample, opts NeuralOptions) (*Neural, e
 		func(k int) (candidate, error) {
 			h := opts.HiddenSizes[order[k]]
 			net := nn.New([]int{inputDim, h, 2}, nn.Classification(2),
-				mathx.NewRNG(opts.Seed).Split(uint64(h)))
+				mathx.NewRNG(neuralSeed).Split(uint64(h)))
 			net.Train(trainSet, opts.Train)
 			return candidate{net: net, hidden: h, acc: accuracy(net, holdSet)}, nil
 		})
@@ -166,11 +168,11 @@ func TrainNeural(inputDim int, samples []Sample, opts NeuralOptions) (*Neural, e
 		cands[order[k]] = c
 	}
 
-	// Highest accuracy wins; a smaller network within TiePct takes the
-	// tie (fewest neurons at equal accuracy).
+	// Highest accuracy wins; a smaller network within neuralTiePct takes
+	// the tie (fewest neurons at equal accuracy).
 	best := cands[0]
 	for _, c := range cands[1:] {
-		if c.acc > best.acc+opts.TiePct {
+		if c.acc > best.acc+neuralTiePct {
 			best = c
 		}
 	}
@@ -182,7 +184,6 @@ func TrainNeural(inputDim int, samples []Sample, opts NeuralOptions) (*Neural, e
 		scratch:  best.net.NewScratch(),
 		buf:      make([]float64, inputDim),
 		overhead: Overhead{Cycles: cycles, EnergyPJ: energy},
-		bias:     opts.Bias,
 	}, nil
 }
 

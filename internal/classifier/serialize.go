@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"slices"
 
 	"mithra/internal/bdi"
@@ -19,6 +20,18 @@ import (
 // This file implements that serialization: the table design stores its
 // MISR configurations, projections, quantizer, and BDI-compressed
 // bitsets; the neural design stores its network and scalers.
+
+// init numbers the wire types in core.Deployment.Export's order; see
+// nn's init.
+func init() {
+	enc := gob.NewEncoder(io.Discard)
+	if err := enc.Encode(gobTable{}); err != nil {
+		panic(err)
+	}
+	if err := enc.Encode(gobNeural{}); err != nil {
+		panic(err)
+	}
+}
 
 // gobTable is the wire form of a Table.
 type gobTable struct {

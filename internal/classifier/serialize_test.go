@@ -118,11 +118,11 @@ func TestNeuralEncodeDecodeRoundTrip(t *testing.T) {
 	opts := DefaultNeuralOptions()
 	opts.HiddenSizes = []int{4}
 	opts.Train.Epochs = 20
-	opts.Bias = 0.2
 	neu, err := TrainNeural(3, samples, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	neu = neu.WithBias(0.2)
 	data, err := neu.Encode()
 	if err != nil {
 		t.Fatal(err)

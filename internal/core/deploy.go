@@ -10,7 +10,6 @@ import (
 	"mithra/internal/stats"
 	"mithra/internal/threshold"
 	"mithra/internal/trace"
-	"mithra/internal/watch"
 )
 
 // Deployment is a compiled MITHRA configuration for one quality
@@ -30,8 +29,8 @@ type Deployment struct {
 	// baseline (the highest rate whose quality still certifies the same
 	// guarantee on the compile datasets).
 	RandomRate float64
-	// TableGuard is the guard band the table auto-tuner selected (1 when
-	// auto-tuning is off or the loosest candidate won).
+	// TableGuard is the guard band the table auto-tuner selected from
+	// {1, 0.7, 0.45}.
 	TableGuard float64
 	// samples are the labeled training tuples, retained so experiment
 	// sweeps (e.g. the Figure 11 Pareto analysis) can retrain table
@@ -54,31 +53,6 @@ func (d *Deployment) TrainingSamples() []classifier.Sample { return d.samples }
 // TrainingSamples (the error-value a Rumba-style regressor predicts).
 func (d *Deployment) TrainingErrors() []float64 { return d.sampleErrs }
 
-// Program assembles the runnable deployment in-process — the same shape
-// LoadProgram reconstructs from an Export blob, without the gob round
-// trip (the serving layer builds snapshots from it when a compiled
-// program hasn't been written to disk).
-func (d *Deployment) Program() *Program {
-	p := &Program{
-		Bench:     d.Ctx.Bench,
-		Accel:     d.Ctx.Accel,
-		Table:     d.Table,
-		Neural:    d.Neural,
-		Threshold: d.Th.Threshold,
-		G:         d.G,
-	}
-	if len(d.samples) > 0 {
-		ins := make([][]float64, len(d.samples))
-		for i, s := range d.samples {
-			ins[i] = s.In
-		}
-		ref := watch.BuildReference(nil, ins)
-		p.RefBounds = ref.Bounds
-		p.RefCounts = ref.Counts
-	}
-	return p
-}
-
 // TrainTableVariant trains a table-based classifier with an alternative
 // configuration against this deployment's threshold (the Figure 11 design
 // space exploration).
@@ -97,46 +71,28 @@ func (ctx *Context) Deploy(g stats.Guarantee) (*Deployment, error) {
 	defer span.End()
 	oscope := ctx.Opts.Obs.Scope(span)
 
-	find := threshold.FindBisect
-	if ctx.Opts.UseDeltaWalk {
-		find = threshold.FindDeltaWalk
-	}
 	topts := ctx.Opts.ThOpts
 	if topts.Workers == 0 {
 		topts.Workers = ctx.Opts.Parallelism
 	}
 	topts.Obs = oscope
-	th, err := find(ctx.Bench, ctx.Compile, g, topts)
+	th, err := threshold.FindBisect(ctx.Bench, ctx.Compile, g, topts)
 	if err != nil {
 		return nil, fmt.Errorf("core: threshold search for %s: %w", ctx.Bench.Name(), err)
 	}
 
-	guard := ctx.Opts.GuardBand
-	if guard <= 0 || guard > 1 {
-		guard = 1
-	}
 	tuples := ctx.trainingTuples()
 	d := &Deployment{Ctx: ctx, G: g, Th: th, obs: oscope,
-		samples: tuples.label(th.Threshold * guard), sampleErrs: tuples.errs}
+		samples: tuples.label(th.Threshold), sampleErrs: tuples.errs}
 
-	d.TableGuard = 1
 	tabSpan := span.Child("classifier.table.train")
-	if ctx.Opts.TableAutoTune {
-		tab, tabGuard, err := d.autoTuneTable(tuples)
-		tabSpan.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: table tuning for %s: %w", ctx.Bench.Name(), err)
-		}
-		d.Table = tab
-		d.TableGuard = tabGuard
-	} else {
-		tab, err := classifier.TrainTable(ctx.Opts.TableCfg, d.samples)
-		tabSpan.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: table training for %s: %w", ctx.Bench.Name(), err)
-		}
-		d.Table = tab
+	tab, tabGuard, err := d.autoTuneTable(tuples)
+	tabSpan.End()
+	if err != nil {
+		return nil, fmt.Errorf("core: table tuning for %s: %w", ctx.Bench.Name(), err)
 	}
+	d.Table = tab
+	d.TableGuard = tabGuard
 	neu, err := d.autoBiasNeural()
 	if err != nil {
 		return nil, fmt.Errorf("core: neural training for %s: %w", ctx.Bench.Name(), err)

@@ -38,29 +38,14 @@ type Options struct {
 	NPUSampleTarget int
 	// NPUTrain configures the NPU's offline backprop training.
 	NPUTrain nn.TrainConfig
-	// TableCfg configures the table-based classifier.
+	// TableCfg is the table classifier's base configuration: Deploy
+	// picks its quantization width and combination rule per application
+	// (the MISR configuration step of the paper's §IV-A).
 	TableCfg classifier.TableConfig
 	// NeuralOpts configures the neural classifier sweep.
 	NeuralOpts classifier.NeuralOptions
-	// ThOpts configures the threshold search.
+	// ThOpts configures the threshold search (threshold.FindBisect).
 	ThOpts threshold.Options
-	// UseDeltaWalk selects the paper's Algorithm 1 delta-walk instead of
-	// bisection for the threshold search.
-	UseDeltaWalk bool
-	// GuardBand tightens the classifier training labels relative to the
-	// certified threshold: inputs are labeled bad when their error
-	// exceeds GuardBand * threshold. Values below 1 make the classifiers
-	// conservative around the boundary, converting would-be misses
-	// (quality risk) into extra fallbacks (performance cost). 1 disables.
-	// When TableAutoTune is set, the table's guard band is chosen per
-	// application from {1, 0.7, 0.45} instead; this field then only
-	// affects the neural classifier's labels.
-	GuardBand float64
-	// TableAutoTune lets the compiler pick the table classifier's
-	// quantization width and combination rule per application by
-	// evaluating candidates on the training datasets — the per-application
-	// MISR configuration step of the paper's §IV-A.
-	TableAutoTune bool
 	// CompactTraces stores captured traces as float32, halving the
 	// dominant memory cost; enabled at paper scale.
 	CompactTraces bool
@@ -97,12 +82,10 @@ func DefaultOptions() Options {
 			BatchSize:    32,
 			Seed:         1,
 		},
-		TableCfg:      classifier.DefaultTableConfig(),
-		NeuralOpts:    classifier.DefaultNeuralOptions(),
-		ThOpts:        threshold.DefaultOptions(),
-		GuardBand:     1.0,
-		TableAutoTune: true,
-		Seed:          42,
+		TableCfg:   classifier.DefaultTableConfig(),
+		NeuralOpts: classifier.DefaultNeuralOptions(),
+		ThOpts:     threshold.DefaultOptions(),
+		Seed:       42,
 	}
 }
 

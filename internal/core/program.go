@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 
 	"mithra/internal/axbench"
 	"mithra/internal/classifier"
@@ -33,6 +34,14 @@ type CompiledProgram struct {
 	// the missing fields and drift gauges simply stay disabled.
 	RefBounds []float64
 	RefCounts []int64
+}
+
+// init numbers CompiledProgram's wire type after the nn and classifier
+// ones it embeds the encodings of; see nn's init.
+func init() {
+	if err := gob.NewEncoder(io.Discard).Encode(CompiledProgram{}); err != nil {
+		panic(err)
+	}
 }
 
 // Export serializes the deployment for later loading.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 
 	"mithra/internal/mathx"
 )
@@ -86,6 +87,18 @@ type gobApproximator struct {
 	B        [][]float64
 	InScale  Scaler
 	OutScale Scaler
+}
+
+// gob numbers types process-wide in first-use order and writes the
+// numbers into every stream, so an encoding's bytes would depend on what
+// the process encoded before it. Each package whose encoding a compiled
+// program embeds describes its wire types at init, in the order
+// core.Deployment.Export encodes them (nn, then classifier, then core:
+// the import order inits run in), so every process numbers them alike.
+func init() {
+	if err := gob.NewEncoder(io.Discard).Encode(gobApproximator{}); err != nil {
+		panic(err)
+	}
 }
 
 // Encode serializes the approximator (the "accelerator configuration" the

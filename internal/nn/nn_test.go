@@ -190,18 +190,6 @@ func TestTrainLearnsXOR(t *testing.T) {
 	}
 }
 
-func TestTrainEarlyStop(t *testing.T) {
-	samples := []Sample{{In: []float64{0.5}, Out: []float64{0.5}}}
-	n := New([]int{1, 2, 1}, Regression(2), mathx.NewRNG(1))
-	res := n.Train(samples, TrainConfig{Epochs: 10000, LearningRate: 0.5, BatchSize: 1, Seed: 1, TargetMSE: 1e-4})
-	if res.Epochs == 10000 {
-		t.Error("early stopping never triggered on a trivial problem")
-	}
-	if res.FinalMSE > 1e-4 {
-		t.Errorf("final MSE %v above target", res.FinalMSE)
-	}
-}
-
 func TestTrainEmptyAndShapeChecks(t *testing.T) {
 	n := New([]int{2, 2, 1}, Regression(2), mathx.NewRNG(1))
 	res := n.Train(nil, DefaultTrainConfig())
@@ -341,26 +329,6 @@ func TestRegressionClassificationStacks(t *testing.T) {
 	c := Classification(2)
 	if c[0] != Sigmoid || c[1] != Sigmoid {
 		t.Errorf("Classification(2) = %v", c)
-	}
-}
-
-func TestTrainLRDecay(t *testing.T) {
-	samples := []Sample{
-		{In: []float64{0}, Out: []float64{0.2}},
-		{In: []float64{1}, Out: []float64{0.8}},
-	}
-	mk := func(decay float64) float64 {
-		n := New([]int{1, 4, 1}, Regression(2), mathx.NewRNG(2))
-		res := n.Train(samples, TrainConfig{Epochs: 200, LearningRate: 0.5, BatchSize: 2, Seed: 1, LRDecay: decay})
-		return res.FinalMSE
-	}
-	noDecay := mk(0)
-	decayed := mk(0.01)
-	if noDecay > 0.05 || decayed > 0.05 {
-		t.Fatalf("training failed: %v %v", noDecay, decayed)
-	}
-	if noDecay == decayed {
-		t.Error("LRDecay had no effect on the training trajectory")
 	}
 }
 

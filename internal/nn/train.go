@@ -19,18 +19,8 @@ type TrainConfig struct {
 	LearningRate float64
 	Momentum     float64
 	BatchSize    int
-	// L2 is the weight-decay coefficient (0 disables).
-	L2 float64
-	// LRDecay is an inverse-time learning-rate decay coefficient: the
-	// effective rate at epoch e is LearningRate / (1 + LRDecay*e).
-	// 0 disables decay. Long training runs need it to converge instead of
-	// oscillating around the optimum.
-	LRDecay float64
 	// Seed keys the shuffling stream.
 	Seed uint64
-	// TargetMSE stops training early once the epoch MSE falls below it
-	// (0 disables early stopping).
-	TargetMSE float64
 }
 
 // DefaultTrainConfig returns settings that train the paper's topologies to
@@ -76,12 +66,10 @@ func (n *Network) Train(samples []Sample, cfg TrainConfig) TrainResult {
 	rng := mathx.NewRNG(cfg.Seed)
 	t := newTrainer(n, cfg.BatchSize)
 
-	res := TrainResult{}
-	baseLR := cfg.LearningRate
+	sse := 0.0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		cfg.LearningRate = baseLR / (1 + cfg.LRDecay*float64(epoch))
 		perm := rng.Perm(len(samples))
-		sse := 0.0
+		sse = 0
 		for start := 0; start < len(perm); start += cfg.BatchSize {
 			end := start + cfg.BatchSize
 			if end > len(perm) {
@@ -90,14 +78,9 @@ func (n *Network) Train(samples []Sample, cfg TrainConfig) TrainResult {
 			sse = t.gradient(samples, perm[start:end], sse)
 			t.applyGrads(cfg, end-start)
 		}
-		res.Epochs = epoch + 1
-		res.FinalMSE = sse / float64(len(samples))
-		if cfg.TargetMSE > 0 && res.FinalMSE <= cfg.TargetMSE {
-			break
-		}
 	}
 	t.store(n)
-	return res
+	return TrainResult{Epochs: cfg.Epochs, FinalMSE: sse / float64(len(samples))}
 }
 
 // MSE returns the mean squared error of the network over samples.
@@ -324,7 +307,7 @@ func (t *trainer) applyGrads(cfg TrainConfig, batch int) {
 		w := t.w[l]
 		g, v := t.gw[l][:len(w)], t.vw[l][:len(w)]
 		for i := range w {
-			vi := cfg.Momentum*v[i] - scale*(g[i]+cfg.L2*w[i])
+			vi := cfg.Momentum*v[i] - scale*g[i]
 			v[i] = vi
 			w[i] += vi
 		}
